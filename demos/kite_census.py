@@ -44,7 +44,7 @@ def main():
           f"({table.pure_count()} pure, {table.hybrid_count()} hybrid)   "
           f"saturated: {is_saturated(table)}")
 
-    print("\ncounting critical parity proofs (takes a few minutes)...")
+    print("\ncounting critical parity proofs (about 20 s)...")
     start = time.time()
     census = enumerate_parity_proofs(table)
     print(f"done in {time.time() - start:.0f}s")

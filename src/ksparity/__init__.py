@@ -62,7 +62,9 @@ from .parity import (
     brute_force_parity_proofs,
     enumerate_bases,
     enumerate_parity_proofs,
+    is_critical,
     is_saturated,
+    kernel_parity_sets,
     proof_symbol,
     render_symbol,
     two_power_h_report,

@@ -39,13 +39,13 @@ from .states import (
 )
 from .projectors import projectors_of
 from .parity import (
-    _drop_critical,
     brute_force_parity_proofs,
     enumerate_bases,
     enumerate_parity_proofs,
+    is_critical,
     is_saturated,
+    kernel_parity_sets,
     proof_symbol,
-    two_power_h_report,
     verify_proof,
 )
 from .search import search_completions
@@ -490,18 +490,9 @@ def parity_census(run: Run, system_file, brute_force_check, catalog, output):
                 verify_proof(ids, table) for ids in brute
             )
         else:
-            kernel_sets = set()
-            nb = len(table.bases)
-            from . import gf2
-
-            for vec in gf2.enumerate_span(
-                gf2.nullspace(table.incidence_rows(), nb)
-            ):
-                if vec and vec.bit_count() % 2 == 1:
-                    kernel_sets.add(
-                        tuple(j for j in range(nb) if vec & (1 << (nb - 1 - j)))
-                    )
-            census.brute_force_agrees = kernel_sets == set(brute)
+            census.brute_force_agrees = (
+                set(kernel_parity_sets(table)) == set(brute)
+            )
     if catalog:
         with open(catalog, "w") as fh:
             for proof in census.proofs:
@@ -516,10 +507,10 @@ def parity_census(run: Run, system_file, brute_force_check, catalog, output):
                 ) + "\n")
     summary = census.summary_dict(table)
     if run.ascii_only:
-        # symbols were collected in UTF-8; re-render for plain logs
+        # symbol counts are keyed by the UTF-8 form; list the ASCII forms
         summary["types"] = [
             {
-                "symbol": proof_symbol(p.basis_ids, table)[1],
+                "symbol": p.symbol_ascii,
                 "count": census.symbol_counts[p.symbol],
             }
             for p in {q.symbol: q for q in census.proofs}.values()
@@ -550,7 +541,7 @@ def symbol(run: Run, proof_file, system_file, output):
     if any(not 0 <= i < len(table.bases) for i in ids):
         raise click.UsageError("proof references a basis id outside the table")
     valid = verify_proof(ids, table)
-    critical = valid and _drop_critical(ids, table)
+    critical = valid and is_critical(ids, table)
     utf8, ascii_form = proof_symbol(ids, table)
     run.emit(
         {

@@ -12,8 +12,9 @@ proof inside) is also computed and any divergence is reported.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import gf2
 from .projectors import ProjectorPool, StabilizerProjector, orthogonal
@@ -31,6 +32,11 @@ class Basis:
     @property
     def size(self) -> int:
         return len(self.projector_ids)
+
+    @cached_property
+    def mask(self) -> int:
+        """The projector ids as a bitset (bit p = projector p)."""
+        return sum(1 << p for p in self.projector_ids)
 
 
 @dataclass(frozen=True)
@@ -133,6 +139,7 @@ class ParityProof:
     basis_ids: Tuple[int, ...]
     symbol: str
     symbol_ascii: str
+    num_projectors: int
 
     @property
     def num_bases(self) -> int:
@@ -155,15 +162,8 @@ class ProofCensus:
             return None
         return min(
             self.proofs,
-            key=lambda p: (self._projector_count(p), p.num_bases, p.basis_ids),
+            key=lambda p: (p.num_projectors, p.num_bases, p.basis_ids),
         )
-
-    _projcount_cache: Dict[Tuple[int, ...], int] = field(default_factory=dict)
-
-    def _projector_count(self, proof: ParityProof) -> int:
-        # symbol left part encodes the projector count; parse is avoided by
-        # caching at census build time
-        return self._projcount_cache[proof.basis_ids]
 
     def summary_dict(self, table: BasisTable) -> dict:
         report = two_power_h_report(table, self)
@@ -238,90 +238,116 @@ def proof_symbol(
 
 
 def assignment_satisfiable(
-    basis_ids: Sequence[int],
-    table: BasisTable,
-    _cache: Optional[Dict[FrozenSet[int], bool]] = None,
+    basis_ids: Sequence[int], table: BasisTable
 ) -> bool:
     """Can every listed basis be given exactly one value-1 projector?
 
-    Backtracking over shared projectors; a set of bases that admits such a
-    0/1 assignment no longer proves anything.
+    Exact-one search on projector bitmasks that always branches on the
+    open basis with the fewest live candidates (Knuth's Dancing Links
+    heuristic).  A set of bases that admits such a 0/1 assignment no
+    longer proves anything.
     """
-    key = frozenset(basis_ids)
-    if _cache is not None and key in _cache:
-        return _cache[key]
-    bases = sorted(
-        (table.bases[j].projector_ids for j in basis_ids), key=len
-    )
-    members = [0] * len(bases)
-    for i, projs in enumerate(bases):
-        for p in projs:
-            members[i] |= 1 << p
+    bases = table.bases
+    return _exact_one([bases[j].mask for j in basis_ids], 0)
 
-    def dfs(i: int, ones: int, zeros: int) -> bool:
-        if i == len(bases):
+
+def _exact_one(open_masks: List[int], zeros: int) -> bool:
+    """Exact-one search over the open bases given the projectors set to 0.
+
+    Setting a projector to 1 closes every open basis that contains it and
+    sets the rest of those bases to 0; an open basis with no live
+    candidate left fails.
+    """
+    best = 0
+    fewest = None
+    free = ~zeros
+    for mask in open_masks:
+        live = mask & free
+        count = live.bit_count()
+        if count == 0:
+            return False
+        if fewest is None or count < fewest:
+            best, fewest = live, count
+            if count == 1:
+                # a forced choice; a basis with no candidate left is
+                # caught one level down
+                break
+    if fewest is None:
+        return True
+    while best:
+        one = best & -best
+        best ^= one
+        closed = 0
+        rest = []
+        for mask in open_masks:
+            if mask & one:
+                closed |= mask
+            else:
+                rest.append(mask)
+        if _exact_one(rest, zeros | (closed ^ one)):
             return True
-        chosen = next((p for p in bases[i] if ones & (1 << p)), None)
-        if chosen is not None:
-            newzeros = zeros | (members[i] & ~(1 << chosen))
-            if newzeros & ones:
-                return False
-            return dfs(i + 1, ones, newzeros)
-        for p in bases[i]:
-            if zeros & (1 << p):
-                continue
-            newones = ones | (1 << p)
-            newzeros = zeros | (members[i] & ~(1 << p))
-            if newones & newzeros:
-                continue
-            if dfs(i + 1, newones, newzeros):
-                return True
-        return False
-
-    result = dfs(0, 0, 0)
-    if _cache is not None:
-        _cache[key] = result
-    return result
+        # the branching basis takes one of its other candidates, so this
+        # projector is 0 from here on
+        zeros |= one
+    return False
 
 
-def _drop_critical(
-    basis_ids: Sequence[int],
-    table: BasisTable,
-    cache: Optional[Dict[FrozenSet[int], bool]] = None,
-) -> bool:
+def is_critical(basis_ids: Sequence[int], table: BasisTable) -> bool:
     """Dropping any single basis must leave a satisfiable configuration."""
     ids = tuple(basis_ids)
     return all(
-        assignment_satisfiable(
-            tuple(j for j in ids if j != drop), table, cache
-        )
+        assignment_satisfiable(tuple(j for j in ids if j != drop), table)
         for drop in ids
     )
 
 
-def _subset_critical(
-    vec: int, nb: int, incidence_rows: List[int]
-) -> bool:
-    """No odd-weight kernel vector with support strictly inside vec."""
-    support = [j for j in range(nb) if vec & (1 << (nb - 1 - j))]
-    width = len(support)
-    # incidence matrix restricted to the support columns
-    rows = []
-    for r in incidence_rows:
-        row = 0
-        for pos, j in enumerate(support):
-            if r & (1 << (nb - 1 - j)):
-                row |= 1 << (width - 1 - pos)
-        rows.append(row)
-    kernel = gf2.nullspace(rows, width)
-    if len(kernel) <= 1:
-        return True
-    full = (1 << width) - 1
-    for sub in gf2.enumerate_span(kernel):
-        if sub == 0 or sub == full:
+def _basis_ids(vec: int, nb: int) -> Tuple[int, ...]:
+    """Basis ids selected by a kernel vector (bit nb-1-j = basis j)."""
+    return tuple(j for j in range(nb) if vec & (1 << (nb - 1 - j)))
+
+
+def kernel_parity_sets(table: BasisTable) -> List[Tuple[int, ...]]:
+    """Every odd basis subset with even incidence, as basis-id tuples.
+
+    These are the odd vectors of the GF(2) incidence kernel, in the
+    Gray-code order of ``gf2.enumerate_span``.
+    """
+    nb = len(table.bases)
+    kernel = gf2.nullspace(table.incidence_rows(), nb)
+    return [
+        _basis_ids(vec, nb)
+        for vec in gf2.enumerate_span(kernel)
+        if vec.bit_count() % 2 == 1
+    ]
+
+
+def _subset_critical(vec: int, echelon: List[int]) -> bool:
+    """No other odd-weight kernel vector has its support inside vec.
+
+    ``echelon`` is the kernel basis in reduced row echelon form.  Masking
+    vec's support out of it maps exactly the kernel vectors inside that
+    support to zero, vec among them, so the masked basis has rank kdim - 1
+    iff vec and 0 are the only ones.  Any third vector w would give an odd
+    one strictly inside vec: w itself if w is odd, w ^ vec if w is even.
+    A row whose pivot lies outside vec keeps the only copy of that pivot
+    after masking and always adds one to the rank, so only the rows with
+    pivots inside vec are eliminated; they must lose exactly one.
+    """
+    keep = ~vec
+    reduced: List[int] = []
+    dependent = False
+    for row in echelon:
+        if not vec >> (row.bit_length() - 1) & 1:
             continue
-        if sub.bit_count() % 2 == 1:
+        row &= keep
+        for r in reduced:
+            row = min(row, row ^ r)
+        if row:
+            reduced.append(row)
+        elif dependent:
             return False
+        else:
+            dependent = True
     return True
 
 
@@ -346,29 +372,27 @@ def enumerate_parity_proofs(
     if kdim > kernel_cap:
         census.partial = True
         return census
-    sat_cache: Dict[FrozenSet[int], bool] = {}
+    echelon, _ = gf2.rref(kernel, nb)
     for vec in gf2.enumerate_span(kernel):
-        if vec == 0 or vec.bit_count() % 2 == 0:
+        if vec.bit_count() % 2 == 0:
             continue
         # cheap filter first: a proof containing a smaller proof can never
         # survive the drop-one test
-        if not _subset_critical(vec, nb, rows):
+        if not _subset_critical(vec, echelon):
             continue
         census.subset_critical_total += 1
-        basis_ids = tuple(
-            j for j in range(nb) if vec & (1 << (nb - 1 - j))
-        )
-        if not _drop_critical(basis_ids, table, sat_cache):
+        basis_ids = _basis_ids(vec, nb)
+        if not is_critical(basis_ids, table):
             continue
         sym_u, sym_a = proof_symbol(basis_ids, table)
-        proof = ParityProof(basis_ids, sym_u, sym_a)
+        projectors = 0
+        for j in basis_ids:
+            projectors |= table.bases[j].mask
+        proof = ParityProof(basis_ids, sym_u, sym_a, projectors.bit_count())
         census.proofs.append(proof)
         census.symbol_counts[sym_u] = census.symbol_counts.get(sym_u, 0) + 1
         census.basis_count_histogram[len(basis_ids)] = (
             census.basis_count_histogram.get(len(basis_ids), 0) + 1
-        )
-        census._projcount_cache[basis_ids] = len(
-            _proof_multiplicities(basis_ids, table)
         )
     census.total = len(census.proofs)
     return census

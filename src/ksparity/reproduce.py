@@ -9,6 +9,7 @@ equivalence suite.  The same checks back both the command-line
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -47,10 +48,11 @@ from .parity import (
     enumerate_bases,
     enumerate_parity_proofs,
     is_saturated,
+    kernel_parity_sets,
     two_power_h_report,
     verify_proof,
 )
-from .search import search_completions
+from .search import SearchResult, search_completions
 
 
 @dataclass
@@ -265,16 +267,13 @@ def kite_completion(budget: int = 5_000_000) -> ContextSystem:
 
 
 def _check_kite_census(
-    basis_cap: int, kernel_cap: int
+    sys: ContextSystem, basis_cap: int, kernel_cap: int
 ) -> Tuple[bool, dict]:
-    sys = kite_completion()
     pool = projectors_of(sys)
     table = enumerate_bases(pool, cap=basis_cap)
     census = enumerate_parity_proofs(table, kernel_cap=kernel_cap)
     smallest = census.smallest()
-    small_projs = (
-        census._projector_count(smallest) if smallest is not None else None
-    )
+    small_projs = smallest.num_projectors if smallest is not None else None
     # truncated brute-force scan: everything it finds must be a valid
     # parity subset lying in the incidence kernel span
     brute, truncated = brute_force_parity_proofs(table)
@@ -335,8 +334,9 @@ def mermin_square_search(budget: int = 2_000_000):
     return search_completions(seed, [3] * 6, budget=budget)
 
 
-def _check_mermin_square(basis_cap: int, kernel_cap: int) -> Tuple[bool, dict]:
-    result = mermin_square_search()
+def _check_mermin_square(
+    result: SearchResult, basis_cap: int, kernel_cap: int
+) -> Tuple[bool, dict]:
     found = None
     for sys in result.systems:
         if len(sys.observables) != 9:
@@ -372,7 +372,9 @@ def _check_mermin_square(basis_cap: int, kernel_cap: int) -> Tuple[bool, dict]:
     }
 
 
-def _check_oracles(rng_seed: int = 20240817) -> Tuple[bool, dict]:
+def _check_oracles(
+    kite: ContextSystem, square: SearchResult, rng_seed: int = 20240817
+) -> Tuple[bool, dict]:
     mismatches = 0
     pair_cases = 0
     # exhaustive product/commutation versus dense matrices, n <= 2
@@ -418,7 +420,7 @@ def _check_oracles(rng_seed: int = 20240817) -> Tuple[bool, dict]:
     for name, sys in builtin_fixtures().items():
         if sys.n <= 4 and sys.contexts:
             pools.append(projectors_of(sys))
-    pools.append(projectors_of(kite_completion()))
+    pools.append(projectors_of(kite))
     for pool in pools:
         dense = [p.to_dense() for p in pool.projectors]
         for i, j in itertools.combinations(range(len(pool)), 2):
@@ -432,7 +434,7 @@ def _check_oracles(rng_seed: int = 20240817) -> Tuple[bool, dict]:
     # tables are truncated to their first 20 bases to keep the scan exact
     kernel_tables = 0
     small_tables: List[BasisTable] = []
-    for sys in mermin_square_search().systems:
+    for sys in square.systems:
         pool = projectors_of(sys)
         table = enumerate_bases(pool)
         if len(table.bases) > 20:
@@ -442,17 +444,8 @@ def _check_oracles(rng_seed: int = 20240817) -> Tuple[bool, dict]:
         enumerate_bases(projectors_of(builtin_fixtures()["table1-left"]))
     )
     for table in small_tables:
-        nb = len(table.bases)
-        rows = table.incidence_rows()
-        kernel = gf2.nullspace(rows, nb)
-        kernel_sets = set()
-        for vec in gf2.enumerate_span(kernel):
-            if vec and vec.bit_count() % 2 == 1:
-                kernel_sets.add(
-                    tuple(j for j in range(nb) if vec & (1 << (nb - 1 - j)))
-                )
         brute, truncated = brute_force_parity_proofs(table)
-        if truncated or kernel_sets != set(brute):
+        if truncated or set(kernel_parity_sets(table)) != set(brute):
             mismatches += 1
         kernel_tables += 1
     return mismatches == 0, {
@@ -527,6 +520,10 @@ def run_all(
     basis_cap: int = 100_000,
     kernel_cap: int = 26,
 ) -> List[CheckResult]:
+    # checks 10-12 share these two searches; each runs at most once, in the
+    # first check that needs it
+    kite = functools.cache(kite_completion)
+    square = functools.cache(mermin_square_search)
     checks: List[Tuple[int, str, Callable[[], Tuple[bool, dict]]]] = [
         (1, "four-qubit table product is -identity", _check_four_qubit_table),
         (2, "four-qubit GHZ infeasibility (256 assignments)", _check_four_qubit_ghz),
@@ -543,10 +540,11 @@ def run_all(
         (8, "economical six- and eight-qubit tables", _check_economical_tables),
         (9, "kite quadruple product signs", _check_kite_quadruples),
         (10, "kite census: 32/36 table and 33152 critical proofs",
-         lambda: _check_kite_census(basis_cap, kernel_cap)),
+         lambda: _check_kite_census(kite(), basis_cap, kernel_cap)),
         (11, "two-qubit square pipeline: 18-projector/9-basis proof",
-         lambda: _check_mermin_square(basis_cap, kernel_cap)),
-        (12, "oracle equivalence suite", _check_oracles),
+         lambda: _check_mermin_square(square(), basis_cap, kernel_cap)),
+        (12, "oracle equivalence suite",
+         lambda: _check_oracles(kite(), square())),
         (13, "2^H report for the reconstructed four-qubit table",
          lambda: _check_two_power_h(basis_cap, kernel_cap)),
     ]

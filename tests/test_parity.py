@@ -1,34 +1,84 @@
 import itertools
+import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ksparity import gf2
 from ksparity.systems import system_from_rows
 from ksparity.projectors import projectors_of
 from ksparity.parity import (
     BasisTable,
+    _subset_critical,
     assignment_satisfiable,
     brute_force_parity_proofs,
     enumerate_bases,
     enumerate_parity_proofs,
+    is_critical,
     is_saturated,
+    kernel_parity_sets,
     proof_symbol,
     render_symbol,
     two_power_h_report,
     verify_proof,
 )
-from ksparity.reproduce import mermin_square_search
+from ksparity.reproduce import kite_completion, mermin_square_search
+
+# kite bases left out of the kite sub-table: kernel dimension 11, with 384
+# of its 1024 odd kernel vectors subset-critical and 356 of those critical
+# (the same counts as the oracle census in bench/census.py)
+KITE_SUB_DROP = (0, 2, 3, 9, 15, 17, 31, 32, 35)
+
+# most choices of one projector per basis the brute-force oracle will try
+BRUTE_FORCE_CHOICES = 3_000_000
 
 
 @pytest.fixture(scope="module")
-def square_table():
-    sys = mermin_square_search().systems[0]
-    return enumerate_bases(projectors_of(sys))
+def square_tables():
+    return [
+        enumerate_bases(projectors_of(sys))
+        for sys in mermin_square_search().systems
+    ]
 
 
 @pytest.fixture(scope="module")
-def square_census(square_table):
-    return enumerate_parity_proofs(square_table)
+def square_table(square_tables):
+    return square_tables[0]
+
+
+@pytest.fixture(scope="module")
+def square_censuses(square_tables):
+    return [enumerate_parity_proofs(table) for table in square_tables]
+
+
+@pytest.fixture(scope="module")
+def square_census(square_censuses):
+    return square_censuses[0]
+
+
+@pytest.fixture(scope="module")
+def kite_table():
+    return enumerate_bases(projectors_of(kite_completion()))
+
+
+@pytest.fixture(scope="module")
+def kite_sub_ids(kite_table):
+    """Kite basis ids kept in the kite sub-table, in sub-table order."""
+    return [j for j in range(len(kite_table.bases)) if j not in KITE_SUB_DROP]
+
+
+@pytest.fixture(scope="module")
+def kite_sub_table(kite_table, kite_sub_ids):
+    return BasisTable(
+        kite_table.pool, tuple(kite_table.bases[j] for j in kite_sub_ids)
+    )
+
+
+@pytest.fixture(scope="module")
+def kite_sub_census(kite_sub_table):
+    return enumerate_parity_proofs(kite_sub_table)
 
 
 class TestBasisTable:
@@ -140,6 +190,7 @@ class TestCensus:
             # the proof itself admits no exactly-one assignment
             assert not assignment_satisfiable(ids, square_table)
             # dropping any one basis restores satisfiability
+            assert is_critical(ids, square_table)
             for drop in ids:
                 rest = tuple(j for j in ids if j != drop)
                 assert assignment_satisfiable(rest, square_table)
@@ -155,20 +206,109 @@ class TestCensus:
         square_table = BasisTable(
             square_table.pool, square_table.bases[:20]
         )
-        nb = len(square_table.bases)
-        rows = square_table.incidence_rows()
-        kernel_sets = set()
-        for vec in gf2.enumerate_span(gf2.nullspace(rows, nb)):
-            if vec and vec.bit_count() % 2 == 1:
-                kernel_sets.add(
-                    tuple(j for j in range(nb) if vec & (1 << (nb - 1 - j)))
-                )
         brute, truncated = brute_force_parity_proofs(square_table)
         assert not truncated
-        assert kernel_sets == set(brute)
+        assert set(kernel_parity_sets(square_table)) == set(brute)
 
     def test_symbol_totals_consistent(self, square_census):
         assert sum(square_census.symbol_counts.values()) == square_census.total
+
+
+def _odd_kernel_vectors(table):
+    nb = len(table.bases)
+    kernel = gf2.nullspace(table.incidence_rows(), nb)
+    odd = [v for v in gf2.enumerate_span(kernel) if v.bit_count() % 2 == 1]
+    return gf2.rref(kernel, nb)[0], odd
+
+
+def _choices(basis_ids, table):
+    return math.prod(table.bases[j].size for j in basis_ids)
+
+
+def _choices_satisfiable(basis_ids, table):
+    """Brute force: try every choice of one projector per basis and see
+    whether some choice gives each basis exactly one chosen projector."""
+    chosen = np.zeros(1, dtype=np.uint64)
+    for j in basis_ids:
+        bits = np.array(
+            [1 << p for p in table.bases[j].projector_ids], dtype=np.uint64
+        )
+        chosen = (chosen[:, None] | bits[None, :]).ravel()
+    ok = np.ones(len(chosen), dtype=bool)
+    for j in basis_ids:
+        hit = chosen & np.uint64(
+            sum(1 << p for p in table.bases[j].projector_ids)
+        )
+        ok &= (hit != 0) & ((hit & (hit - np.uint64(1))) == 0)
+    return bool(ok.any())
+
+
+class TestFilters:
+    def _assert_subset_filter_matches_definition(self, table):
+        echelon, odd = _odd_kernel_vectors(table)
+        outcomes = set()
+        for vec in odd:
+            inside = any(u != vec and u & ~vec == 0 for u in odd)
+            assert _subset_critical(vec, echelon) == (not inside)
+            outcomes.add(inside)
+        return outcomes
+
+    def test_subset_filter_on_square_tables(self, square_tables):
+        for table in square_tables:
+            self._assert_subset_filter_matches_definition(table)
+
+    def test_subset_filter_on_kite_sub_table(self, kite_sub_table):
+        outcomes = self._assert_subset_filter_matches_definition(
+            kite_sub_table
+        )
+        assert outcomes == {True, False}
+
+    def test_kite_sub_table_counts(self, kite_sub_census):
+        census = kite_sub_census
+        assert census.kernel_dimension == 11
+        assert census.subset_critical_total == 384
+        assert census.total == 356
+
+    def test_brute_force_oracle_on_a_proof(self, square_table, square_census):
+        ids = square_census.smallest().basis_ids
+        assert not _choices_satisfiable(ids, square_table)
+        assert _choices_satisfiable(ids[1:], square_table)
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_exact_one_search_matches_brute_force(
+        self, square_tables, square_censuses, kite_table, kite_sub_ids,
+        kite_sub_census, data,
+    ):
+        # random small subsets of these tables are all satisfiable, so a
+        # draw may start from a critical proof, drop some of its bases and
+        # add others
+        if data.draw(st.booleans(), label="kite"):
+            table = kite_table
+            proofs = [
+                tuple(kite_sub_ids[j] for j in p.basis_ids)
+                for p in kite_sub_census.proofs
+            ]
+        else:
+            k = data.draw(st.integers(0, len(square_tables) - 1), label="square")
+            table = square_tables[k]
+            proofs = [p.basis_ids for p in square_censuses[k].proofs]
+        proofs = [p for p in proofs if _choices(p, table) <= BRUTE_FORCE_CHOICES]
+        ids = list(
+            data.draw(st.one_of(st.just(()), st.sampled_from(proofs)), label="proof")
+        )
+        for _ in range(data.draw(st.integers(0, min(2, len(ids))), label="drops")):
+            ids.remove(data.draw(st.sampled_from(ids), label="dropped"))
+        extra = data.draw(
+            st.lists(st.integers(0, len(table.bases) - 1), unique=True, max_size=8),
+            label="extra",
+        )
+        for j in extra:
+            if j not in ids and _choices(ids + [j], table) <= BRUTE_FORCE_CHOICES:
+                ids.append(j)
+        assert assignment_satisfiable(ids, table) == _choices_satisfiable(
+            ids, table
+        )
 
 
 class TestSymbols:
