@@ -168,7 +168,12 @@ def _parse_pairing(text: str) -> List[Tuple[int, int]]:
             raise click.UsageError(
                 f"bad pairing chunk {chunk!r}; use e.g. '1,2;3,4'"
             )
-        pairs.append((int(parts[0]), int(parts[1])))
+        try:
+            pairs.append((int(parts[0]), int(parts[1])))
+        except ValueError:
+            raise click.UsageError(
+                f"bad pairing chunk {chunk!r}; qubits must be integers"
+            )
     return pairs
 
 

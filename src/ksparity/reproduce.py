@@ -109,11 +109,7 @@ def _check_star_family(max_qubits: int) -> Tuple[bool, dict]:
             zs = sum(1 for ob in sys.observables if ob.letter(pos) == "Z")
             if xs % 2 or zs % 2:
                 col_ok = False
-        # exhaustive cross-validation already happens for the small sizes;
-        # capping it keeps the whole family under a second
-        infeasible = ghz_infeasible(
-            sys, default_eigenvalues(sys), exhaustive_cap=1 << 18
-        )
+        infeasible = ghz_infeasible(sys, default_eigenvalues(sys))
         this = rows_ok and rep.ok and sign_ok and col_ok and infeasible
         ok = ok and this
         detail[f"N={N}"] = {

@@ -18,7 +18,12 @@ import numpy as np
 
 from . import gf2
 from .pauli import DenseCapError, PauliWord
-from .systems import ContextSystem, InconsistentEigenvaluesError, _single_context
+from .systems import (
+    ContextSystem,
+    InconsistentEigenvaluesError,
+    _single_context,
+    check_eigenvalue_dependencies,
+)
 
 DENSE_STATE_CAP = 14
 
@@ -129,7 +134,8 @@ def joint_eigenstate(
 
     Computed by applying the projectors (I + s_i O_i)/2 to a sequence of
     basis vectors until a nonzero image survives; the result is verified
-    against every eigen-equation to 1e-10.
+    against every eigen-equation to 1e-10.  Eigenvalues that break a
+    dependency among the members raise ``InconsistentEigenvaluesError``.
     """
     ctx = _single_context(sys)
     if sys.n > dense_cap:
@@ -144,6 +150,7 @@ def joint_eigenstate(
             f"eigenvalue product {ev_product:+d} does not match "
             f"context product sign {ctx.sign:+d}"
         )
+    check_eigenvalue_dependencies(sys, eigenvalues)
     dim = eigenspace_dimension(sys)
     if dim != 1:
         raise UnderdeterminedEigenstateError(dim)
@@ -225,22 +232,20 @@ def bell_product_vector(
     covered += [q for q, _ in computational]
     if sorted(covered) != list(range(1, n + 1)):
         raise ValueError("factors must cover every qubit exactly once")
+    # one entry per nonzero term, pair k's offsets on the k-th axis of the
+    # outer OR; amplitudes multiply left to right, which fixes the rounding
+    index = np.zeros(1, dtype=np.int64)
+    amp = np.ones(1)
+    for qa, qb, label in bell_factors:
+        bell = BELL_VECTORS[label].real
+        offsets = np.flatnonzero(bell)
+        shifts = ((offsets >> 1) << (n - qa)) | ((offsets & 1) << (n - qb))
+        index = (index[:, None] | shifts[None, :]).ravel()
+        amp = (amp[:, None] * bell[offsets][None, :]).ravel()
+    for q, b in computational:
+        index |= b << (n - q)
     vec = np.zeros(1 << n, dtype=complex)
-    pair_bits = list(itertools.product((0, 1), repeat=2 * len(bell_factors)))
-    for bits in pair_bits:
-        amp = 1.0 + 0j
-        index = 0
-        for (qa, qb, label), (ba, bb) in zip(
-            bell_factors, zip(bits[::2], bits[1::2])
-        ):
-            amp *= BELL_VECTORS[label][2 * ba + bb]
-            index |= ba << (n - qa)
-            index |= bb << (n - qb)
-        if amp == 0:
-            continue
-        for q, b in computational:
-            index |= b << (n - q)
-        vec[index] += amp
+    vec.real[index] = amp
     return vec
 
 
@@ -291,6 +296,8 @@ def measure_computational(
         raise ValueError("outcome length must match the measured qubit count")
     if len(set(qubits)) != len(qubits):
         raise ValueError("measured qubits must be distinct")
+    if any(not 1 <= q <= state.n for q in qubits):
+        raise ValueError(f"measured qubits must lie in 1..{state.n}")
     if not qubits:
         return 1.0, state
     n = state.n

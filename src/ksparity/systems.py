@@ -17,9 +17,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from . import gf2
 from .pauli import PauliWord, commutes, multiply, parse_word, product_of
 
-EXHAUSTIVE_CAP_DEFAULT = 1 << 22
-
-
 class InconsistentEigenvaluesError(ValueError):
     """Eigenvalue signature conflicts with the context's product sign."""
 
@@ -224,48 +221,73 @@ def default_eigenvalues(sys: ContextSystem) -> List[int]:
     return [1] * (len(ctx.members) - 1) + [ctx.sign]
 
 
-def count_ghz_assignments(
+def check_eigenvalue_dependencies(
     sys: ContextSystem, eigenvalues: Sequence[int]
-) -> Tuple[int, int]:
-    """(satisfying, total) over all +-1 assignments to the letter slots."""
-    ctx = _single_context(sys)
-    slots = sorted(
-        {s for m in ctx.members for s in word_slots(sys.observables[m])}
-    )
-    index = {s: i for i, s in enumerate(slots)}
-    row_masks = []
-    for m in ctx.members:
-        mask = 0
-        for s in word_slots(sys.observables[m]):
-            mask ^= 1 << index[s]
-        row_masks.append(mask)
-    targets = [0 if e == 1 else 1 for e in eigenvalues]
-    total = 1 << len(slots)
-    satisfying = 0
-    for assignment in range(total):
-        if all(
-            (assignment & mask).bit_count() % 2 == t
-            for mask, t in zip(row_masks, targets)
-        ):
-            satisfying += 1
-    return satisfying, total
+) -> None:
+    """Raise unless the eigenvalues respect every dependency among the rows.
 
-
-def ghz_infeasible(
-    sys: ContextSystem,
-    eigenvalues: Sequence[int],
-    exhaustive_cap: int = EXHAUSTIVE_CAP_DEFAULT,
-) -> bool:
-    """No single-qubit value assignment reproduces the eigenvalue row targets.
-
-    Runs both the exhaustive enumeration (when within ``exhaustive_cap``
-    assignments) and the GF(2) encoding, and insists that they agree.
+    Each vector of the left null space of the members' symplectic bitsets
+    picks rows whose product is a multiple of the identity; a joint
+    eigenstate exists only if the chosen eigenvalues multiply to the sign
+    of that product.  Checking a basis suffices, because for commuting
+    words both sides multiply along sums of null vectors.
     """
+    ctx = _single_context(sys)
+    words = sys.context_words(ctx)
+    rows = [(w.x << sys.n) | w.z for w in words]
+    for vec in gf2.left_nullspace(rows, 2 * sys.n):
+        chosen = gf2.row_bits(vec, len(rows))
+        prod = product_of([words[i] for i in chosen])
+        ev_product = 1
+        for i in chosen:
+            ev_product *= eigenvalues[i]
+        if prod.sigma % 2 or prod.sign != ev_product:
+            names = ", ".join(str(words[i]) for i in chosen)
+            raise InconsistentEigenvaluesError(
+                f"eigenvalues of {names} multiply to {ev_product:+d} "
+                f"but the operators multiply to {prod}; "
+                f"no joint eigenstate exists"
+            )
+
+
+def _ghz_equations(
+    sys: ContextSystem, eigenvalues: Sequence[int]
+) -> Tuple[List[Slot], List[int], List[int]]:
+    """Slot equations with one row per member, its eigenvalue as target."""
     ctx = _single_context(sys)
     if len(eigenvalues) != len(ctx.members):
         raise ValueError("one eigenvalue per context member is required")
     if any(e not in (1, -1) for e in eigenvalues):
         raise ValueError("eigenvalues must be +1 or -1")
+    signed = tuple(
+        Context((m,), e) for m, e in zip(ctx.members, eigenvalues)
+    )
+    return _slot_equations(sys, signed)
+
+
+def count_ghz_assignments(
+    sys: ContextSystem, eigenvalues: Sequence[int]
+) -> Tuple[int, int]:
+    """(satisfying, total) over all +-1 assignments to the letter slots.
+
+    The satisfying assignments are the solutions of the slot equations:
+    none if they are inconsistent, else 2^(slots - rank).
+    """
+    slots, rows, rhs = _ghz_equations(sys, eigenvalues)
+    total = 1 << len(slots)
+    if not gf2.solvable(rows, rhs):
+        return 0, total
+    return total >> gf2.rank(rows), total
+
+
+def ghz_infeasible(sys: ContextSystem, eigenvalues: Sequence[int]) -> bool:
+    """No single-qubit value assignment reproduces the eigenvalue row targets.
+
+    Decided by the GF(2) slot equations.  Eigenvalues that no joint
+    eigenstate can carry raise ``InconsistentEigenvaluesError``.
+    """
+    ctx = _single_context(sys)
+    _, rows, rhs = _ghz_equations(sys, eigenvalues)
     ev_product = 1
     for e in eigenvalues:
         ev_product *= e
@@ -274,19 +296,8 @@ def ghz_infeasible(
             f"eigenvalue product {ev_product:+d} does not match "
             f"context product sign {ctx.sign:+d}; no joint eigenstate exists"
         )
-    signed = tuple(
-        Context((m,), e) for m, e in zip(ctx.members, eigenvalues)
-    )
-    _, rows, rhs = _slot_equations(sys, signed)
-    infeasible = not gf2.solvable(rows, rhs)
-    slot_count = max(r.bit_length() for r in rows) if rows else 0
-    if (1 << slot_count) <= exhaustive_cap:
-        satisfying, _ = count_ghz_assignments(sys, eigenvalues)
-        if (satisfying == 0) != infeasible:
-            raise AssertionError(
-                "exhaustive and GF(2) feasibility checks disagree"
-            )
-    return infeasible
+    check_eigenvalue_dependencies(sys, eigenvalues)
+    return not gf2.solvable(rows, rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -349,14 +360,6 @@ def builtin_fixtures() -> Dict[str, ContextSystem]:
 # genuine multipartiteness
 
 
-def _restricted_sign(words: Sequence[PauliWord], keep: Sequence[int]) -> Optional[int]:
-    """Sign of the product of the restricted words, or None if not +-identity."""
-    prod = product_of([w.restricted(keep) for w in words])
-    if not prod.is_identity_letters or prod.sigma % 2:
-        return None
-    return prod.sign
-
-
 def find_proper_subproof(
     sys: ContextSystem,
 ) -> Optional[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
@@ -371,43 +374,58 @@ def find_proper_subproof(
     ctx = _single_context(sys)
     words = sys.context_words(ctx)
     nrows = len(words)
-    full_cols = tuple(range(sys.n))
-    for bits in range(1, 1 << sys.n):
-        cols = tuple(p for p in range(sys.n) if bits & (1 << p))
-        restricted = [w.restricted(cols) for w in words]
-        alive = [i for i, w in enumerate(restricted) if not w.is_identity_letters]
-        if len(alive) < 2:
+    n = sys.n
+    # slot columns: for each position and letter, the rows holding that
+    # letter there (bit nrows-1-i for row i), as gf2.left_nullspace numbers
+    # them; a restriction to some columns keeps their slot columns only
+    slot_columns: List[List[int]] = [[] for _ in range(n)]
+    for p in range(n):
+        bit = 1 << (n - 1 - p)
+        for xbit, zbit in ((bit, 0), (bit, bit), (0, bit)):
+            col = 0
+            for i, w in enumerate(words):
+                if (w.x & bit, w.z & bit) == (xbit, zbit):
+                    col |= 1 << (nrows - 1 - i)
+            if col:
+                slot_columns[p].append(col)
+    for bits in range(1, 1 << n):
+        cols = tuple(p for p in range(n) if bits & (1 << p))
+        cmask = sum(1 << (n - 1 - p) for p in cols)
+        dead = 0
+        for i, w in enumerate(words):
+            if not (w.x | w.z) & cmask:
+                dead |= 1 << (nrows - 1 - i)
+        if nrows - dead.bit_count() < 2:
             continue
-        # slot-parity matrix over the surviving rows
-        slots = sorted(
-            {s for i in alive for s in word_slots(restricted[i])}
-        )
-        index = {s: i for i, s in enumerate(slots)}
-        width = len(slots)
-        rows_bits = []
-        for i in alive:
-            row = 0
-            for s in word_slots(restricted[i]):
-                row ^= 1 << (width - 1 - index[s])
-            rows_bits.append(row)
-        kernel = gf2.left_nullspace(rows_bits, width)
+        # The left null space over all rows is the one over the rows that
+        # survive the restriction plus a unit vector per identity row; the
+        # null-space basis is canonical (reduced echelon form), so dropping
+        # those unit vectors leaves the surviving rows' basis, in order.
+        kernel = [
+            v
+            for v in gf2.nullspace(
+                list({c for p in cols for c in slot_columns[p]}), nrows
+            )
+            if not v & dead
+        ]
         if not kernel:
             continue
         for vec in gf2.enumerate_span(kernel):
             if vec == 0:
                 continue
-            chosen = [alive[i] for i in gf2.row_bits(vec, len(alive))]
-            if cols == full_cols and len(chosen) == nrows:
+            chosen = gf2.row_bits(vec, nrows)
+            if bits == (1 << n) - 1 and len(chosen) == nrows:
                 continue  # the original table itself
-            sub = [restricted[i] for i in chosen]
-            keys = {(w.x, w.z) for w in sub}
-            if len(keys) != len(sub):
+            sub = [(words[i].x & cmask, words[i].z & cmask) for i in chosen]
+            if len(set(sub)) != len(sub):
                 continue
             if any(
-                not commutes(a, b) for a, b in itertools.combinations(sub, 2)
+                ((ax & bz).bit_count() + (az & bx).bit_count()) % 2
+                for (ax, az), (bx, bz) in itertools.combinations(sub, 2)
             ):
                 continue
-            prod = product_of(sub)
+            # identity letters outside the columns leave the sign unchanged
+            prod = product_of([PauliWord(n, x, z).unsigned() for x, z in sub])
             if prod.sigma % 2 == 0 and prod.sign == -1:
                 return cols, tuple(chosen)
     return None

@@ -122,6 +122,36 @@ class TestStateCommands:
         assert doc["probability"] == pytest.approx(0.25)
         assert doc["residual"]["n"] == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["measure", "{psi}", "--qubits", "0", "--outcome", "0"],
+        ["measure", "{psi}", "--qubits", "9", "--outcome", "0"],
+        ["bell", "{psi}", "--pairing", "1,x;3,4"],
+    ])
+    def test_malformed_request_is_usage_error(self, runner, tmp_path, argv):
+        state_file = str(tmp_path / "psi.json")
+        runner.invoke(main, ["state", write_star(tmp_path), "-o", state_file])
+        result = runner.invoke(
+            main, [a.replace("{psi}", state_file) for a in argv]
+        )
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+
+    def test_second_dependency_is_verify_failure(self, runner, tmp_path):
+        rows = [str(ob) + "II" for ob in build_star_table(2).observables]
+        path = tmp_path / "control.json"
+        path.write_text(json.dumps({
+            "n": 6,
+            "observables": rows + ["IIIIXI", "IIIIIX", "IIIIXX"],
+            "contexts": [{"members": list(range(8)), "sign": -1}],
+        }))
+        for verb in ("state", "ghz-check"):
+            result = runner.invoke(
+                main, [verb, str(path), "--eigenvalues", "+,+,+,+,+,+,+,-"]
+            )
+            assert result.exit_code == 1
+            assert isinstance(result.exception, SystemExit)
+            assert json.loads(result.output)["ok"] is False
+
     def test_underdetermined_state(self, runner, tmp_path):
         path = tmp_path / "half.json"
         path.write_text(json.dumps({

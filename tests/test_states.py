@@ -3,7 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import ghz_oracles
 from ksparity.pauli import parse_word
 from ksparity.systems import (
     InconsistentEigenvaluesError,
@@ -12,6 +14,7 @@ from ksparity.systems import (
     system_from_rows,
 )
 from ksparity.states import (
+    BELL_LABELS,
     BELL_VECTORS,
     DenseState,
     UnderdeterminedEigenstateError,
@@ -99,6 +102,16 @@ class TestJointEigenstate:
         with pytest.raises(InconsistentEigenvaluesError):
             joint_eigenstate(sys, (1, 1, 1, 1, 1))
 
+    def test_second_dependency_rejected(self):
+        # XI, IX, XX on qubits 5, 6 multiply to +identity: + + - has the
+        # right total product but no joint eigenstate
+        rows = [str(ob) + "II" for ob in build_star_table(2).observables]
+        sys = system_from_rows(rows + ["IIIIXI", "IIIIIX", "IIIIXX"], -1)
+        with pytest.raises(InconsistentEigenvaluesError):
+            joint_eigenstate(sys, (1, 1, 1, 1, 1, 1, 1, -1))
+        state = joint_eigenstate(sys, (1, 1, 1, 1, -1, 1, -1, -1))
+        assert state.n == 6
+
 
 class TestBellDecomposition:
     def test_bell_vectors_are_orthonormal(self):
@@ -135,6 +148,51 @@ class TestBellDecomposition:
         decomp = bell_decompose(psi6, [(1, 4), (2, 5), (3, 6)])
         assert decomp.reconstruct().isclose(psi6, tol=1e-12)
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_product_vector_matches_loop(self, data):
+        n = data.draw(st.integers(1, 10))
+        qubits = data.draw(st.permutations(range(1, n + 1)))
+        k = data.draw(st.integers(0, n // 2))
+        labels = data.draw(
+            st.lists(st.sampled_from(BELL_LABELS), min_size=k, max_size=k)
+        )
+        factors = [
+            (qubits[2 * i], qubits[2 * i + 1], label)
+            for i, label in enumerate(labels)
+        ]
+        rest = qubits[2 * k:]
+        bits = data.draw(
+            st.lists(st.integers(0, 1), min_size=len(rest), max_size=len(rest))
+        )
+        computational = list(zip(rest, bits))
+        assert (
+            bell_product_vector(n, factors, computational).tobytes()
+            == ghz_oracles.bell_product_vector(n, factors, computational).tobytes()
+        )
+
+    @pytest.mark.parametrize("N", [2, 3, 4])
+    def test_star_coefficients_match_loop(self, N):
+        sys = build_star_table(N)
+        psi = joint_eigenstate(sys, default_eigenvalues(sys))
+        consecutive = [(2 * i + 1, 2 * i + 2) for i in range(N)]
+        crossed = [(i + 1, N + i + 1) for i in range(N)]
+        for pairing in (consecutive, crossed):
+            coeffs = bell_decompose(psi, pairing).coefficients
+            expected = {
+                labels: complex(np.vdot(
+                    ghz_oracles.bell_product_vector(
+                        psi.n,
+                        [(a, b, lab) for (a, b), lab in zip(pairing, labels)],
+                    ),
+                    psi.amplitudes,
+                ))
+                for labels in itertools.product(BELL_LABELS, repeat=N)
+            }
+            assert list(coeffs) == list(expected)
+            assert (np.array(list(coeffs.values())).tobytes()
+                    == np.array(list(expected.values())).tobytes())
+
     def test_bad_pairing(self, psi4):
         with pytest.raises(ValueError):
             bell_decompose(psi4, [(1, 2), (2, 3)])
@@ -152,6 +210,11 @@ class TestMeasurement:
                 prob, _ = measure_computational(psi6, qubits, "".join(bits))
                 total += prob
             assert total == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("qubits", [[0], [5], [1, 9], [-1]])
+    def test_qubit_out_of_range(self, psi4, qubits):
+        with pytest.raises(ValueError):
+            measure_computational(psi4, qubits, "0" * len(qubits))
 
     def test_empty_measurement(self, psi4):
         prob, residual = measure_computational(psi4, [], "")

@@ -1,8 +1,11 @@
 import json
+import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from ksparity.pauli import parse_word
+import ghz_oracles
+from ksparity.pauli import PauliWord, parse_word
 from ksparity.systems import (
     Context,
     ContextSystem,
@@ -18,7 +21,71 @@ from ksparity.systems import (
     parity_witness,
     system_from_rows,
     verify_system,
+    word_slots,
 )
+
+
+def control_table(seed):
+    """Star table on four of six qubits next to {L I, I L, L L} on the
+    other two, at seeded positions: not genuinely multipartite, and its
+    rows have two independent dependencies."""
+    rng = random.Random(seed)
+    letter = rng.choice("XYZ")
+    pair = sorted(rng.sample(range(6), 2))
+    others = [q for q in range(6) if q not in pair]
+    rows = []
+    for row in (str(ob) for ob in build_star_table(2).observables):
+        word = ["I"] * 6
+        for q, ch in zip(others, row):
+            word[q] = ch
+        rows.append("".join(word))
+    for a, b in ((letter, "I"), ("I", letter), (letter, letter)):
+        word = ["I"] * 6
+        word[pair[0]], word[pair[1]] = a, b
+        rows.append("".join(word))
+    return system_from_rows(rows, -1)
+
+
+@st.composite
+def single_context_tables(draw, max_qubits, max_rows):
+    """Random distinct non-identity words in one context of any sign."""
+    n = draw(st.integers(1, max_qubits))
+    keys = draw(st.lists(
+        st.tuples(st.integers(0, (1 << n) - 1), st.integers(0, (1 << n) - 1))
+        .filter(lambda k: k != (0, 0)),
+        min_size=1, max_size=max_rows, unique=True,
+    ))
+    obs = tuple(PauliWord(n, x, z).unsigned() for x, z in keys)
+    members = tuple(range(len(obs)))
+    members += tuple(draw(st.lists(st.sampled_from(members), max_size=2)))
+    sign = draw(st.sampled_from((1, -1)))
+    return ContextSystem(n, obs, (Context(members, sign),))
+
+
+@st.composite
+def tables_holding_a_star(draw):
+    """The four-qubit star table on a random choice of 4..6 qubits, plus up
+    to three random rows, in a random row order: most have a sub-proof.
+    Some extra rows are idle on the star's qubits, so they drop out of the
+    star's restriction."""
+    n = draw(st.integers(4, 6))
+    place = draw(st.permutations(range(n)))[:4]
+    rows = []
+    for ob in build_star_table(2).observables:
+        word = ["I"] * n
+        for q, ch in zip(place, str(ob)):
+            word[q] = ch
+        rows.append("".join(word))
+    for _ in range(draw(st.integers(0, 3))):
+        word = list(draw(st.text("IXYZ", min_size=n, max_size=n)))
+        if draw(st.booleans()):
+            for q in place:
+                word[q] = "I"
+        rows.append("".join(word))
+    rows = [r for r in dict.fromkeys(rows) if r != "I" * n]
+    order = draw(st.permutations(range(len(rows))))
+    obs = tuple(parse_word(rows[i]) for i in order)
+    return ContextSystem(n, obs, (Context(tuple(range(len(obs))), -1),))
 
 
 class TestContextSystem:
@@ -109,10 +176,35 @@ class TestStarTables:
 
 
 class TestGhzChecks:
-    def test_four_qubit_exhaustive(self):
+    def test_four_qubit_count_matches_oracle(self):
         sys = build_star_table(2)
-        satisfying, total = count_ghz_assignments(sys, (1, 1, 1, 1, -1))
-        assert (satisfying, total) == (0, 256)
+        ev = (1, 1, 1, 1, -1)
+        assert count_ghz_assignments(sys, ev) == (0, 256)
+        assert ghz_oracles.count_ghz_assignments(sys, ev) == (0, 256)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_count_matches_oracle(self, data):
+        sys = data.draw(single_context_tables(max_qubits=6, max_rows=7))
+        words = sys.context_words(sys.contexts[0])
+        slots = {s for w in words for s in word_slots(w)}
+        assume(len(slots) <= 16)
+        ev = data.draw(st.lists(
+            st.sampled_from((1, -1)), min_size=len(words), max_size=len(words)
+        ))
+        expected = ghz_oracles.count_ghz_assignments(sys, ev)
+        assert count_ghz_assignments(sys, ev) == expected
+        try:
+            infeasible = ghz_infeasible(sys, ev)
+        except InconsistentEigenvaluesError:
+            return
+        assert infeasible == (expected[0] == 0)
+
+    def test_sixteen_qubit_count_is_closed_form(self):
+        sys = build_star_table(8)
+        assert count_ghz_assignments(sys, default_eigenvalues(sys)) == (
+            0, 1 << 32
+        )
 
     def test_infeasible_methods_agree(self):
         for name in ("table1-left", "table2-left"):
@@ -129,6 +221,23 @@ class TestGhzChecks:
         sys = build_star_table(2)
         with pytest.raises(InconsistentEigenvaluesError):
             ghz_infeasible(sys, (1, 1, 1, 1, 1))
+
+    def test_second_dependency_rejected(self):
+        # the last three rows (L I, I L, L L on two qubits) multiply to
+        # +identity on their own, so their eigenvalues must multiply to +1
+        # as well as all eight to -1
+        sys = control_table(0)
+        with pytest.raises(InconsistentEigenvaluesError):
+            ghz_infeasible(sys, [1, 1, 1, 1, 1, 1, 1, -1])
+        assert ghz_infeasible(sys, [1, 1, 1, 1, -1, 1, -1, -1])
+
+    def test_repeated_member_needs_one_eigenvalue(self):
+        base = build_star_table(2)
+        sys = ContextSystem(4, base.observables,
+                            (Context(tuple(range(5)) + (0, 0), -1),))
+        with pytest.raises(InconsistentEigenvaluesError):
+            ghz_infeasible(sys, [1, 1, 1, 1, -1, -1, -1])
+        assert ghz_infeasible(sys, [1, 1, 1, 1, -1, 1, 1])
 
     def test_feasible_case(self):
         sys = system_from_rows(["XX", "YY", "ZZ"], -1)
@@ -168,6 +277,42 @@ class TestMultipartite:
         sys = ContextSystem(4, obs, (Context(members, -1),))
         assert verify_system(sys).ok
         assert not is_genuinely_multipartite(sys)
+
+
+class TestMultipartiteOracle:
+    def _same_witness(self, sys):
+        assert find_proper_subproof(sys) == ghz_oracles.find_proper_subproof(sys)
+
+    @pytest.mark.parametrize("N", [2, 3, 4])
+    def test_star_tables(self, N):
+        self._same_witness(build_star_table(N))
+
+    def test_padded_and_duplicated_tables(self):
+        star = build_star_table(2)
+        self._same_witness(
+            system_from_rows([str(ob) + "II" for ob in star.observables], -1)
+        )
+        self._same_witness(ContextSystem(
+            4, star.observables, (Context(tuple(range(5)) + (0, 0), -1),)
+        ))
+        # a first row idle on the star's qubits must not join the witness
+        self._same_witness(system_from_rows(
+            ["IIIIX"] + [str(ob) + "I" for ob in star.observables], -1
+        ))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_control_tables(self, seed):
+        sys = control_table(seed)
+        assert find_proper_subproof(sys) is not None
+        self._same_witness(sys)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(
+        single_context_tables(max_qubits=4, max_rows=6),
+        tables_holding_a_star(),
+    ))
+    def test_random_tables(self, sys):
+        self._same_witness(sys)
 
 
 class TestFixtures:
