@@ -70,7 +70,12 @@ from .parity import (
     two_power_h_report,
     verify_proof,
 )
-from .search import SearchResult, canonical_form, search_completions
+from .search import (
+    SearchCapError,
+    SearchResult,
+    canonical_form,
+    search_completions,
+)
 from .dot import export_dot
 
 __version__ = "1.0.0"

@@ -48,7 +48,7 @@ from .parity import (
     proof_symbol,
     verify_proof,
 )
-from .search import search_completions
+from .search import SEARCH_QUBIT_CAP, SearchCapError, search_completions
 from .dot import export_dot
 from .reproduce import run_all
 
@@ -57,15 +57,20 @@ EXIT_VERIFY = 1
 EXIT_USAGE = 2
 EXIT_CAP = 3
 
+# Largest table `multipartite` accepts.  find_proper_subproof scans the
+# 2^n column subsets: about 0.6 s at 12 qubits and 2.9 s at 14, growing
+# about 5x per two qubits.  The library function itself has no cap.
+MULTIPARTITE_QUBIT_CAP = 14
+
 _ASCII_LABELS = {"Φ": "Phi", "Ψ": "Psi"}
 
 
 def _read_config(path: Optional[str]) -> Dict[str, int]:
-    """TOML-style key = value lines for caps and worker counts."""
+    """TOML-style key = value lines for caps."""
     settings: Dict[str, int] = {}
     if not path:
         return settings
-    known = {"dense_cap", "basis_cap", "kernel_cap", "workers"}
+    known = {"dense_cap", "basis_cap", "kernel_cap"}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -190,20 +195,15 @@ output_option = click.option(
 @click.group()
 @click.version_option(__version__)
 @click.option("--config", type=click.Path(exists=True), default=None,
-              help="key = value file with dense_cap, basis_cap, kernel_cap, workers")
-@click.option("--workers", type=int, default=None,
-              help="parallelism bound (accepted on all subcommands)")
+              help="key = value file with dense_cap, basis_cap, kernel_cap")
 @click.option("--ascii", "ascii_only", is_flag=True,
               help="ASCII symbols and escaped JSON for plain logs")
 @click.option("--manifest", "manifest_path", type=click.Path(), default=None,
               help="write a run manifest (command, input hashes, timing) here")
 @click.pass_context
-def main(ctx, config, workers, ascii_only, manifest_path):
+def main(ctx, config, ascii_only, manifest_path):
     """Kochen-Specker tables, GHZ checks, eigenstates and parity censuses."""
-    settings = _read_config(config)
-    if workers is not None:
-        settings["workers"] = workers
-    ctx.obj = Run(settings, ascii_only, manifest_path)
+    ctx.obj = Run(_read_config(config), ascii_only, manifest_path)
 
 
 @main.group()
@@ -286,13 +286,26 @@ def ghz_check(run: Run, system_file, eigenvalues, output):
     )
 
 
-@main.command()
+@main.command(help=(
+    "Search for a proper sub-table that is itself a proof.\n\n"
+    f"Tables on more than {MULTIPARTITE_QUBIT_CAP} qubits exit 3: the "
+    "search scans every subset of the qubit columns."
+))
 @click.argument("system_file", type=click.Path(exists=True))
 @output_option
 @click.pass_obj
 def multipartite(run: Run, system_file, output):
-    """Search for a proper sub-table that is itself a proof."""
     sys = _load_system(run, system_file)
+    if sys.n > MULTIPARTITE_QUBIT_CAP:
+        run.emit(
+            {
+                "ok": False,
+                "error": f"multipartite supports at most "
+                f"{MULTIPARTITE_QUBIT_CAP} qubits; the table has {sys.n}",
+            },
+            output,
+            EXIT_CAP,
+        )
     witness = find_proper_subproof(sys)
     payload: dict = {"genuinely_multipartite": witness is None}
     if witness is not None:
@@ -304,7 +317,11 @@ def multipartite(run: Run, system_file, output):
     run.emit(payload, output)
 
 
-@main.command("search-complete")
+@main.command("search-complete", help=(
+    "Complete a seed into parity-witness systems, up to relabeling.\n\n"
+    f"Seeds on more than {SEARCH_QUBIT_CAP} qubits exit 3 before the "
+    "search starts."
+))
 @click.argument("system_file", type=click.Path(exists=True))
 @click.option("--shape", required=True,
               help="comma list of context sizes to add, e.g. 3,3,3,3")
@@ -313,7 +330,6 @@ def multipartite(run: Run, system_file, output):
 @output_option
 @click.pass_obj
 def search_complete(run: Run, system_file, shape, budget, output):
-    """Complete a seed into parity-witness systems, up to relabeling."""
     sys = _load_system(run, system_file)
     try:
         sizes = [int(s) for s in shape.split(",")]
@@ -323,6 +339,8 @@ def search_complete(run: Run, system_file, shape, budget, output):
         result = search_completions(sys, sizes, budget=budget)
     except NotImplementedError as exc:
         raise click.UsageError(str(exc))
+    except SearchCapError as exc:
+        run.emit({"ok": False, "error": str(exc)}, output, EXIT_CAP)
     payload = {
         "complete": result.complete,
         "nodes": result.nodes,

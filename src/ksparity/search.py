@@ -5,20 +5,43 @@ pairs closed by their product) until every observable lies on an even
 number of contexts and the number of -identity contexts is odd.  Results
 are deduplicated up to qubit permutations combined with relabelings of
 X, Y and Z.
+
+The search runs on integer bitmasks.  An observable with symplectic masks
+(x, z) is the index ``(x << n) | z``; since z < 2^n, index order is the
+order of the (x, z) pairs.  A set of observables is an int with one bit per
+index, so the pivot of the search is the lowest set bit and adding a triple
+is an XOR with its mask.  The triple table comes from popcount commutation
+and a symplectic phase sum on the masks, with no Pauli word built.  The
+canonical form permutes per-position letter strings by table lookup and
+takes each context sign once, since no relabeling changes it (see
+``canonical_form``).
+
+The triple table grows about 16x per qubit, so ``search_completions``
+refuses seeds above ``SEARCH_QUBIT_CAP`` qubits before building it.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from operator import itemgetter
+from typing import Dict, List, Sequence, Tuple
 
-from .pauli import PauliWord, all_words, commutes, multiply, parse_word, product_of
+from .pauli import PauliWord, product_of
 from .systems import Context, ContextSystem, parity_witness, verify_system
 
 BUDGET_DEFAULT = 5_000_000
+# Largest seed the completion search accepts.  Its triple table grows about
+# 16x per qubit: 0.02 s and 5,355 triples at 4 qubits, 0.3 s and 86,955 at
+# 5, so about 5 s and 1.4 million triples at 6 and over 20 minutes at 8,
+# with memory to match.
+SEARCH_QUBIT_CAP = 5
 
 ObsKey = Tuple[int, int]  # (xmask, zmask)
+
+
+class SearchCapError(RuntimeError):
+    """Raised when a seed has more qubits than SEARCH_QUBIT_CAP."""
 
 
 @dataclass(frozen=True)
@@ -35,26 +58,39 @@ class SearchResult:
 
 
 def three_member_contexts(n: int) -> List[TripleContext]:
-    """All {P, Q, |PQ|} triples of distinct commuting observables."""
-    words = list(all_words(n))
-    seen: Dict[FrozenSet[ObsKey], TripleContext] = {}
-    for i, p in enumerate(words):
-        for q in words[i + 1:]:
-            if not commutes(p, q):
+    """All {P, Q, |PQ|} triples of distinct commuting observables.
+
+    Observables are the indices a = (x << n) | z of the non-identity words.
+    A triple a < b < c has a ^ b ^ c == 0, so it is met once, from its two
+    smallest members, and the loop yields the triples in sorted order.
+    Members a and b commute when |ax & bz| + |az & bx| is even.  The sign
+    is that of the product of the three phase-+1 words in order: it is
+    i^lam with lam the sum of |x & z| over the members (their Y letters)
+    plus 2 |acc_z & x| for each member multiplied onto the running product
+    acc, as in ``pauli.multiply``.
+    """
+    low = (1 << n) - 1
+    size = 1 << (2 * n)
+    out: List[TripleContext] = []
+    for a in range(1, size):
+        ax, az = a >> n, a & low
+        ya = (ax & az).bit_count()
+        top = 1 << (a.bit_length() - 1)
+        for b in range(a + 1, size):
+            if b & top:
+                continue  # c = a ^ b < b
+            bx, bz = b >> n, b & low
+            if ((ax & bz).bit_count() + (az & bx).bit_count()) & 1:
                 continue
-            prod = multiply(p, q)
-            r_key = (prod.x, prod.z)
-            key = frozenset([(p.x, p.z), (q.x, q.z), r_key])
-            if len(key) != 3 or (0, 0) in key:
-                continue
-            if key in seen:
-                continue
-            members = tuple(sorted(key))
-            sign = product_of(
-                [PauliWord(n, x, z).unsigned() for x, z in members]
-            ).sign
-            seen[key] = TripleContext(members, sign)
-    return sorted(seen.values(), key=lambda t: t.members)
+            cx, cz = ax ^ bx, az ^ bz
+            lam = (
+                ya + (bx & bz).bit_count() + (cx & cz).bit_count()
+                + 2 * ((az & bx).bit_count() + (cz & cx).bit_count())
+            )
+            out.append(
+                TripleContext(((ax, az), (bx, bz), (cx, cz)), 1 - (lam & 2))
+            )
+    return out
 
 
 def search_completions(
@@ -65,11 +101,17 @@ def search_completions(
     """Add ``len(shape)`` three-member contexts making the parity witness hold.
 
     Only three-member context shapes are supported; the completed systems
-    all pass verify_system and parity_witness.
+    all pass verify_system and parity_witness.  Seeds on more than
+    ``SEARCH_QUBIT_CAP`` qubits raise SearchCapError before any enumeration.
     """
     if any(s != 3 for s in shape):
         raise NotImplementedError(
             "completion search supports three-member context shapes only"
+        )
+    if seed.n > SEARCH_QUBIT_CAP:
+        raise SearchCapError(
+            f"completion search supports at most {SEARCH_QUBIT_CAP} qubits; "
+            f"the seed has {seed.n}"
         )
     if not verify_system(seed).ok:
         return SearchResult([], complete=True, nodes=0)
@@ -77,17 +119,21 @@ def search_completions(
     n = seed.n
     k = len(shape)
     triples = three_member_contexts(n)
-    by_obs: Dict[ObsKey, List[int]] = {}
+    masks: List[int] = []
+    by_obs: Dict[int, List[int]] = {}
     for idx, t in enumerate(triples):
-        for m in t.members:
-            by_obs.setdefault(m, []).append(idx)
+        mask = 0
+        for x, z in t.members:
+            ob = (x << n) | z
+            mask |= 1 << ob
+            by_obs.setdefault(ob, []).append(idx)
+        masks.append(mask)
 
-    parity: Dict[ObsKey, int] = {}
+    odd0 = 0  # observables on an odd number of seed contexts
     for ctx in seed.contexts:
         for m in ctx.members:
             ob = seed.observables[m]
-            key = (ob.x, ob.z)
-            parity[key] = parity.get(key, 0) ^ 1
+            odd0 ^= 1 << ((ob.x << n) | ob.z)
     seed_neg = sum(1 for c in seed.contexts if c.sign == -1)
 
     nodes = 0
@@ -104,7 +150,7 @@ def search_completions(
         key = canonical_form(system)
         accepted.setdefault(key, system)
 
-    def recurse(chosen: List[int], odd: FrozenSet[ObsKey], remaining: int):
+    def recurse(chosen: List[int], odd: int, remaining: int):
         nonlocal nodes, exhausted
         if exhausted:
             return
@@ -116,29 +162,21 @@ def search_completions(
             if not odd:
                 accept(tuple(sorted(chosen)))
             return
-        if len(odd) > 3 * remaining:
+        if odd.bit_count() > 3 * remaining:
             return
         if odd:
-            pivot = min(odd)
-            candidates = by_obs.get(pivot, [])
+            # the lowest index is the smallest (x, z) pair
+            candidates = by_obs.get((odd & -odd).bit_length() - 1, [])
         else:
             last = max(chosen) if chosen else -1
             candidates = range(last + 1, len(triples))
-        used = set(chosen)
         for idx in candidates:
-            if idx in used:
+            if idx in chosen:
                 continue
-            new_odd = set(odd)
-            for m in triples[idx].members:
-                if m in new_odd:
-                    new_odd.remove(m)
-                else:
-                    new_odd.add(m)
             chosen.append(idx)
-            recurse(chosen, frozenset(new_odd), remaining - 1)
+            recurse(chosen, odd ^ masks[idx], remaining - 1)
             chosen.pop()
 
-    odd0 = frozenset(key for key, p in parity.items() if p)
     recurse([], odd0, k)
     systems = [accepted[key] for key in sorted(accepted)]
     return SearchResult(systems, complete=not exhausted, nodes=nodes)
@@ -164,42 +202,52 @@ def _assemble(
 # ---------------------------------------------------------------------------
 # canonical forms under column permutation x letter permutation
 
-_LETTER_BITS = {"X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
-
-
-def _transform_word(
-    word: PauliWord, qperm: Sequence[int], lperm: Dict[str, str]
-) -> PauliWord:
-    """Permute qubit positions and relabel X/Y/Z letters, phase +1."""
-    n = word.n
-    x = z = 0
-    for pos in range(n):
-        letter = word.letter(qperm[pos])
-        if letter == "I":
-            continue
-        xb, zb = _LETTER_BITS[lperm[letter]]
-        bit = n - 1 - pos
-        x |= xb << bit
-        z |= zb << bit
-    return PauliWord(n, x, z).unsigned()
+# the six X/Y/Z relabelings as str.translate tables
+_RELABELINGS = [
+    str.maketrans("XYZ", "".join(image))
+    for image in itertools.permutations("XYZ")
+]
 
 
 def canonical_form(sys: ContextSystem) -> str:
-    """Minimal serialization over all qubit and letter permutations."""
-    best: Optional[str] = None
-    letters = "XYZ"
+    """Minimal serialization over all qubit and letter permutations.
+
+    For each qubit permutation and each X/Y/Z relabeling the form is
+    ``repr((sorted words, sorted (sorted member words, sign) per context))``
+    with every observable at phase +1, and the least form wins.  The sign
+    is that of the product of the transformed members.  A transformed word
+    is its letter string permuted by position lookup and then relabeled by
+    a translate table; no word is multiplied inside the loop, because no
+    transformation changes a product's sign.  A qubit permutation or a
+    cyclic relabeling is a Clifford conjugation, which maps each letter to
+    a letter with phase +1.  A transposition composes one with complex
+    conjugation: X<->Z fixing Y is w -> H conj(w) H.  Both maps are
+    multiplicative and keep real scalars, so the transformed members
+    multiply to the transformed product with the same sign, and each
+    context's sign is the one ``product_of`` gives once, untransformed.
+    A context whose product is not Hermitian raises ValueError.
+    """
+    letters = [ob.letters() for ob in sys.observables]
+    contexts = [
+        (ctx.members, product_of(sys.context_words(ctx)).sign)
+        for ctx in sys.contexts
+    ]
+    best = best_words = None
     for qperm in itertools.permutations(range(sys.n)):
-        for lp in itertools.permutations(letters):
-            lperm = dict(zip(letters, lp))
-            new_obs = [
-                _transform_word(ob, qperm, lperm) for ob in sys.observables
-            ]
-            ctx_forms = []
-            for ctx in sys.contexts:
-                words = sorted(str(new_obs[m]) for m in ctx.members)
-                sign = product_of([new_obs[m] for m in ctx.members]).sign
-                ctx_forms.append((tuple(words), sign))
-            form = repr((sorted(str(w) for w in new_obs), sorted(ctx_forms)))
+        pick = itemgetter(*qperm)
+        permuted = ["".join(pick(w)) for w in letters]
+        for table in _RELABELINGS:
+            words = [w.translate(table) for w in permuted]
+            ordered = sorted(words)
+            # equal-length words: the word list alone orders the forms
+            # unless it ties with the best one
+            if best is not None and ordered > best_words:
+                continue
+            ctx_forms = sorted(
+                (tuple(sorted([words[m] for m in ms])), sign)
+                for ms, sign in contexts
+            )
+            form = repr((ordered, ctx_forms))
             if best is None or form < best:
-                best = form
-    return best or ""
+                best, best_words = form, ordered
+    return best

@@ -183,11 +183,24 @@ class TestConfig:
 
     def test_comments_and_spacing(self, runner, tmp_path):
         conf = tmp_path / "caps.conf"
-        conf.write_text("# caps\nbasis_cap = 7   # small\n\nworkers=2\n")
+        conf.write_text("# caps\nbasis_cap = 7   # small\n\nkernel_cap=20\n")
         result = runner.invoke(
             main, ["--config", str(conf), "gen", "star", "--N", "2"]
         )
         assert result.exit_code == 0
+
+    def test_workers_key_is_unknown(self, runner, tmp_path):
+        conf = tmp_path / "caps.conf"
+        conf.write_text("workers = 2\n")
+        result = runner.invoke(
+            main, ["--config", str(conf), "gen", "star", "--N", "2"]
+        )
+        assert result.exit_code == 2
+        assert "unknown key 'workers'" in result.output
+
+    def test_workers_option_is_gone(self, runner):
+        result = runner.invoke(main, ["--workers", "2", "gen", "star", "--N", "2"])
+        assert result.exit_code == 2
 
 
 class TestGraphExport:
@@ -330,6 +343,26 @@ class TestSearchComplete:
         )
         assert result.exit_code == 3
 
+    def test_qubit_cap_exit(self, runner, tmp_path, monkeypatch):
+        import ksparity.search
+
+        def no_enumeration(n):
+            raise AssertionError("triple table built above the cap")
+
+        monkeypatch.setattr(
+            ksparity.search, "three_member_contexts", no_enumeration
+        )
+        seed = tmp_path / "seed.json"
+        seed.write_text(json.dumps(
+            {"n": 6, "observables": [], "contexts": []}
+        ))
+        result = runner.invoke(
+            main, ["search-complete", str(seed), "--shape", "3,3"]
+        )
+        assert result.exit_code == 3
+        doc = json.loads(result.output)
+        assert doc["ok"] is False and "at most 5 qubits" in doc["error"]
+
     def test_unsupported_shape(self, runner, tmp_path):
         result = runner.invoke(
             main,
@@ -337,3 +370,22 @@ class TestSearchComplete:
              "--shape", "4,4"],
         )
         assert result.exit_code == 2
+
+
+class TestMultipartiteCap:
+    def test_sixteen_qubits_exit_at_once(self, runner, tmp_path, monkeypatch):
+        import ksparity.cli
+
+        def no_scan(sys):
+            raise AssertionError("column subsets scanned above the cap")
+
+        monkeypatch.setattr(ksparity.cli, "find_proper_subproof", no_scan)
+        result = runner.invoke(main, ["multipartite", write_star(tmp_path, 8)])
+        assert result.exit_code == 3
+        doc = json.loads(result.output)
+        assert doc["ok"] is False and "at most 14 qubits" in doc["error"]
+
+    def test_below_cap_runs(self, runner, tmp_path):
+        result = runner.invoke(main, ["multipartite", write_star(tmp_path, 3)])
+        assert result.exit_code == 0
+        assert json.loads(result.output) == {"genuinely_multipartite": True}

@@ -1,7 +1,8 @@
 """Byte-identity of CLI payloads against recorded golden files.
 
 Each case runs one CLI command in-process and compares its stdout, byte for
-byte, with ``tests/golden/<case>.json``.  The ``bell`` cases read the
+byte, with ``tests/golden/<case>.json``; every case exits 0 except those in
+``EXIT_CODES``.  The ``bell`` cases read the
 recorded ``state-*`` payloads as their input, so they depend only on the
 Bell code.  After a deliberate output change, rewrite the files with
 ``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
@@ -18,6 +19,7 @@ from ksparity.systems import (
     Context,
     ContextSystem,
     build_star_table,
+    builtin_fixtures,
     system_from_rows,
 )
 
@@ -34,6 +36,8 @@ def _systems():
         4, star2.observables, (Context(tuple(range(5)) + (0, 0), -1),)
     )
     systems["feasible"] = system_from_rows(["XX", "YY", "ZZ"], -1)
+    systems["kite"] = builtin_fixtures()["kite-quadruples"]
+    systems["empty2"] = ContextSystem(2, (), ())
     return systems
 
 
@@ -60,13 +64,20 @@ def _cases():
             argv = ["bell", f"{{state-star{N}}}", "--pairing", pairing]
             cases.append((f"bell-star{N}-{kind}", argv))
             cases.append((f"bell-star{N}-{kind}-ascii", ["--ascii"] + argv))
+    cases.append(("search-complete-kite",
+                  ["search-complete", "{kite}", "--shape", "3,3,3,3"]))
+    square = ["search-complete", "{empty2}", "--shape", "3,3,3,3,3,3"]
+    cases.append(("search-complete-empty2", square))
+    cases.append(("search-complete-empty2-budget50", square + ["--budget", "50"]))
     return cases
 
 
 CASES = _cases()
+# cases that end with a nonzero exit code: the budget cap
+EXIT_CODES = {"search-complete-empty2-budget50": 3}
 
 
-def _run(argv, tmp_path):
+def _run(case, argv, tmp_path):
     files = {}
     for name, sys in _systems().items():
         path = tmp_path / f"{name}.json"
@@ -76,13 +87,13 @@ def _run(argv, tmp_path):
         files[path.stem] = str(path)
     args = [a.format(**files) if a.startswith("{") else a for a in argv]
     result = CliRunner().invoke(main, args)
-    assert result.exit_code == 0, result.output
+    assert result.exit_code == EXIT_CODES.get(case, 0), result.output
     return result.stdout_bytes
 
 
 @pytest.mark.parametrize("case,argv", CASES, ids=[c for c, _ in CASES])
 def test_payload_is_byte_identical(case, argv, tmp_path):
-    assert _run(argv, tmp_path) == (GOLDEN / f"{case}.json").read_bytes()
+    assert _run(case, argv, tmp_path) == (GOLDEN / f"{case}.json").read_bytes()
 
 
 def test_golden_files_are_exactly_the_cases():
@@ -99,6 +110,6 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         # state cases first: the bell cases read them
         for case, argv in sorted(CASES, key=lambda c: not c[0].startswith("state-")):
-            out = _run(argv, Path(tmp))
+            out = _run(case, argv, Path(tmp))
             (GOLDEN / f"{case}.json").write_bytes(out)
             print(case)

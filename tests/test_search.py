@@ -1,6 +1,10 @@
-import pytest
+import functools
 
-from ksparity.pauli import parse_word, product_of
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import search_oracles
+from ksparity.pauli import PauliWord, parse_word, product_of
 from ksparity.systems import (
     Context,
     ContextSystem,
@@ -9,11 +13,79 @@ from ksparity.systems import (
     verify_system,
 )
 from ksparity.search import (
+    SEARCH_QUBIT_CAP,
+    SearchCapError,
     canonical_form,
     search_completions,
     three_member_contexts,
 )
 from ksparity.reproduce import mermin_square_search
+
+
+@functools.lru_cache(maxsize=None)
+def _completions():
+    """Kite completions, Mermin squares and the four-member kite seed."""
+    kite = builtin_fixtures()["kite-quadruples"]
+    found = search_completions(kite, [3, 3, 3, 3]).systems
+    return tuple(found) + tuple(mermin_square_search().systems) + (kite,)
+
+
+@st.composite
+def relabeled_completions(draw):
+    systems = _completions()
+    sys = systems[draw(st.integers(0, len(systems) - 1))]
+    qperm = draw(st.permutations(range(sys.n)))
+    lperm = dict(zip("XYZ", draw(st.permutations("XYZ"))))
+    return sys, search_oracles.transform_system(sys, qperm, lperm)
+
+
+@st.composite
+def small_systems(draw):
+    """Random 2- and 3-qubit systems whose contexts need not be ±identity."""
+    n = draw(st.integers(2, 3))
+    keys = draw(st.lists(
+        st.tuples(st.integers(0, (1 << n) - 1), st.integers(0, (1 << n) - 1)),
+        min_size=2, max_size=6, unique=True,
+    ))
+    obs = tuple(PauliWord(n, x, z).unsigned() for x, z in keys)
+    members = st.lists(
+        st.integers(0, len(obs) - 1), min_size=1, max_size=4, unique=True
+    )
+    contexts = tuple(
+        Context(tuple(ms), draw(st.sampled_from((1, -1))))
+        for ms in draw(st.lists(members, min_size=1, max_size=3))
+    )
+    return ContextSystem(n, obs, contexts)
+
+
+class TestAgainstOracles:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_triple_table(self, n):
+        assert three_member_contexts(n) == search_oracles.three_member_contexts(n)
+
+    @settings(max_examples=40, deadline=None)
+    @given(relabeled_completions())
+    def test_canonical_form_matches_oracle(self, pair):
+        _, sys = pair
+        assert canonical_form(sys) == search_oracles.canonical_form(sys)
+
+    @settings(max_examples=40, deadline=None)
+    @given(relabeled_completions())
+    def test_canonical_form_is_relabeling_invariant(self, pair):
+        sys, relabeled = pair
+        assert canonical_form(relabeled) == canonical_form(sys)
+
+    @settings(max_examples=100, deadline=None)
+    @given(small_systems())
+    def test_canonical_form_matches_oracle_off_identity(self, sys):
+        # products that are not ±identity, or not Hermitian at all
+        try:
+            expected = search_oracles.canonical_form(sys)
+        except ValueError:
+            with pytest.raises(ValueError):
+                canonical_form(sys)
+        else:
+            assert canonical_form(sys) == expected
 
 
 class TestTripleEnumeration:
@@ -38,8 +110,6 @@ class TestTripleEnumeration:
 
 
 def parse_word_from_masks(n, key):
-    from ksparity.pauli import PauliWord
-
     return PauliWord(n, key[0], key[1]).unsigned()
 
 
@@ -47,6 +117,7 @@ class TestMerminSearch:
     def test_finds_three_inequivalent_squares(self):
         result = mermin_square_search()
         assert result.complete
+        assert result.nodes == 586
         assert len(result.systems) == 3
         forms = {canonical_form(s) for s in result.systems}
         assert len(forms) == 3
@@ -72,6 +143,7 @@ class TestKiteSearch:
         seed = builtin_fixtures()["kite-quadruples"]
         result = search_completions(seed, [3, 3, 3, 3])
         assert result.complete
+        assert result.nodes == 291_901
         assert len(result.systems) == 32
         for sys in result.systems[:4]:
             assert len(sys.observables) == 10
@@ -99,6 +171,20 @@ class TestApiEdges:
         seed = ContextSystem(2, (), ())
         result = search_completions(seed, [3] * 6, budget=50)
         assert not result.complete
+        assert result.nodes == 51
+
+    def test_qubit_cap(self, monkeypatch):
+        import ksparity.search
+
+        def no_enumeration(n):
+            raise AssertionError("triple table built above the cap")
+
+        monkeypatch.setattr(
+            ksparity.search, "three_member_contexts", no_enumeration
+        )
+        seed = ContextSystem(SEARCH_QUBIT_CAP + 1, (), ())
+        with pytest.raises(SearchCapError):
+            search_completions(seed, [3])
 
 
 class TestCanonicalForm:
