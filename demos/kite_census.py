@@ -1,6 +1,6 @@
 """Complete the four-qubit kite and enumerate all its parity proofs.
 
-The full census takes a couple of minutes; everything before it is
+The full census takes about 20 s; everything before it is
 instant.  Run with: python3 demos/kite_census.py
 """
 

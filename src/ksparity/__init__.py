@@ -60,6 +60,7 @@ from .parity import (
     ParityProof,
     ProofCensus,
     brute_force_parity_proofs,
+    compare_with_brute_force,
     enumerate_bases,
     enumerate_parity_proofs,
     is_critical,

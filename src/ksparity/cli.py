@@ -12,7 +12,7 @@ import json
 import sys as _sys
 import time
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import click
 import numpy as np
@@ -31,6 +31,7 @@ from .systems import (
     verify_system,
 )
 from .states import (
+    DENSE_STATE_CAP,
     DenseState,
     UnderdeterminedEigenstateError,
     bell_decompose,
@@ -39,16 +40,23 @@ from .states import (
 )
 from .projectors import projectors_of
 from .parity import (
-    brute_force_parity_proofs,
+    BASIS_CAP_DEFAULT,
+    BRUTE_FORCE_BASES,
+    KERNEL_CAP_DEFAULT,
+    compare_with_brute_force,
     enumerate_bases,
     enumerate_parity_proofs,
     is_critical,
     is_saturated,
-    kernel_parity_sets,
     proof_symbol,
     verify_proof,
 )
-from .search import SEARCH_QUBIT_CAP, SearchCapError, search_completions
+from .search import (
+    BUDGET_DEFAULT,
+    SEARCH_QUBIT_CAP,
+    SearchCapError,
+    search_completions,
+)
 from .dot import export_dot
 from .reproduce import run_all
 
@@ -180,10 +188,6 @@ def _parse_pairing(text: str) -> List[Tuple[int, int]]:
                 f"bad pairing chunk {chunk!r}; qubits must be integers"
             )
     return pairs
-
-
-def _symbolize(run: Run, utf8: str, ascii_form: str) -> str:
-    return ascii_form if run.ascii_only else utf8
 
 
 output_option = click.option(
@@ -325,7 +329,7 @@ def multipartite(run: Run, system_file, output):
 @click.argument("system_file", type=click.Path(exists=True))
 @click.option("--shape", required=True,
               help="comma list of context sizes to add, e.g. 3,3,3,3")
-@click.option("--budget", type=int, default=5_000_000,
+@click.option("--budget", type=int, default=BUDGET_DEFAULT,
               help="search node budget")
 @output_option
 @click.pass_obj
@@ -360,7 +364,7 @@ def state(run: Run, system_file, eigenvalues, output):
     sys = _load_system(run, system_file)
     ev = (_parse_eigenvalues(eigenvalues) if eigenvalues
           else default_eigenvalues(sys))
-    dense_cap = run.cap("dense_cap", 14)
+    dense_cap = run.cap("dense_cap", DENSE_STATE_CAP)
     try:
         psi = joint_eigenstate(sys, ev, dense_cap=dense_cap)
     except UnderdeterminedEigenstateError as exc:
@@ -454,7 +458,9 @@ def projectors(run: Run, system_file, output):
 
 def _build_table(run: Run, sys: ContextSystem):
     pool = projectors_of(sys)
-    return pool, enumerate_bases(pool, cap=run.cap("basis_cap", 100_000))
+    return pool, enumerate_bases(
+        pool, cap=run.cap("basis_cap", BASIS_CAP_DEFAULT)
+    )
 
 
 @main.command()
@@ -482,7 +488,8 @@ def bases(run: Run, system_file, output):
 @main.command("parity-census")
 @click.argument("system_file", type=click.Path(exists=True))
 @click.option("--brute-force-check", is_flag=True,
-              help="cross-check the kernel enumeration by direct subset scan")
+              help=f"scan every subset of the first {BRUTE_FORCE_BASES} "
+              "bases exactly and compare with that sub-table's kernel")
 @click.option("--catalog", type=click.Path(), default=None,
               help="write one JSON proof record per line to this file")
 @output_option
@@ -494,7 +501,7 @@ def parity_census(run: Run, system_file, brute_force_check, catalog, output):
     if table.partial:
         run.emit({"ok": False, "error": "basis table hit the cap"}, output, EXIT_CAP)
     census = enumerate_parity_proofs(
-        table, kernel_cap=run.cap("kernel_cap", 26)
+        table, kernel_cap=run.cap("kernel_cap", KERNEL_CAP_DEFAULT)
     )
     if census.partial:
         run.emit(
@@ -506,16 +513,6 @@ def parity_census(run: Run, system_file, brute_force_check, catalog, output):
             output,
             EXIT_CAP,
         )
-    if brute_force_check:
-        brute, truncated = brute_force_parity_proofs(table)
-        if truncated:
-            census.brute_force_agrees = all(
-                verify_proof(ids, table) for ids in brute
-            )
-        else:
-            census.brute_force_agrees = (
-                set(kernel_parity_sets(table)) == set(brute)
-            )
     if catalog:
         with open(catalog, "w") as fh:
             for proof in census.proofs:
@@ -539,8 +536,8 @@ def parity_census(run: Run, system_file, brute_force_check, catalog, output):
             for p in {q.symbol: q for q in census.proofs}.values()
         ]
         summary["types"].sort(key=lambda t: t["symbol"])
-    if census.brute_force_agrees is not None:
-        summary["brute_force_agrees"] = census.brute_force_agrees
+    if brute_force_check:
+        summary["brute_force_agrees"], _ = compare_with_brute_force(table)
     run.emit(summary, output)
 
 
@@ -601,17 +598,14 @@ def export_graph(run: Run, system_file, name, output):
 @main.command("reproduce-paper")
 @click.option("--max-qubits", type=int, default=16,
               help="skip checks needing more qubits than this")
-@click.option("--stretch", is_flag=True,
-              help="attempt the ten-qubit multipartiteness search")
 @output_option
 @click.pass_obj
-def reproduce_paper(run: Run, max_qubits, stretch, output):
+def reproduce_paper(run: Run, max_qubits, output):
     """Run every reproduction check and print a pass/fail table."""
     results = run_all(
         max_qubits=max_qubits,
-        stretch=stretch,
-        basis_cap=run.cap("basis_cap", 100_000),
-        kernel_cap=run.cap("kernel_cap", 26),
+        basis_cap=run.cap("basis_cap", BASIS_CAP_DEFAULT),
+        kernel_cap=run.cap("kernel_cap", KERNEL_CAP_DEFAULT),
     )
     for r in results:
         click.echo(

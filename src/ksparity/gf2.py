@@ -5,7 +5,7 @@ A matrix is a list of Python ints; bit j of row i is entry (i, j).
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 
 def rank(rows: List[int]) -> int:
@@ -87,11 +87,9 @@ def row_bits(vec: int, nrows: int) -> List[int]:
     return [i for i in range(nrows) if vec & (1 << (nrows - 1 - i))]
 
 
-def enumerate_span(basis: List[int], limit: Optional[int] = None):
+def enumerate_span(basis: List[int]):
     """Yield every vector in the span of ``basis`` (Gray-code order)."""
     k = len(basis)
-    if limit is not None and k > limit:
-        raise ValueError(f"span dimension {k} exceeds limit {limit}")
     vec = 0
     yield vec
     for g in range(1, 1 << k):

@@ -17,11 +17,12 @@ from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import gf2
-from .projectors import ProjectorPool, StabilizerProjector, orthogonal
+from .projectors import ProjectorPool, orthogonal
 
 BASIS_CAP_DEFAULT = 100_000
 KERNEL_CAP_DEFAULT = 26
-BRUTE_FORCE_CAP_DEFAULT = 1 << 20
+# Most bases the direct subset scan takes: it walks all 2^nb subsets.
+BRUTE_FORCE_BASES = 20
 
 
 @dataclass(frozen=True)
@@ -154,7 +155,6 @@ class ProofCensus:
     basis_count_histogram: Dict[int, int]
     kernel_dimension: int
     partial: bool = False
-    brute_force_agrees: Optional[bool] = None
     subset_critical_total: int = 0
 
     def smallest(self) -> Optional[ParityProof]:
@@ -398,38 +398,42 @@ def enumerate_parity_proofs(
     return census
 
 
-def brute_force_parity_proofs(
-    table: BasisTable, subset_cap: int = BRUTE_FORCE_CAP_DEFAULT
-) -> Tuple[List[Tuple[int, ...]], bool]:
+def brute_force_parity_proofs(table: BasisTable) -> List[Tuple[int, ...]]:
     """Direct subset scan for odd even-incidence basis subsets.
 
-    Returns (parity subsets found, truncated flag).  Criticality is not
-    filtered here; this is the independent oracle for the kernel route.
+    Walks every subset in Gray-code order, XORing basis masks, without
+    ``gf2``: this is the independent oracle for the kernel route.
+    Criticality is not filtered here.  Tables of more than
+    ``BRUTE_FORCE_BASES`` bases raise ValueError.
     """
     nb = len(table.bases)
-    cols = []
-    projs = len(table.pool.projectors)
-    for j, basis in enumerate(table.bases):
-        col = 0
-        for pid in basis.projector_ids:
-            col |= 1 << pid
-        cols.append(col)
+    if nb > BRUTE_FORCE_BASES:
+        raise ValueError(
+            f"subset scan takes at most {BRUTE_FORCE_BASES} bases, not {nb}"
+        )
+    cols = [basis.mask for basis in table.bases]
     found = []
-    limit = 1 << nb
-    truncated = limit > subset_cap
     vec = 0
-    for g in range(min(limit, subset_cap)):
-        if g:
-            low = (g & -g).bit_length() - 1
-            vec ^= cols[low]
-            gray = g ^ (g >> 1)
-        else:
-            gray = 0
-        if gray and vec == 0 and gray.bit_count() % 2 == 1:
-            found.append(
-                tuple(j for j in range(nb) if gray & (1 << j))
-            )
-    return found, truncated
+    for g in range(1, 1 << nb):
+        vec ^= cols[(g & -g).bit_length() - 1]
+        gray = g ^ (g >> 1)
+        if vec == 0 and gray.bit_count() % 2 == 1:
+            found.append(tuple(j for j in range(nb) if gray >> j & 1))
+    return found
+
+
+def compare_with_brute_force(table: BasisTable) -> Tuple[bool, bool]:
+    """Kernel parity sets against the direct subset scan.
+
+    Both run on the table's first ``BRUTE_FORCE_BASES`` bases, where the
+    scan is exact.  Returns (agrees, truncated); truncated means the table
+    had more bases than that.
+    """
+    truncated = len(table.bases) > BRUTE_FORCE_BASES
+    if truncated:
+        table = BasisTable(table.pool, table.bases[:BRUTE_FORCE_BASES])
+    brute = brute_force_parity_proofs(table)
+    return set(kernel_parity_sets(table)) == set(brute), truncated
 
 
 def verify_proof(basis_ids: Sequence[int], table: BasisTable) -> bool:

@@ -97,15 +97,6 @@ class PauliWord:
     def identity(cls, n: int) -> "PauliWord":
         return cls(n, 0, 0, 0)
 
-    @classmethod
-    def from_letters(cls, letters: str, sign: int = 1) -> "PauliWord":
-        word = parse_word(letters)
-        if sign == -1:
-            word = word.negate()
-        elif sign != 1:
-            raise ValueError("sign must be +1 or -1")
-        return word
-
     def negate(self) -> "PauliWord":
         return PauliWord(self.n, self.x, self.z, self.lam + 2)
 
@@ -210,10 +201,10 @@ def to_dense(word: PauliWord, cap: int = DENSE_CAP_DEFAULT) -> np.ndarray:
     return word.phase * mat
 
 
-def all_words(n: int, include_identity: bool = False):
-    """All 4^n Hermitian words with phase +1, in mask order."""
+def all_words(n: int):
+    """All 4^n - 1 non-identity Hermitian words, phase +1, in mask order."""
     for x in range(1 << n):
         for z in range(1 << n):
-            if not include_identity and x == 0 and z == 0:
+            if x == 0 and z == 0:
                 continue
             yield PauliWord(n, x, z).unsigned()

@@ -15,11 +15,10 @@ import math
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Tuple
 
 import numpy as np
 
-from . import gf2
 from .pauli import PauliWord, all_words, commutes, multiply, to_dense
 from .systems import (
     Context,
@@ -43,16 +42,15 @@ from .states import (
 )
 from .projectors import ProjectorPool, projectors_of, orthogonal
 from .parity import (
-    BasisTable,
-    brute_force_parity_proofs,
+    BASIS_CAP_DEFAULT,
+    KERNEL_CAP_DEFAULT,
+    compare_with_brute_force,
     enumerate_bases,
     enumerate_parity_proofs,
     is_saturated,
-    kernel_parity_sets,
     two_power_h_report,
-    verify_proof,
 )
-from .search import SearchResult, search_completions
+from .search import BUDGET_DEFAULT, SearchResult, search_completions
 
 
 @dataclass
@@ -121,19 +119,16 @@ def _check_star_family(max_qubits: int) -> Tuple[bool, dict]:
     return ok, detail
 
 
-def _check_multipartite(max_qubits: int, stretch: bool) -> Tuple[bool, dict]:
+def _check_multipartite(max_qubits: int) -> Tuple[bool, dict]:
     detail: Dict[str, object] = {}
     ok = True
-    targets = [2, 3, 4] + ([5] if stretch else [])
-    for N in targets:
+    for N in (2, 3, 4, 5):
         if 2 * N > max_qubits:
             detail[f"{2 * N}-qubit"] = "skipped"
             continue
         genuine = is_genuinely_multipartite(build_star_table(N))
         detail[f"{2 * N}-qubit"] = genuine
         ok = ok and genuine
-    if not stretch:
-        detail["10-qubit"] = "stretch target, not attempted"
     return ok, detail
 
 
@@ -161,11 +156,6 @@ def _check_four_qubit_state() -> Tuple[bool, dict]:
         "bell_residual_cases": bell_cases,
         "expected_cases": 24,
     }
-
-
-def six_qubit_eigenstate() -> DenseState:
-    sys = build_star_table(3)
-    return joint_eigenstate(sys, default_eigenvalues(sys))
 
 
 def _check_six_qubit_state() -> Tuple[bool, dict]:
@@ -202,10 +192,11 @@ def _check_six_qubit_state() -> Tuple[bool, dict]:
         resid = apply_pauli(word, psi.amplitudes) - s * psi.amplitudes
         if np.linalg.norm(resid) > 1e-10:
             eigen_ok = False
-    same = first.isclose(second, tol=1e-10) and psi.isclose(first, tol=1e-10)
-    return same and eigen_ok, {
-        "decompositions_agree": first.isclose(second, tol=1e-10),
-        "eigenstate_matches": psi.isclose(first, tol=1e-10),
+    agree = first.isclose(second, tol=1e-10)
+    matches = psi.isclose(first, tol=1e-10)
+    return agree and matches and eigen_ok, {
+        "decompositions_agree": agree,
+        "eigenstate_matches": matches,
         "all_seven_eigen_equations": eigen_ok,
     }
 
@@ -253,7 +244,7 @@ def _check_kite_quadruples() -> Tuple[bool, dict]:
     }
 
 
-def kite_completion(budget: int = 5_000_000) -> ContextSystem:
+def kite_completion(budget: int = BUDGET_DEFAULT) -> ContextSystem:
     """First search-derived completion of the kite quadruples."""
     seed = builtin_fixtures()["kite-quadruples"]
     result = search_completions(seed, [3, 3, 3, 3], budget=budget)
@@ -270,27 +261,14 @@ def _check_kite_census(
     census = enumerate_parity_proofs(table, kernel_cap=kernel_cap)
     smallest = census.smallest()
     small_projs = smallest.num_projectors if smallest is not None else None
-    # truncated brute-force scan: everything it finds must be a valid
-    # parity subset lying in the incidence kernel span
-    brute, truncated = brute_force_parity_proofs(table)
-    nb = len(table.bases)
-    kernel = gf2.nullspace(table.incidence_rows(), nb)
-    krank = gf2.rank(kernel)
-    brute_ok = True
-    for ids in brute:
-        vec = 0
-        for j in ids:
-            vec |= 1 << (nb - 1 - j)
-        if not verify_proof(ids, table):
-            brute_ok = False
-        if gf2.rank(kernel + [vec]) != krank:
-            brute_ok = False
+    brute_ok, truncated = compare_with_brute_force(table)
+    saturated = is_saturated(table)
     structure_ok = (
         len(pool) == 32
         and len(table.bases) == 36
         and table.pure_count() == 6
         and table.hybrid_count() == 30
-        and is_saturated(table)
+        and saturated
     )
     census_ok = (
         census.total == 33152
@@ -306,7 +284,7 @@ def _check_kite_census(
         "bases": len(table.bases),
         "pure": table.pure_count(),
         "hybrid": table.hybrid_count(),
-        "saturated": is_saturated(table),
+        "saturated": saturated,
         "total_critical_proofs": census.total,
         "subset_critical_proofs": census.subset_critical_total,
         "symbol_types": len(census.symbol_counts),
@@ -344,19 +322,20 @@ def _check_mermin_square(
         table = enumerate_bases(pool, cap=basis_cap)
         census = enumerate_parity_proofs(table, kernel_cap=kernel_cap)
         for proof in census.proofs:
-            ranks = set()
-            mult: Dict[int, int] = {}
-            for b in proof.basis_ids:
-                for pid in table.bases[b].projector_ids:
-                    mult[pid] = mult.get(pid, 0) + 1
-                    ranks.add(table.pool.projectors[pid].rank)
-            if len(mult) == 18 and proof.num_bases == 9 and ranks == {1}:
+            if proof.num_projectors != 18 or proof.num_bases != 9:
+                continue
+            ranks = {
+                table.pool.projectors[pid].rank
+                for b in proof.basis_ids
+                for pid in table.bases[b].projector_ids
+            }
+            if ranks == {1}:
                 found = {
                     "observables": len(sys.observables),
                     "contexts": len(sys.contexts),
                     "negative_contexts": neg,
                     "proof_symbol": proof.symbol,
-                    "projectors_in_proof": len(mult),
+                    "projectors_in_proof": proof.num_projectors,
                     "bases_in_proof": proof.num_bases,
                 }
                 break
@@ -426,28 +405,17 @@ def _check_oracles(
             ):
                 mismatches += 1
             orth_pairs += 1
-    # kernel enumeration versus brute force on small tables; larger
-    # tables are truncated to their first 20 bases to keep the scan exact
-    kernel_tables = 0
-    small_tables: List[BasisTable] = []
-    for sys in square.systems:
-        pool = projectors_of(sys)
-        table = enumerate_bases(pool)
-        if len(table.bases) > 20:
-            table = BasisTable(pool, table.bases[:20])
-        small_tables.append(table)
-    small_tables.append(
-        enumerate_bases(projectors_of(builtin_fixtures()["table1-left"]))
-    )
-    for table in small_tables:
-        brute, truncated = brute_force_parity_proofs(table)
-        if truncated or set(kernel_parity_sets(table)) != set(brute):
-            mismatches += 1
-        kernel_tables += 1
+    # kernel enumeration versus brute force on the square tables and the
+    # four-qubit table
+    kernel_systems = [*square.systems, builtin_fixtures()["table1-left"]]
+    for sys in kernel_systems:
+        table = enumerate_bases(projectors_of(sys))
+        agrees, _ = compare_with_brute_force(table)
+        mismatches += not agrees
     return mismatches == 0, {
         "pauli_pair_cases": pair_cases,
         "orthogonality_pairs": orth_pairs,
-        "kernel_vs_brute_tables": kernel_tables,
+        "kernel_vs_brute_tables": len(kernel_systems),
         "mismatches": mismatches,
     }
 
@@ -512,9 +480,8 @@ def _check_two_power_h(basis_cap: int, kernel_cap: int) -> Tuple[bool, dict]:
 
 def run_all(
     max_qubits: int = 16,
-    stretch: bool = False,
-    basis_cap: int = 100_000,
-    kernel_cap: int = 26,
+    basis_cap: int = BASIS_CAP_DEFAULT,
+    kernel_cap: int = KERNEL_CAP_DEFAULT,
 ) -> List[CheckResult]:
     # checks 10-12 share these two searches; each runs at most once, in the
     # first check that needs it
@@ -525,8 +492,8 @@ def run_all(
         (2, "four-qubit GHZ infeasibility (256 assignments)", _check_four_qubit_ghz),
         (3, "star family N=2..8 structure and infeasibility",
          lambda: _check_star_family(max_qubits)),
-        (4, "genuine multipartiteness at 4, 6, 8 qubits",
-         lambda: _check_multipartite(max_qubits, stretch)),
+        (4, "genuine multipartiteness at 4, 6, 8, 10 qubits",
+         lambda: _check_multipartite(max_qubits)),
         (5, "four-qubit eigenstate Bell formula and residuals",
          _check_four_qubit_state),
         (6, "six-qubit eigenstate: both decompositions agree",

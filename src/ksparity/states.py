@@ -12,7 +12,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -35,8 +35,6 @@ BELL_VECTORS = {
     "Ψ+": np.array([0, _S, _S, 0], dtype=complex),
     "Ψ-": np.array([0, _S, -_S, 0], dtype=complex),
 }
-
-ASCII_BELL = {"Phi+": "Φ+", "Phi-": "Φ-", "Psi+": "Ψ+", "Psi-": "Ψ-"}
 
 
 class UnderdeterminedEigenstateError(ValueError):

@@ -12,10 +12,10 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import gf2
-from .pauli import PauliWord, commutes, multiply, parse_word, product_of
+from .pauli import PauliWord, commutes, parse_word, product_of
 
 class InconsistentEigenvaluesError(ValueError):
     """Eigenvalue signature conflicts with the context's product sign."""

@@ -61,6 +61,7 @@ def test_criterion_4_covers_three_sizes(results):
     assert detail["4-qubit"] is True
     assert detail["6-qubit"] is True
     assert detail["8-qubit"] is True
+    assert detail["10-qubit"] is True
 
 
 def test_criterion_7_magnitudes(results):

@@ -276,6 +276,23 @@ class TestParityPipeline:
         assert doc["valid"] is True and doc["critical"] is True
         assert doc["symbol"] == first["symbol"]
 
+    def test_brute_force_check_catches_a_short_kernel(
+        self, runner, square_file, monkeypatch
+    ):
+        import ksparity.gf2
+
+        nullspace = ksparity.gf2.nullspace
+
+        def short_nullspace(rows, ncols):
+            return nullspace(rows, ncols)[:-1]
+
+        monkeypatch.setattr(ksparity.gf2, "nullspace", short_nullspace)
+        result = runner.invoke(
+            main, ["parity-census", square_file, "--brute-force-check"]
+        )
+        assert result.exit_code == 0
+        assert json.loads(result.output)["brute_force_agrees"] is False
+
     def test_symbol_invalid_proof(self, runner, square_file, tmp_path):
         proof_file = tmp_path / "proof.json"
         proof_file.write_text(json.dumps({"bases": [0, 1]}))

@@ -1,7 +1,5 @@
 import random
 
-import pytest
-
 from ksparity import gf2
 
 
@@ -62,7 +60,3 @@ def test_enumerate_span_is_exhaustive():
     seen = set(gf2.enumerate_span(basis))
     assert seen == {0, 0b100, 0b011, 0b111}
 
-
-def test_enumerate_span_limit():
-    with pytest.raises(ValueError):
-        list(gf2.enumerate_span([1, 2, 4], limit=2))

@@ -15,6 +15,7 @@ import pytest
 from click.testing import CliRunner
 
 from ksparity.cli import main
+from ksparity.reproduce import mermin_square_search
 from ksparity.systems import (
     Context,
     ContextSystem,
@@ -38,7 +39,16 @@ def _systems():
     systems["feasible"] = system_from_rows(["XX", "YY", "ZZ"], -1)
     systems["kite"] = builtin_fixtures()["kite-quadruples"]
     systems["empty2"] = ContextSystem(2, (), ())
+    systems["square"] = mermin_square_search().systems[0]
     return systems
+
+
+# proof files for the ``symbol`` cases: the first critical proof of the
+# square's census, and two bases that prove nothing
+PROOFS = {
+    "proof-square": [0, 2, 4, 6, 8, 10, 13, 14, 17, 18, 19],
+    "proof-square-invalid": [0, 1],
+}
 
 
 def _pairings(N):
@@ -69,31 +79,60 @@ def _cases():
     square = ["search-complete", "{empty2}", "--shape", "3,3,3,3,3,3"]
     cases.append(("search-complete-empty2", square))
     cases.append(("search-complete-empty2-budget50", square + ["--budget", "50"]))
+    cases.append(("parity-census-square", ["parity-census", "{square}"]))
+    cases.append(("parity-census-square-ascii",
+                  ["--ascii", "parity-census", "{square}"]))
+    cases.append(("parity-census-square-brute-force-check",
+                  ["parity-census", "{square}", "--brute-force-check",
+                   "--catalog", "{catalog}"]))
+    for verb in ("bases", "projectors"):
+        cases.append((f"{verb}-square", [verb, "{square}"]))
+    symbol = ["symbol", "{proof-square}", "--system", "{square}"]
+    cases.append(("symbol-square", symbol))
+    cases.append(("symbol-square-ascii", ["--ascii"] + symbol))
+    invalid = ["symbol", "{proof-square-invalid}", "--system", "{square}"]
+    cases.append(("symbol-square-invalid", invalid))
     return cases
 
 
 CASES = _cases()
-# cases that end with a nonzero exit code: the budget cap
-EXIT_CODES = {"search-complete-empty2-budget50": 3}
+# cases that end with a nonzero exit code: the budget cap and a set of
+# bases that is no proof
+EXIT_CODES = {
+    "search-complete-empty2-budget50": 3,
+    "symbol-square-invalid": 1,
+}
+CATALOG_CASES = {c for c, argv in CASES if "{catalog}" in argv}
 
 
 def _run(case, argv, tmp_path):
+    """The case's stdout bytes and its catalog bytes (None without one)."""
     files = {}
     for name, sys in _systems().items():
         path = tmp_path / f"{name}.json"
         path.write_text(sys.to_json())
         files[name] = str(path)
+    for name, ids in PROOFS.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"bases": ids}))
+        files[name] = str(path)
     for path in GOLDEN.glob("state-*.json"):
         files[path.stem] = str(path)
+    catalog = tmp_path / "catalog.jsonl"
+    files["catalog"] = str(catalog)
     args = [a.format(**files) if a.startswith("{") else a for a in argv]
     result = CliRunner().invoke(main, args)
     assert result.exit_code == EXIT_CODES.get(case, 0), result.output
-    return result.stdout_bytes
+    written = catalog.read_bytes() if case in CATALOG_CASES else None
+    return result.stdout_bytes, written
 
 
 @pytest.mark.parametrize("case,argv", CASES, ids=[c for c, _ in CASES])
 def test_payload_is_byte_identical(case, argv, tmp_path):
-    assert _run(case, argv, tmp_path) == (GOLDEN / f"{case}.json").read_bytes()
+    stdout, catalog = _run(case, argv, tmp_path)
+    assert stdout == (GOLDEN / f"{case}.json").read_bytes()
+    if catalog is not None:
+        assert catalog == (GOLDEN / f"{case}.catalog.jsonl").read_bytes()
 
 
 def test_golden_files_are_exactly_the_cases():
@@ -101,6 +140,11 @@ def test_golden_files_are_exactly_the_cases():
     assert recorded == {c for c, _ in CASES}
     for p in GOLDEN.glob("*.json"):
         json.loads(p.read_text(encoding="utf-8"))
+    catalogs = {p.name for p in GOLDEN.glob("*.jsonl")}
+    assert catalogs == {f"{c}.catalog.jsonl" for c in CATALOG_CASES}
+    for p in GOLDEN.glob("*.jsonl"):
+        for line in p.read_text(encoding="utf-8").splitlines():
+            json.loads(line)
 
 
 if __name__ == "__main__":
@@ -110,6 +154,8 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         # state cases first: the bell cases read them
         for case, argv in sorted(CASES, key=lambda c: not c[0].startswith("state-")):
-            out = _run(case, argv, Path(tmp))
+            out, catalog = _run(case, argv, Path(tmp))
             (GOLDEN / f"{case}.json").write_bytes(out)
+            if catalog is not None:
+                (GOLDEN / f"{case}.catalog.jsonl").write_bytes(catalog)
             print(case)

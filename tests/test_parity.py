@@ -14,6 +14,7 @@ from ksparity.parity import (
     _subset_critical,
     assignment_satisfiable,
     brute_force_parity_proofs,
+    compare_with_brute_force,
     enumerate_bases,
     enumerate_parity_proofs,
     is_critical,
@@ -202,13 +203,18 @@ class TestCensus:
                     assert not verify_proof(sub, square_table)
 
     def test_kernel_equals_brute_force(self, square_table):
+        assert compare_with_brute_force(square_table) == (True, True)
         # cut down to 20 bases so the full subset scan stays exact
-        square_table = BasisTable(
-            square_table.pool, square_table.bases[:20]
-        )
-        brute, truncated = brute_force_parity_proofs(square_table)
-        assert not truncated
-        assert set(kernel_parity_sets(square_table)) == set(brute)
+        sub_table = BasisTable(square_table.pool, square_table.bases[:20])
+        brute = brute_force_parity_proofs(sub_table)
+        assert brute
+        assert set(kernel_parity_sets(sub_table)) == set(brute)
+        assert compare_with_brute_force(sub_table) == (True, False)
+
+    def test_brute_force_refuses_more_than_20_bases(self, square_table):
+        assert len(square_table.bases) == 24
+        with pytest.raises(ValueError, match="at most 20 bases"):
+            brute_force_parity_proofs(square_table)
 
     def test_symbol_totals_consistent(self, square_census):
         assert sum(square_census.symbol_counts.values()) == square_census.total

@@ -157,5 +157,4 @@ class TestRestriction:
 
 def test_all_words_count():
     assert sum(1 for _ in all_words(2)) == 15
-    assert sum(1 for _ in all_words(2, include_identity=True)) == 16
     assert all(w.is_hermitian and w.sign == 1 for w in all_words(3))
