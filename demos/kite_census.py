@@ -1,7 +1,10 @@
 """Complete the four-qubit kite and enumerate all its parity proofs.
 
-The full census takes about 20 s; everything before it is
-instant.  Run with: python3 demos/kite_census.py
+The full census takes about 12 s on a 2-core Xeon host; everything
+before it is instant.  Its drop-one test keeps every satisfying
+assignment it finds as the set of bases that assignment covers exactly
+once, and searches only the drops no such cover already decides.  Run
+with: python3 demos/kite_census.py
 """
 
 import time
@@ -44,7 +47,7 @@ def main():
           f"({table.pure_count()} pure, {table.hybrid_count()} hybrid)   "
           f"saturated: {is_saturated(table)}")
 
-    print("\ncounting critical parity proofs (about 20 s)...")
+    print("\ncounting critical parity proofs (about 12 s)...")
     start = time.time()
     census = enumerate_parity_proofs(table)
     print(f"done in {time.time() - start:.0f}s")

@@ -382,16 +382,30 @@ def state(run: Run, system_file, eigenvalues, output):
     run.emit(json.loads(psi.to_json()) | {"eigenvalues": ev}, output)
 
 
-@main.command()
+@main.command(help=(
+    "Bell-pair decomposition of a state under a qubit pairing.\n\n"
+    "States on more qubits than dense_cap (default "
+    f"{DENSE_STATE_CAP}) exit 3 before decomposing: the decomposition "
+    "costs about 4^(n/2) * 2^n."
+))
 @click.argument("state_file", type=click.Path(exists=True))
 @click.option("--pairing", required=True,
               help="semicolon list of qubit pairs, e.g. '1,2;3,4'")
 @output_option
 @click.pass_obj
 def bell(run: Run, state_file, pairing, output):
-    """Bell-pair decomposition of a state under a qubit pairing."""
     psi = _load_state(run, state_file)
     pairs = _parse_pairing(pairing)
+    dense_cap = run.cap("dense_cap", DENSE_STATE_CAP)
+    if psi.n > dense_cap:
+        run.emit(
+            {
+                "ok": False,
+                "error": f"n={psi.n} exceeds dense state cap {dense_cap}",
+            },
+            output,
+            EXIT_CAP,
+        )
     try:
         decomp = bell_decompose(psi, pairs)
     except ValueError as exc:
@@ -488,8 +502,8 @@ def bases(run: Run, system_file, output):
 @main.command("parity-census")
 @click.argument("system_file", type=click.Path(exists=True))
 @click.option("--brute-force-check", is_flag=True,
-              help=f"scan every subset of the first {BRUTE_FORCE_BASES} "
-              "bases exactly and compare with that sub-table's kernel")
+              help=f"scan every subset of {BRUTE_FORCE_BASES} consecutive "
+              "bases exactly and compare with that window's kernel")
 @click.option("--catalog", type=click.Path(), default=None,
               help="write one JSON proof record per line to this file")
 @output_option

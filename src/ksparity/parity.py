@@ -185,16 +185,6 @@ class ProofCensus:
         }
 
 
-def _proof_multiplicities(
-    basis_ids: Sequence[int], table: BasisTable
-) -> Dict[int, int]:
-    mult: Dict[int, int] = {}
-    for b in basis_ids:
-        for pid in table.bases[b].projector_ids:
-            mult[pid] = mult.get(pid, 0) + 1
-    return mult
-
-
 _SUP = str.maketrans("0123456789", "⁰¹²³⁴⁵⁶⁷⁸⁹")
 _SUB = str.maketrans("0123456789", "₀₁₂₃₄₅₆₇₈₉")
 
@@ -221,38 +211,93 @@ def render_symbol(
     return left_u + "−" + right_u, left_a + " - " + right_a
 
 
+def _rank_masks(pool: ProjectorPool) -> List[Tuple[int, int]]:
+    """(rank, bitset of the projectors of that rank), by rank."""
+    masks: Dict[int, int] = {}
+    for pid, proj in enumerate(pool.projectors):
+        masks[proj.rank] = masks.get(proj.rank, 0) | 1 << pid
+    return sorted(masks.items())
+
+
+def _symbol_key(
+    basis_ids: Sequence[int],
+    table: BasisTable,
+    rank_masks: List[Tuple[int, int]],
+) -> Tuple[tuple, tuple]:
+    """Sorted (rank, multiplicity) -> count and size -> count items.
+
+    Multiplicities are counted bit-sliced: ``planes[k]`` has bit p set when
+    bit k of projector p's multiplicity is set, and each basis mask is
+    added with a carry-save ripple through the planes.  Splitting the
+    support by every plane then gives the projectors of each multiplicity,
+    and popcounts against the rank masks give the class counts.
+    """
+    planes: List[int] = []
+    sizes: Dict[int, int] = {}
+    for b in basis_ids:
+        basis = table.bases[b]
+        carry = basis.mask
+        for k, plane in enumerate(planes):
+            planes[k] = plane ^ carry
+            carry &= plane
+            if not carry:
+                break
+        if carry:
+            planes.append(carry)
+        sizes[basis.size] = sizes.get(basis.size, 0) + 1
+    support = 0
+    for plane in planes:
+        support |= plane
+    groups = [(support, 0)]
+    for k, plane in enumerate(planes):
+        groups = [
+            (part, m | bit << k)
+            for group, m in groups
+            for part, bit in ((group & plane, 1), (group & ~plane, 0))
+            if part
+        ]
+    classes = []
+    for group, m in groups:
+        for rank, mask in rank_masks:
+            count = (group & mask).bit_count()
+            if count:
+                classes.append(((rank, m), count))
+    return tuple(sorted(classes)), tuple(sorted(sizes.items()))
+
+
 def proof_symbol(
     basis_ids: Sequence[int], table: BasisTable
 ) -> Tuple[str, str]:
     """(utf8, ascii) symbol: projector rank/multiplicity classes - basis sizes."""
-    mult = _proof_multiplicities(basis_ids, table)
-    classes: Dict[Tuple[int, int], int] = {}
-    for pid, m in mult.items():
-        rank = table.pool.projectors[pid].rank
-        classes[(rank, m)] = classes.get((rank, m), 0) + 1
-    sizes: Dict[int, int] = {}
-    for b in basis_ids:
-        s = table.bases[b].size
-        sizes[s] = sizes.get(s, 0) + 1
-    return render_symbol(classes, sizes)
+    classes, sizes = _symbol_key(basis_ids, table, _rank_masks(table.pool))
+    return render_symbol(dict(classes), dict(sizes))
+
+
+def satisfying_assignment(
+    basis_ids: Sequence[int], table: BasisTable
+) -> Optional[int]:
+    """A 0/1 assignment giving every listed basis exactly one value-1
+    projector, as the bitset of its value-1 projectors; None if none exists.
+
+    Exact-one search on projector bitmasks that always branches on the
+    open basis with the fewest live candidates (Knuth's Dancing Links
+    heuristic).  A set of bases that admits such an assignment no longer
+    proves anything.
+    """
+    bases = table.bases
+    return _exact_one([bases[j].mask for j in basis_ids], 0, 0)
 
 
 def assignment_satisfiable(
     basis_ids: Sequence[int], table: BasisTable
 ) -> bool:
-    """Can every listed basis be given exactly one value-1 projector?
-
-    Exact-one search on projector bitmasks that always branches on the
-    open basis with the fewest live candidates (Knuth's Dancing Links
-    heuristic).  A set of bases that admits such a 0/1 assignment no
-    longer proves anything.
-    """
-    bases = table.bases
-    return _exact_one([bases[j].mask for j in basis_ids], 0)
+    """Can every listed basis be given exactly one value-1 projector?"""
+    return satisfying_assignment(basis_ids, table) is not None
 
 
-def _exact_one(open_masks: List[int], zeros: int) -> bool:
-    """Exact-one search over the open bases given the projectors set to 0.
+def _exact_one(open_masks: List[int], zeros: int, ones: int) -> Optional[int]:
+    """Exact-one search over the open bases given the projectors set to 0
+    and to 1; returns the value-1 projectors of a solution, or None.
 
     Setting a projector to 1 closes every open basis that contains it and
     sets the rest of those bases to 0; an open basis with no live
@@ -265,7 +310,7 @@ def _exact_one(open_masks: List[int], zeros: int) -> bool:
         live = mask & free
         count = live.bit_count()
         if count == 0:
-            return False
+            return None
         if fewest is None or count < fewest:
             best, fewest = live, count
             if count == 1:
@@ -273,7 +318,7 @@ def _exact_one(open_masks: List[int], zeros: int) -> bool:
                 # caught one level down
                 break
     if fewest is None:
-        return True
+        return ones
     while best:
         one = best & -best
         best ^= one
@@ -284,21 +329,57 @@ def _exact_one(open_masks: List[int], zeros: int) -> bool:
                 closed |= mask
             else:
                 rest.append(mask)
-        if _exact_one(rest, zeros | (closed ^ one)):
-            return True
+        found = _exact_one(rest, zeros | (closed ^ one), ones | one)
+        if found is not None:
+            return found
         # the branching basis takes one of its other candidates, so this
         # projector is 0 from here on
         zeros |= one
-    return False
+    return None
+
+
+def _drops_satisfiable(vec: int, table: BasisTable, covers: List[int]) -> bool:
+    """Does dropping any single basis of vec leave a satisfiable set?
+
+    vec selects bases as kernel vectors do (bit nb-1-j = basis j).  A
+    cover, in the same bits, is the set of the table's bases that one
+    found assignment holds exactly once; a cover missing at most one basis
+    of vec proves that drop satisfiable.  Only the drops no cover decides
+    are searched, and each witness found adds its cover to ``covers``,
+    which must hold covers of real assignments of this table only.
+    """
+    bases = table.bases
+    nb = len(bases)
+    undecided = vec
+    for cover in covers:
+        miss = vec & ~cover
+        if not miss & (miss - 1):
+            # a cover with no miss at all satisfies vec itself, and so
+            # every drop of it
+            undecided &= ~miss if miss else 0
+            if not undecided:
+                return True
+    while undecided:
+        drop = undecided & -undecided
+        ones = satisfying_assignment(_basis_ids(vec ^ drop, nb), table)
+        if ones is None:
+            return False
+        cover = 0
+        for j, basis in enumerate(bases):
+            if (basis.mask & ones).bit_count() == 1:
+                cover |= 1 << (nb - 1 - j)
+        covers.append(cover)
+        undecided &= ~drop if vec & ~cover else 0
+    return True
 
 
 def is_critical(basis_ids: Sequence[int], table: BasisTable) -> bool:
     """Dropping any single basis must leave a satisfiable configuration."""
-    ids = tuple(basis_ids)
-    return all(
-        assignment_satisfiable(tuple(j for j in ids if j != drop), table)
-        for drop in ids
-    )
+    nb = len(table.bases)
+    vec = 0
+    for j in basis_ids:
+        vec |= 1 << (nb - 1 - j)
+    return _drops_satisfiable(vec, table, [])
 
 
 def _basis_ids(vec: int, nb: int) -> Tuple[int, ...]:
@@ -373,6 +454,11 @@ def enumerate_parity_proofs(
         census.partial = True
         return census
     echelon, _ = gf2.rref(kernel, nb)
+    rank_masks = _rank_masks(table.pool)
+    # covers of the assignments found so far, and each symbol key's
+    # rendering; both live for this census only
+    covers: List[int] = []
+    rendered: Dict[Tuple[tuple, tuple], Tuple[str, str]] = {}
     for vec in gf2.enumerate_span(kernel):
         if vec.bit_count() % 2 == 0:
             continue
@@ -381,10 +467,14 @@ def enumerate_parity_proofs(
         if not _subset_critical(vec, echelon):
             continue
         census.subset_critical_total += 1
-        basis_ids = _basis_ids(vec, nb)
-        if not is_critical(basis_ids, table):
+        if not _drops_satisfiable(vec, table, covers):
             continue
-        sym_u, sym_a = proof_symbol(basis_ids, table)
+        basis_ids = _basis_ids(vec, nb)
+        key = _symbol_key(basis_ids, table, rank_masks)
+        symbols = rendered.get(key)
+        if symbols is None:
+            symbols = rendered[key] = render_symbol(dict(key[0]), dict(key[1]))
+        sym_u, sym_a = symbols
         projectors = 0
         for j in basis_ids:
             projectors |= table.bases[j].mask
@@ -425,24 +515,33 @@ def brute_force_parity_proofs(table: BasisTable) -> List[Tuple[int, ...]]:
 def compare_with_brute_force(table: BasisTable) -> Tuple[bool, bool]:
     """Kernel parity sets against the direct subset scan.
 
-    Both run on the table's first ``BRUTE_FORCE_BASES`` bases, where the
-    scan is exact.  Returns (agrees, truncated); truncated means the table
-    had more bases than that.
+    Both run on a window of ``BRUTE_FORCE_BASES`` consecutive bases, where
+    the scan is exact: the first window whose kernel holds a parity set,
+    so that the scan has sets to find, or the first window if none does.
+    Returns (agrees, truncated); truncated means the table had more bases
+    than that.
     """
-    truncated = len(table.bases) > BRUTE_FORCE_BASES
-    if truncated:
-        table = BasisTable(table.pool, table.bases[:BRUTE_FORCE_BASES])
-    brute = brute_force_parity_proofs(table)
-    return set(kernel_parity_sets(table)) == set(brute), truncated
+    nb = len(table.bases)
+    windows = [
+        BasisTable(table.pool, table.bases[start:start + BRUTE_FORCE_BASES])
+        for start in range(max(nb - BRUTE_FORCE_BASES, 0) + 1)
+    ]
+    window = next((w for w in windows if kernel_parity_sets(w)), windows[0])
+    brute = brute_force_parity_proofs(window)
+    return (
+        set(kernel_parity_sets(window)) == set(brute),
+        nb > BRUTE_FORCE_BASES,
+    )
 
 
 def verify_proof(basis_ids: Sequence[int], table: BasisTable) -> bool:
-    """Odd basis count and even incidence for every projector."""
+    """Odd basis count and even incidence: the basis masks XOR to zero."""
     if len(basis_ids) % 2 == 0:
         return False
-    return all(
-        m % 2 == 0 for m in _proof_multiplicities(basis_ids, table).values()
-    )
+    acc = 0
+    for b in basis_ids:
+        acc ^= table.bases[b].mask
+    return acc == 0
 
 
 def two_power_h_report(table: BasisTable, census: ProofCensus) -> dict:

@@ -1,0 +1,87 @@
+"""Reference versions of the census filters and symbols, for tests only.
+
+Each function is the per-vector, dict-based version that the library
+replaced with shared assignment covers and bit-sliced multiplicities; the
+tests require the library to agree with it.
+"""
+
+from typing import Dict, Sequence, Tuple
+
+from ksparity import gf2
+from ksparity.parity import (
+    BasisTable,
+    ParityProof,
+    ProofCensus,
+    _basis_ids,
+    _subset_critical,
+    assignment_satisfiable,
+    render_symbol,
+)
+
+
+def proof_multiplicities(
+    basis_ids: Sequence[int], table: BasisTable
+) -> Dict[int, int]:
+    """Projector id -> number of listed bases holding it."""
+    mult: Dict[int, int] = {}
+    for b in basis_ids:
+        for pid in table.bases[b].projector_ids:
+            mult[pid] = mult.get(pid, 0) + 1
+    return mult
+
+
+def proof_symbol(
+    basis_ids: Sequence[int], table: BasisTable
+) -> Tuple[str, str]:
+    """(utf8, ascii) symbol from the multiplicity dict."""
+    classes: Dict[Tuple[int, int], int] = {}
+    for pid, m in proof_multiplicities(basis_ids, table).items():
+        rank = table.pool.projectors[pid].rank
+        classes[(rank, m)] = classes.get((rank, m), 0) + 1
+    sizes: Dict[int, int] = {}
+    for b in basis_ids:
+        s = table.bases[b].size
+        sizes[s] = sizes.get(s, 0) + 1
+    return render_symbol(classes, sizes)
+
+
+def is_critical(basis_ids: Sequence[int], table: BasisTable) -> bool:
+    """One exact-one search per dropped basis."""
+    ids = tuple(basis_ids)
+    return all(
+        assignment_satisfiable(tuple(j for j in ids if j != drop), table)
+        for drop in ids
+    )
+
+
+def enumerate_parity_proofs(table: BasisTable) -> ProofCensus:
+    """Census taking each subset survivor through ``is_critical`` and
+    ``proof_symbol`` above, with no kernel cap."""
+    nb = len(table.bases)
+    kernel = gf2.nullspace(table.incidence_rows(), nb)
+    census = ProofCensus(
+        total=0,
+        proofs=[],
+        symbol_counts={},
+        basis_count_histogram={},
+        kernel_dimension=len(kernel),
+    )
+    echelon, _ = gf2.rref(kernel, nb)
+    for vec in gf2.enumerate_span(kernel):
+        if vec.bit_count() % 2 == 0 or not _subset_critical(vec, echelon):
+            continue
+        census.subset_critical_total += 1
+        basis_ids = _basis_ids(vec, nb)
+        if not is_critical(basis_ids, table):
+            continue
+        sym_u, sym_a = proof_symbol(basis_ids, table)
+        num_projectors = len(proof_multiplicities(basis_ids, table))
+        census.proofs.append(
+            ParityProof(basis_ids, sym_u, sym_a, num_projectors)
+        )
+        census.symbol_counts[sym_u] = census.symbol_counts.get(sym_u, 0) + 1
+        census.basis_count_histogram[len(basis_ids)] = (
+            census.basis_count_histogram.get(len(basis_ids), 0) + 1
+        )
+    census.total = len(census.proofs)
+    return census

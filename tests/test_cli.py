@@ -171,6 +171,31 @@ class TestStateCommands:
         )
         assert result.exit_code == 3
 
+    def test_bell_dense_cap_exits_before_decomposing(
+        self, runner, tmp_path, monkeypatch
+    ):
+        state_file = str(tmp_path / "psi6.json")
+        result = runner.invoke(
+            main, ["state", write_star(tmp_path, N=3), "-o", state_file]
+        )
+        assert result.exit_code == 0
+        conf = tmp_path / "caps.conf"
+        conf.write_text("dense_cap = 4\n")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("bell_decompose ran above the dense cap")
+
+        monkeypatch.setattr("ksparity.cli.bell_decompose", refuse)
+        result = runner.invoke(
+            main,
+            ["--config", str(conf), "bell", state_file,
+             "--pairing", "1,2;3,4;5,6"],
+        )
+        assert result.exit_code == 3
+        doc = json.loads(result.output)
+        assert doc["ok"] is False
+        assert "dense state cap 4" in doc["error"]
+
 
 class TestConfig:
     def test_unknown_key(self, runner, tmp_path):

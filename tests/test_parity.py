@@ -3,9 +3,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import census_oracles
 from ksparity import gf2
 from ksparity.systems import system_from_rows
 from ksparity.projectors import projectors_of
@@ -22,6 +23,7 @@ from ksparity.parity import (
     kernel_parity_sets,
     proof_symbol,
     render_symbol,
+    satisfying_assignment,
     two_power_h_report,
     verify_proof,
 )
@@ -192,6 +194,9 @@ class TestCensus:
             assert not assignment_satisfiable(ids, square_table)
             # dropping any one basis restores satisfiability
             assert is_critical(ids, square_table)
+            # with one more basis, dropping that one leaves the proof
+            extra = min(set(range(len(square_table.bases))) - set(ids))
+            assert not is_critical(ids + (extra,), square_table)
             for drop in ids:
                 rest = tuple(j for j in ids if j != drop)
                 assert assignment_satisfiable(rest, square_table)
@@ -210,6 +215,20 @@ class TestCensus:
         assert brute
         assert set(kernel_parity_sets(sub_table)) == set(brute)
         assert compare_with_brute_force(sub_table) == (True, False)
+
+    def test_brute_force_window_catches_a_short_kernel(
+        self, kite_table, square_tables, monkeypatch
+    ):
+        # the first 20 bases of the kite and of square table 2 hold no
+        # parity set, so a comparison there could never disagree
+        for table in (kite_table, square_tables[2]):
+            assert compare_with_brute_force(table) == (True, True)
+        nullspace = gf2.nullspace
+        monkeypatch.setattr(
+            gf2, "nullspace", lambda rows, ncols: nullspace(rows, ncols)[:-1]
+        )
+        for table in (kite_table, square_tables[2]):
+            assert compare_with_brute_force(table) == (False, True)
 
     def test_brute_force_refuses_more_than_20_bases(self, square_table):
         assert len(square_table.bases) == 24
@@ -312,12 +331,96 @@ class TestFilters:
         for j in extra:
             if j not in ids and _choices(ids + [j], table) <= BRUTE_FORCE_CHOICES:
                 ids.append(j)
-        assert assignment_satisfiable(ids, table) == _choices_satisfiable(
-            ids, table
-        )
+        ones = satisfying_assignment(ids, table)
+        if _choices_satisfiable(ids, table):
+            assert ones is not None
+            for j in ids:
+                assert (table.bases[j].mask & ones).bit_count() == 1
+        else:
+            assert ones is None
+        assert assignment_satisfiable(ids, table) == (ones is not None)
+
+
+def _assert_census_matches_oracle(table, census=None):
+    if census is None:
+        census = enumerate_parity_proofs(table)
+    oracle = census_oracles.enumerate_parity_proofs(table)
+    # ParityProof equality compares basis ids, both symbols and the
+    # projector count
+    assert census.proofs == oracle.proofs
+    assert census.symbol_counts == oracle.symbol_counts
+    assert census.basis_count_histogram == oracle.basis_count_histogram
+    assert (
+        census.total, census.subset_critical_total, census.kernel_dimension
+    ) == (oracle.total, oracle.subset_critical_total, oracle.kernel_dimension)
+
+
+class TestCensusAgainstOracle:
+    def test_square_tables(self, square_tables, square_censuses):
+        for table, census in zip(square_tables, square_censuses):
+            _assert_census_matches_oracle(table, census)
+
+    def test_kite_sub_table(self, kite_sub_table, kite_sub_census):
+        _assert_census_matches_oracle(kite_sub_table, kite_sub_census)
+
+    @given(st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_random_sub_tables(
+        self, square_tables, kite_table, kite_sub_ids, kite_sub_census, data
+    ):
+        # a kite sub-table keeps the bases of a few critical proofs plus
+        # some others, so that it holds proofs, in a random order; a
+        # square sub-table drops a few bases of one square table
+        if data.draw(st.booleans(), label="kite"):
+            table = kite_table
+            proofs = [
+                tuple(kite_sub_ids[j] for j in p.basis_ids)
+                for p in kite_sub_census.proofs
+            ]
+            seeds = data.draw(
+                st.lists(st.sampled_from(proofs), min_size=1, max_size=3),
+                label="proofs",
+            )
+            keep = sorted({j for p in seeds for j in p})
+            extra = data.draw(
+                st.lists(st.integers(0, len(table.bases) - 1), max_size=12),
+                label="extra",
+            )
+            keep += sorted(set(extra) - set(keep))
+        else:
+            k = data.draw(st.integers(0, len(square_tables) - 1), label="square")
+            table = square_tables[k]
+            keep = list(range(len(table.bases)))
+            for _ in range(data.draw(st.integers(0, 4), label="drops")):
+                keep.remove(data.draw(st.sampled_from(keep), label="dropped"))
+        order = data.draw(st.permutations(keep), label="order")
+        sub = BasisTable(table.pool, tuple(table.bases[j] for j in order))
+        assume(len(gf2.nullspace(sub.incidence_rows(), len(order))) <= 12)
+        _assert_census_matches_oracle(sub)
 
 
 class TestSymbols:
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_symbol_and_verify_match_multiplicity_oracle(
+        self, square_tables, kite_table, data
+    ):
+        table = data.draw(
+            st.sampled_from([kite_table, *square_tables]), label="table"
+        )
+        # repeats allowed: multiplicities then reach well past 4
+        ids = data.draw(
+            st.lists(st.integers(0, len(table.bases) - 1), max_size=40),
+            label="ids",
+        )
+        assert proof_symbol(ids, table) == census_oracles.proof_symbol(
+            ids, table
+        )
+        mult = census_oracles.proof_multiplicities(ids, table)
+        assert verify_proof(ids, table) == (
+            len(ids) % 2 == 1 and all(m % 2 == 0 for m in mult.values())
+        )
+
     def test_square_smallest_symbol(self, square_table, square_census):
         utf8, ascii_form = proof_symbol(
             square_census.smallest().basis_ids, square_table
