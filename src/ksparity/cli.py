@@ -65,9 +65,10 @@ EXIT_VERIFY = 1
 EXIT_USAGE = 2
 EXIT_CAP = 3
 
-# Largest table `multipartite` accepts.  find_proper_subproof scans the
-# 2^n column subsets: about 0.6 s at 12 qubits and 2.9 s at 14, growing
-# about 5x per two qubits.  The library function itself has no cap.
+# Largest table `multipartite` accepts.  find_proper_subproof walks the
+# 2^n column subsets: on a star table the search takes about 0.07 s at 12
+# qubits and 0.4 s at 14, growing about 5x per two qubits.  The library
+# function itself has no cap.
 MULTIPARTITE_QUBIT_CAP = 14
 
 _ASCII_LABELS = {"Φ": "Phi", "Ψ": "Psi"}

@@ -16,6 +16,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from . import gf2
 from .projectors import ProjectorPool, orthogonal
 
@@ -491,43 +493,56 @@ def enumerate_parity_proofs(
 def brute_force_parity_proofs(table: BasisTable) -> List[Tuple[int, ...]]:
     """Direct subset scan for odd even-incidence basis subsets.
 
-    Walks every subset in Gray-code order, XORing basis masks, without
-    ``gf2``: this is the independent oracle for the kernel route.
-    Criticality is not filtered here.  Tables of more than
-    ``BRUTE_FORCE_BASES`` bases raise ValueError.
+    Walks every subset in Gray-code order, without ``gf2``: step g flips
+    basis ruler(g) (the trailing zeros of g), so a prefix XOR of the basis
+    masks along the ruler sequence gives every subset's incidence at once.
+    The masks are split into 64-bit limbs.  This is the independent oracle
+    for the kernel route.  Criticality is not filtered here.  Tables of
+    more than ``BRUTE_FORCE_BASES`` bases raise ValueError.
     """
     nb = len(table.bases)
     if nb > BRUTE_FORCE_BASES:
         raise ValueError(
             f"subset scan takes at most {BRUTE_FORCE_BASES} bases, not {nb}"
         )
-    cols = [basis.mask for basis in table.bases]
-    found = []
-    vec = 0
-    for g in range(1, 1 << nb):
-        vec ^= cols[(g & -g).bit_length() - 1]
-        gray = g ^ (g >> 1)
-        if vec == 0 and gray.bit_count() % 2 == 1:
-            found.append(tuple(j for j in range(nb) if gray >> j & 1))
-    return found
+    limbs = max(1, -(-len(table.pool) // 64))
+    masks = np.array(
+        [
+            [basis.mask >> (64 * limb) & 0xFFFF_FFFF_FFFF_FFFF
+             for limb in range(limbs)]
+            for basis in table.bases
+        ],
+        dtype=np.uint64,
+    ).reshape(nb, limbs)
+    steps = np.arange(1, 1 << nb, dtype=np.uint32)
+    ruler = np.bitwise_count((steps & -steps) - 1)
+    incidence = np.bitwise_xor.accumulate(masks[ruler], axis=0)
+    gray = steps ^ (steps >> 1)
+    hits = gray[~incidence.any(axis=1) & (np.bitwise_count(gray) & 1 == 1)]
+    return [
+        tuple(j for j in range(nb) if subset >> j & 1)
+        for subset in hits.tolist()
+    ]
 
 
 def compare_with_brute_force(table: BasisTable) -> Tuple[bool, bool]:
     """Kernel parity sets against the direct subset scan.
 
     Both run on a window of ``BRUTE_FORCE_BASES`` consecutive bases, where
-    the scan is exact: the first window whose kernel holds a parity set,
-    so that the scan has sets to find, or the first window if none does.
-    Returns (agrees, truncated); truncated means the table had more bases
-    than that.
+    the scan is exact: the first window in which the scan finds a parity
+    set, so that the kernel has sets to match, or the first window if the
+    scan finds none anywhere.  The window is chosen without the kernel, so
+    a kernel that misses sets cannot steer the comparison to a window
+    where there are none.  Returns (agrees, truncated); truncated means
+    the table had more bases than that.
     """
     nb = len(table.bases)
     windows = [
         BasisTable(table.pool, table.bases[start:start + BRUTE_FORCE_BASES])
         for start in range(max(nb - BRUTE_FORCE_BASES, 0) + 1)
     ]
-    window = next((w for w in windows if kernel_parity_sets(w)), windows[0])
-    brute = brute_force_parity_proofs(window)
+    scans = ((w, brute_force_parity_proofs(w)) for w in windows)
+    window, brute = next(((w, b) for w, b in scans if b), (windows[0], []))
     return (
         set(kernel_parity_sets(window)) == set(brute),
         nb > BRUTE_FORCE_BASES,

@@ -352,21 +352,27 @@ def _check_oracles(
 ) -> Tuple[bool, dict]:
     mismatches = 0
     pair_cases = 0
+    # each word's letter matrix (phase +1) is built once; the phase is
+    # applied afterwards, as to_dense does
+    letters: Dict[Tuple[int, int, int], np.ndarray] = {}
+
+    def dense_of(word: PauliWord) -> np.ndarray:
+        key = (word.n, word.x, word.z)
+        if key not in letters:
+            letters[key] = to_dense(word.unsigned())
+        return word.phase * letters[key]
+
     # exhaustive product/commutation versus dense matrices, n <= 2
     for n in (1, 2):
         words = list(all_words(n))
-        mats = {(w.x, w.z): to_dense(w) for w in words}
         for a in words:
             for b in words:
                 prod = multiply(a, b)
-                dense = mats[(a.x, a.z)] @ mats[(b.x, b.z)]
-                mat_prod = to_dense(prod)
-                if not np.allclose(dense, mat_prod, atol=1e-12):
+                dense = dense_of(a) @ dense_of(b)
+                if not np.allclose(dense, dense_of(prod), atol=1e-12):
                     mismatches += 1
                 comm_dense = bool(
-                    np.allclose(
-                        dense, mats[(b.x, b.z)] @ mats[(a.x, a.z)], atol=1e-12
-                    )
+                    np.allclose(dense, dense_of(b) @ dense_of(a), atol=1e-12)
                 )
                 if comm_dense != commutes(a, b):
                     mismatches += 1
@@ -382,10 +388,10 @@ def _check_oracles(
             n, rng.getrandbits(n), rng.getrandbits(n), rng.randrange(4)
         )
         prod = multiply(a, b)
-        dense = to_dense(a) @ to_dense(b)
-        if not np.allclose(dense, to_dense(prod), atol=1e-12):
+        dense = dense_of(a) @ dense_of(b)
+        if not np.allclose(dense, dense_of(prod), atol=1e-12):
             mismatches += 1
-        anti = to_dense(b) @ to_dense(a)
+        anti = dense_of(b) @ dense_of(a)
         if bool(np.allclose(dense, anti, atol=1e-12)) != commutes(a, b):
             mismatches += 1
         pair_cases += 1

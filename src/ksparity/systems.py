@@ -360,6 +360,56 @@ def builtin_fixtures() -> Dict[str, ContextSystem]:
 # genuine multipartiteness
 
 
+def _restrict(basis: List[int], col: int) -> List[int]:
+    """Basis of the vectors v in span(basis) with |v & col| even."""
+    for j, pivot in enumerate(basis):
+        if (pivot & col).bit_count() & 1:
+            return basis[:j] + [
+                v ^ pivot if (v & col).bit_count() & 1 else v
+                for v in basis[j + 1:]
+            ]
+    return basis
+
+
+def _vanishing_on(basis: List[int], mask: int) -> List[int]:
+    """Basis of the vectors in span(basis) with no bit in mask."""
+    pivots: List[int] = []
+    out: List[int] = []
+    for v in basis:
+        for p in pivots:
+            if (v ^ p) & mask < v & mask:
+                v ^= p
+        (pivots if v & mask else out).append(v)
+    return out
+
+
+def _commuting_minus_identity(
+    vec: int, anti: List[int], xs: List[int], zs: List[int]
+) -> bool:
+    """The rows in vec pairwise commute and multiply to -identity.
+
+    Bit k of vec picks the row whose masks are xs[k], zs[k] and whose
+    anticommuting rows are the bits of anti[k].  The masks of the rows
+    must cancel.  Writing each word as i^|x&z| X^x Z^z, the product is
+    i^lam times the identity, where moving the Z part gathered so far past
+    each next X part adds 2|zacc & x| to lam; commuting rows may be
+    multiplied in any order.
+    """
+    lam = 0
+    zacc = 0
+    rest = vec
+    while rest:
+        low = rest & -rest
+        k = low.bit_length() - 1
+        if anti[k] & vec:
+            return False
+        x = xs[k]
+        lam += (x & zs[k]).bit_count() + 2 * (zacc & x).bit_count()
+        zacc ^= zs[k]
+        rest ^= low
+    return lam % 4 == 2
+
+
 def find_proper_subproof(
     sys: ContextSystem,
 ) -> Optional[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
@@ -369,66 +419,106 @@ def find_proper_subproof(
     None.  A witness is a subset of row occurrences, restricted to a subset
     of columns, whose restricted words are distinct, pairwise commuting,
     have every (qubit, letter) slot appearing an even number of times, and
+    multiply to -identity.  The column subsets are tried in ascending order
+    of their bitmask (bit p for column p), and the first one holding a
+    witness gives the answer, in two steps.
+
+    The existence step walks the subsets depth first, adding columns below
+    the lowest one taken so far, which visits them in ascending order.  It
+    carries the left null space of the slot columns over all rows (even
+    slot counts) and each row's anticommuting rows, and updates both per
+    added column.  On a subset it keeps one row per distinct non-identity
+    restricted word and drops the others from the null space.  That
+    quotient is exact: a witness never takes an identity row or two equal
+    words, and swapping a row for an equal one changes neither the slot
+    counts nor the product of commuting words.  So a subset holds a witness
+    iff the rest of the null space has a vector whose rows commute and
+    multiply to -identity.
+
+    The witness step runs on that subset alone.  It walks the span of the
+    reduced ``gf2.nullspace`` basis of the slot columns, without the rows
+    idle there, in Gray-code order, and returns the first vector other
+    than the whole table whose restricted words are distinct, commute and
     multiply to -identity.
     """
     ctx = _single_context(sys)
     words = sys.context_words(ctx)
     nrows = len(words)
     n = sys.n
-    # slot columns: for each position and letter, the rows holding that
-    # letter there (bit nrows-1-i for row i), as gf2.left_nullspace numbers
-    # them; a restriction to some columns keeps their slot columns only
-    slot_columns: List[List[int]] = [[] for _ in range(n)]
+    everyone = (1 << nrows) - 1
+    whole = (1 << n) - 1
+    # row data by bit: bit k stands for row nrows-1-k, as gf2.left_nullspace
+    # numbers the rows
+    xs = [w.x for w in reversed(words)]
+    zs = [w.z for w in reversed(words)]
+    xzs = [x << n | z for x, z in zip(xs, zs)]
+    # per column: its nonzero slot columns (the rows holding X, Y or Z
+    # there), and for each row the rows whose letter there anticommutes
+    slot_columns: List[List[int]] = []
+    anti_columns: List[List[int]] = []
     for p in range(n):
         bit = 1 << (n - 1 - p)
-        for xbit, zbit in ((bit, 0), (bit, bit), (0, bit)):
-            col = 0
-            for i, w in enumerate(words):
-                if (w.x & bit, w.z & bit) == (xbit, zbit):
-                    col |= 1 << (nrows - 1 - i)
-            if col:
-                slot_columns[p].append(col)
-    for bits in range(1, 1 << n):
-        cols = tuple(p for p in range(n) if bits & (1 << p))
-        cmask = sum(1 << (n - 1 - p) for p in cols)
-        dead = 0
-        for i, w in enumerate(words):
-            if not (w.x | w.z) & cmask:
-                dead |= 1 << (nrows - 1 - i)
-        if nrows - dead.bit_count() < 2:
-            continue
-        # The left null space over all rows is the one over the rows that
-        # survive the restriction plus a unit vector per identity row; the
-        # null-space basis is canonical (reduced echelon form), so dropping
-        # those unit vectors leaves the surviving rows' basis, in order.
-        kernel = [
-            v
-            for v in gf2.nullspace(
-                list({c for p in cols for c in slot_columns[p]}), nrows
+        letter_rows = [0, 0, 0, 0]  # I, Z, X, Y by (x bit, z bit)
+        for k in range(nrows):
+            letter_rows[bool(xs[k] & bit) * 2 + bool(zs[k] & bit)] |= 1 << k
+        _, mz, mx, my = letter_rows
+        slot_columns.append([c for c in (mx, my, mz) if c])
+        anti_columns.append([
+            (my | mz) if mx >> k & 1 else (mx | mz) if my >> k & 1
+            else (mx | my) if mz >> k & 1 else 0
+            for k in range(nrows)
+        ])
+
+    def witness(bits: int, cmask: int, kernel: List[int], anti: List[int]):
+        keys = [xz & (cmask << n | cmask) for xz in xzs]
+        reps = dict(zip(keys, range(nrows)))  # one row per restricted word
+        reps.pop(0, None)
+        others = everyone ^ sum(1 << k for k in reps.values())
+        quotient = _vanishing_on(kernel, others)
+        if not quotient:
+            return None
+        rxs = [x & cmask for x in xs]
+        rzs = [z & cmask for z in zs]
+        if not any(
+            _commuting_minus_identity(vec, anti, rxs, rzs)
+            for vec in gf2.enumerate_span(quotient)
+            if vec and not (bits == whole and vec == everyone)
+        ):
+            return None
+        cols = tuple(p for p in range(n) if bits >> p & 1)
+        canonical = gf2.nullspace(
+            [c for p in cols for c in slot_columns[p]], nrows
+        )
+        alive = sum(1 << k for k, key in enumerate(keys) if key)
+        canonical = [v for v in canonical if not v & ~alive]
+        for vec in gf2.enumerate_span(canonical):
+            if vec == 0 or (bits == whole and vec == everyone):
+                continue
+            chosen = [k for k in range(nrows) if vec >> k & 1]
+            if len({keys[k] for k in chosen}) != len(chosen):
+                continue
+            if _commuting_minus_identity(vec, anti, rxs, rzs):
+                return cols, tuple(gf2.row_bits(vec, nrows))
+        return None
+
+    def walk(limit: int, bits: int, cmask: int, kernel, anti):
+        for q in range(limit):
+            sub_bits = bits | 1 << q
+            sub_cmask = cmask | 1 << (n - 1 - q)
+            sub_kernel = kernel
+            for col in slot_columns[q]:
+                sub_kernel = _restrict(sub_kernel, col)
+            if not sub_kernel:
+                continue  # more columns only add constraints
+            sub_anti = [a ^ t for a, t in zip(anti, anti_columns[q])]
+            found = witness(sub_bits, sub_cmask, sub_kernel, sub_anti) or walk(
+                q, sub_bits, sub_cmask, sub_kernel, sub_anti
             )
-            if not v & dead
-        ]
-        if not kernel:
-            continue
-        for vec in gf2.enumerate_span(kernel):
-            if vec == 0:
-                continue
-            chosen = gf2.row_bits(vec, nrows)
-            if bits == (1 << n) - 1 and len(chosen) == nrows:
-                continue  # the original table itself
-            sub = [(words[i].x & cmask, words[i].z & cmask) for i in chosen]
-            if len(set(sub)) != len(sub):
-                continue
-            if any(
-                ((ax & bz).bit_count() + (az & bx).bit_count()) % 2
-                for (ax, az), (bx, bz) in itertools.combinations(sub, 2)
-            ):
-                continue
-            # identity letters outside the columns leave the sign unchanged
-            prod = product_of([PauliWord(n, x, z).unsigned() for x, z in sub])
-            if prod.sigma % 2 == 0 and prod.sign == -1:
-                return cols, tuple(chosen)
-    return None
+            if found:
+                return found
+        return None
+
+    return walk(n, 0, 0, [1 << k for k in range(nrows)], [0] * nrows)
 
 
 def is_genuinely_multipartite(sys: ContextSystem) -> bool:

@@ -1,11 +1,12 @@
 """Reference versions of the census filters and symbols, for tests only.
 
 Each function is the per-vector, dict-based version that the library
-replaced with shared assignment covers and bit-sliced multiplicities; the
-tests require the library to agree with it.
+replaced with shared assignment covers and bit-sliced multiplicities, or
+the plain loop it replaced with numpy; the tests require the library to
+agree with it.
 """
 
-from typing import Dict, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from ksparity import gf2
 from ksparity.parity import (
@@ -85,3 +86,17 @@ def enumerate_parity_proofs(table: BasisTable) -> ProofCensus:
         )
     census.total = len(census.proofs)
     return census
+
+
+def brute_force_parity_proofs(table: BasisTable) -> List[Tuple[int, ...]]:
+    """Odd even-incidence basis subsets, one Gray-code step at a time."""
+    nb = len(table.bases)
+    cols = [basis.mask for basis in table.bases]
+    found = []
+    vec = 0
+    for g in range(1, 1 << nb):
+        vec ^= cols[(g & -g).bit_length() - 1]
+        gray = g ^ (g >> 1)
+        if vec == 0 and gray.bit_count() % 2 == 1:
+            found.append(tuple(j for j in range(nb) if gray >> j & 1))
+    return found

@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 import census_oracles
 from ksparity import gf2
 from ksparity.systems import system_from_rows
-from ksparity.projectors import projectors_of
+from ksparity.projectors import ProjectorPool, projectors_of
 from ksparity.parity import (
+    Basis,
     BasisTable,
     _subset_critical,
     assignment_satisfiable,
@@ -229,6 +230,35 @@ class TestCensus:
         )
         for table in (kite_table, square_tables[2]):
             assert compare_with_brute_force(table) == (False, True)
+        # an empty kernel cannot choose a window without parity sets either
+        monkeypatch.setattr(gf2, "nullspace", lambda rows, ncols: [])
+        assert compare_with_brute_force(kite_table) == (False, True)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_brute_force_scan_matches_loop_oracle(self, kite_table, data):
+        # bases built from a few independent atoms have many parity sets;
+        # pools of more than 64 projectors take more than one limb
+        copies = data.draw(st.integers(1, 5))
+        pool = ProjectorPool(
+            kite_table.pool.n, kite_table.pool.projectors * copies, ()
+        )
+        size = len(pool)
+        atoms = [
+            data.draw(st.integers(0, (1 << size) - 1)) | 1 << (size - 1 - a)
+            for a in range(4)
+        ]
+        bases = []
+        for _ in range(data.draw(st.integers(0, 12))):
+            mask = 0
+            for a in data.draw(st.sets(st.sampled_from(atoms), min_size=1)):
+                mask ^= a
+            ids = tuple(p for p in range(size) if mask >> p & 1)
+            bases.append(Basis(ids, "pure"))
+        table = BasisTable(pool, tuple(bases))
+        assert brute_force_parity_proofs(table) == (
+            census_oracles.brute_force_parity_proofs(table)
+        )
 
     def test_brute_force_refuses_more_than_20_bases(self, square_table):
         assert len(square_table.bases) == 24

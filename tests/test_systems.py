@@ -48,7 +48,8 @@ def control_table(seed):
 
 @st.composite
 def single_context_tables(draw, max_qubits, max_rows):
-    """Random distinct non-identity words in one context of any sign."""
+    """Random distinct non-identity words in one context of any sign, with
+    up to two members repeated, in a random member order."""
     n = draw(st.integers(1, max_qubits))
     keys = draw(st.lists(
         st.tuples(st.integers(0, (1 << n) - 1), st.integers(0, (1 << n) - 1))
@@ -58,6 +59,7 @@ def single_context_tables(draw, max_qubits, max_rows):
     obs = tuple(PauliWord(n, x, z).unsigned() for x, z in keys)
     members = tuple(range(len(obs)))
     members += tuple(draw(st.lists(st.sampled_from(members), max_size=2)))
+    members = tuple(draw(st.permutations(members)))
     sign = draw(st.sampled_from((1, -1)))
     return ContextSystem(n, obs, (Context(members, sign),))
 
@@ -283,7 +285,7 @@ class TestMultipartiteOracle:
     def _same_witness(self, sys):
         assert find_proper_subproof(sys) == ghz_oracles.find_proper_subproof(sys)
 
-    @pytest.mark.parametrize("N", [2, 3, 4])
+    @pytest.mark.parametrize("N", [2, 3, 4, 5])
     def test_star_tables(self, N):
         self._same_witness(build_star_table(N))
 
@@ -294,6 +296,10 @@ class TestMultipartiteOracle:
         )
         self._same_witness(ContextSystem(
             4, star.observables, (Context(tuple(range(5)) + (0, 0), -1),)
+        ))
+        # the repeats come first: the witness takes a later occurrence
+        self._same_witness(ContextSystem(
+            4, star.observables, (Context((0, 0) + tuple(range(5)), -1),)
         ))
         # a first row idle on the star's qubits must not join the witness
         self._same_witness(system_from_rows(
@@ -306,9 +312,25 @@ class TestMultipartiteOracle:
         assert find_proper_subproof(sys) is not None
         self._same_witness(sys)
 
+    def test_identity_observable(self):
+        # an all-identity row is idle on every column subset
+        star = build_star_table(2)
+        self._same_witness(system_from_rows(
+            [str(ob) for ob in star.observables] + ["IIII"], -1
+        ))
+
+    def test_search_builds_no_words(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("find_proper_subproof built a PauliWord")
+
+        tables = [build_star_table(3), control_table(0)]
+        monkeypatch.setattr(PauliWord, "__post_init__", refuse)
+        assert find_proper_subproof(tables[0]) is None
+        assert find_proper_subproof(tables[1]) is not None
+
     @settings(max_examples=200, deadline=None)
     @given(st.one_of(
-        single_context_tables(max_qubits=4, max_rows=6),
+        single_context_tables(max_qubits=6, max_rows=8),
         tables_holding_a_star(),
     ))
     def test_random_tables(self, sys):
