@@ -80,7 +80,11 @@ def _read_config(path: Optional[str]) -> Dict[str, int]:
     if not path:
         return settings
     known = {"dense_cap", "basis_cap", "kernel_cap"}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
+    try:
+        text = Path(path).read_text()
+    except (OSError, ValueError) as exc:
+        raise click.UsageError(f"cannot read config file {path}: {exc}")
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -95,6 +99,13 @@ def _read_config(path: Optional[str]) -> Dict[str, int]:
         except ValueError:
             raise click.UsageError(f"{path}:{lineno}: {key} must be an integer")
     return settings
+
+
+def _write_text(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise click.UsageError(f"cannot write {path}: {exc}")
 
 
 class Run:
@@ -120,7 +131,7 @@ class Run:
         ) + "\n"
         results = []
         if output:
-            Path(output).write_text(text)
+            _write_text(output, text)
             results.append(output)
         else:
             click.echo(text, nl=False)
@@ -139,8 +150,9 @@ class Run:
                 "results": results,
                 "wall_seconds": round(time.perf_counter() - self.started, 6),
             }
-            Path(self.manifest_path).write_text(
-                json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+            _write_text(
+                self.manifest_path,
+                json.dumps(manifest, indent=2, sort_keys=True) + "\n",
             )
         raise SystemExit(code)
 
@@ -149,15 +161,25 @@ def _load_system(run: Run, path: str) -> ContextSystem:
     run.note_input(path)
     try:
         return ContextSystem.from_json(Path(path).read_text())
-    except (OSError, ValueError, KeyError, PauliParseError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, PauliParseError) as exc:
         raise click.UsageError(f"cannot read system file {path}: {exc}")
+
+
+def _load_single_context(run: Run, path: str) -> ContextSystem:
+    sys = _load_system(run, path)
+    if len(sys.contexts) != 1:
+        raise click.UsageError(
+            f"{path} has {len(sys.contexts)} contexts; "
+            "this command takes a single-context system"
+        )
+    return sys
 
 
 def _load_state(run: Run, path: str) -> DenseState:
     run.note_input(path)
     try:
         return DenseState.from_json(Path(path).read_text())
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError, TypeError) as exc:
         raise click.UsageError(f"cannot read state file {path}: {exc}")
 
 
@@ -199,7 +221,8 @@ output_option = click.option(
 
 @click.group()
 @click.version_option(__version__)
-@click.option("--config", type=click.Path(exists=True), default=None,
+@click.option("--config", type=click.Path(exists=True, dir_okay=False),
+              default=None,
               help="key = value file with dense_cap, basis_cap, kernel_cap")
 @click.option("--ascii", "ascii_only", is_flag=True,
               help="ASCII symbols and escaped JSON for plain logs")
@@ -268,7 +291,7 @@ def verify(run: Run, system_file, output):
 @click.pass_obj
 def ghz_check(run: Run, system_file, eigenvalues, output):
     """Value-assignment infeasibility at single-qubit granularity."""
-    sys = _load_system(run, system_file)
+    sys = _load_single_context(run, system_file)
     report = verify_system(sys)
     if not report.ok:
         run.emit({"ok": False, "violations": report.violations}, output, EXIT_VERIFY)
@@ -279,6 +302,8 @@ def ghz_check(run: Run, system_file, eigenvalues, output):
     except InconsistentEigenvaluesError as exc:
         run.emit({"ok": False, "error": str(exc)}, output, EXIT_VERIFY)
         return
+    except ValueError as exc:
+        raise click.UsageError(str(exc))
     satisfying, total = count_ghz_assignments(sys, ev)
     run.emit(
         {
@@ -300,7 +325,7 @@ def ghz_check(run: Run, system_file, eigenvalues, output):
 @output_option
 @click.pass_obj
 def multipartite(run: Run, system_file, output):
-    sys = _load_system(run, system_file)
+    sys = _load_single_context(run, system_file)
     if sys.n > MULTIPARTITE_QUBIT_CAP:
         run.emit(
             {
@@ -362,7 +387,7 @@ def search_complete(run: Run, system_file, shape, budget, output):
 @click.pass_obj
 def state(run: Run, system_file, eigenvalues, output):
     """Joint eigenstate of a single-context system as a dense vector."""
-    sys = _load_system(run, system_file)
+    sys = _load_single_context(run, system_file)
     ev = (_parse_eigenvalues(eigenvalues) if eigenvalues
           else default_eigenvalues(sys))
     dense_cap = run.cap("dense_cap", DENSE_STATE_CAP)
@@ -377,6 +402,8 @@ def state(run: Run, system_file, eigenvalues, output):
     except InconsistentEigenvaluesError as exc:
         run.emit({"ok": False, "error": str(exc)}, output, EXIT_VERIFY)
         return
+    except ValueError as exc:
+        raise click.UsageError(str(exc))
     except DenseCapError as exc:
         run.emit({"ok": False, "error": str(exc)}, output, EXIT_CAP)
         return
@@ -529,17 +556,18 @@ def parity_census(run: Run, system_file, brute_force_check, catalog, output):
             EXIT_CAP,
         )
     if catalog:
-        with open(catalog, "w") as fh:
-            for proof in census.proofs:
-                fh.write(json.dumps(
-                    {
-                        "bases": list(proof.basis_ids),
-                        "symbol": proof.symbol_ascii
-                        if run.ascii_only else proof.symbol,
-                        "critical": True,
-                    },
-                    ensure_ascii=run.ascii_only,
-                ) + "\n")
+        _write_text(catalog, "".join(
+            json.dumps(
+                {
+                    "bases": list(proof.basis_ids),
+                    "symbol": proof.symbol_ascii
+                    if run.ascii_only else proof.symbol,
+                    "critical": True,
+                },
+                ensure_ascii=run.ascii_only,
+            ) + "\n"
+            for proof in census.proofs
+        ))
     summary = census.summary_dict(table)
     if run.ascii_only:
         # symbol counts are keyed by the UTF-8 form; list the ASCII forms
@@ -570,7 +598,7 @@ def symbol(run: Run, proof_file, system_file, output):
     try:
         doc = json.loads(Path(proof_file).read_text())
         ids = [int(i) for i in doc["bases"]]
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError, TypeError) as exc:
         raise click.UsageError(f"cannot read proof file {proof_file}: {exc}")
     pool, table = _build_table(run, sys)
     if any(not 0 <= i < len(table.bases) for i in ids):
@@ -604,7 +632,7 @@ def export_graph(run: Run, system_file, name, output):
     except ValueError as exc:
         raise click.UsageError(str(exc))
     if output:
-        Path(output).write_text(text)
+        _write_text(output, text)
     else:
         click.echo(text, nl=False)
     raise SystemExit(EXIT_OK)

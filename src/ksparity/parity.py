@@ -490,21 +490,26 @@ def enumerate_parity_proofs(
     return census
 
 
-def brute_force_parity_proofs(table: BasisTable) -> List[Tuple[int, ...]]:
-    """Direct subset scan for odd even-incidence basis subsets.
+def _gray_walk(nb: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(ruler, gray, odd) of the Gray-code walk over the subsets of nb bases.
 
-    Walks every subset in Gray-code order, without ``gf2``: step g flips
-    basis ruler(g) (the trailing zeros of g), so a prefix XOR of the basis
-    masks along the ruler sequence gives every subset's incidence at once.
-    The masks are split into 64-bit limbs.  This is the independent oracle
-    for the kernel route.  Criticality is not filtered here.  Tables of
-    more than ``BRUTE_FORCE_BASES`` bases raise ValueError.
+    Step g (from 1) flips basis ruler(g), the trailing zeros of g, and
+    reaches subset gray(g) = g ^ (g >> 1); odd marks the steps that reach
+    an odd subset.  Only nb matters, so one walk serves every table of nb
+    bases.
     """
+    steps = np.arange(1, 1 << nb, dtype=np.uint32)
+    gray = steps ^ (steps >> 1)
+    ruler = np.bitwise_count((steps & -steps) - 1)
+    return ruler, gray, np.bitwise_count(gray) & 1 == 1
+
+
+def _scan_subsets(
+    table: BasisTable, walk: Tuple[np.ndarray, np.ndarray, np.ndarray]
+) -> List[Tuple[int, ...]]:
+    """Odd even-incidence subsets along the table's Gray-code ``walk``."""
+    ruler, gray, odd = walk
     nb = len(table.bases)
-    if nb > BRUTE_FORCE_BASES:
-        raise ValueError(
-            f"subset scan takes at most {BRUTE_FORCE_BASES} bases, not {nb}"
-        )
     limbs = max(1, -(-len(table.pool) // 64))
     masks = np.array(
         [
@@ -514,15 +519,30 @@ def brute_force_parity_proofs(table: BasisTable) -> List[Tuple[int, ...]]:
         ],
         dtype=np.uint64,
     ).reshape(nb, limbs)
-    steps = np.arange(1, 1 << nb, dtype=np.uint32)
-    ruler = np.bitwise_count((steps & -steps) - 1)
     incidence = np.bitwise_xor.accumulate(masks[ruler], axis=0)
-    gray = steps ^ (steps >> 1)
-    hits = gray[~incidence.any(axis=1) & (np.bitwise_count(gray) & 1 == 1)]
+    hits = gray[~incidence.any(axis=1) & odd]
     return [
         tuple(j for j in range(nb) if subset >> j & 1)
         for subset in hits.tolist()
     ]
+
+
+def brute_force_parity_proofs(table: BasisTable) -> List[Tuple[int, ...]]:
+    """Direct subset scan for odd even-incidence basis subsets.
+
+    Walks every subset in Gray-code order, without ``gf2``: a prefix XOR of
+    the basis masks along the walk's ruler sequence gives every subset's
+    incidence at once.  The masks are split into 64-bit limbs.  This is
+    the independent oracle for the kernel route.  Criticality is not
+    filtered here.  Tables of more than ``BRUTE_FORCE_BASES`` bases raise
+    ValueError.
+    """
+    nb = len(table.bases)
+    if nb > BRUTE_FORCE_BASES:
+        raise ValueError(
+            f"subset scan takes at most {BRUTE_FORCE_BASES} bases, not {nb}"
+        )
+    return _scan_subsets(table, _gray_walk(nb))
 
 
 def compare_with_brute_force(table: BasisTable) -> Tuple[bool, bool]:
@@ -533,15 +553,17 @@ def compare_with_brute_force(table: BasisTable) -> Tuple[bool, bool]:
     set, so that the kernel has sets to match, or the first window if the
     scan finds none anywhere.  The window is chosen without the kernel, so
     a kernel that misses sets cannot steer the comparison to a window
-    where there are none.  Returns (agrees, truncated); truncated means
-    the table had more bases than that.
+    where there are none.  Every window has the same number of bases, so
+    the scans share one Gray-code walk.  Returns (agrees, truncated);
+    truncated means the table had more bases than that.
     """
     nb = len(table.bases)
     windows = [
         BasisTable(table.pool, table.bases[start:start + BRUTE_FORCE_BASES])
         for start in range(max(nb - BRUTE_FORCE_BASES, 0) + 1)
     ]
-    scans = ((w, brute_force_parity_proofs(w)) for w in windows)
+    walk = _gray_walk(len(windows[0].bases))
+    scans = ((w, _scan_subsets(w, walk)) for w in windows)
     window, brute = next(((w, b) for w, b in scans if b), (windows[0], []))
     return (
         set(kernel_parity_sets(window)) == set(brute),

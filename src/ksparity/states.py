@@ -27,6 +27,9 @@ from .systems import (
 
 DENSE_STATE_CAP = 14
 
+# most amplitudes one stacked gather or block of dense Bell rows holds
+_STACK_AMPLITUDES = 1 << 14
+
 BELL_LABELS = ("Φ+", "Φ-", "Ψ+", "Ψ-")
 _S = 1 / math.sqrt(2)
 BELL_VECTORS = {
@@ -253,13 +256,34 @@ def bell_decompose(
     """Coefficients of the state in the tensor-product Bell basis."""
     _check_pairing(state.n, pairing)
     pairing = tuple((int(a), int(b)) for a, b in pairing)
+    n = state.n
+    bells = np.array([BELL_VECTORS[label].real for label in BELL_LABELS])
+    offsets = np.array([np.flatnonzero(b) for b in bells])
+    values = np.take_along_axis(bells, offsets, axis=1)
+    # row r holds the nonzero terms of the r-th label tuple in
+    # itertools.product order, with the offsets and left-to-right amplitude
+    # products of bell_product_vector, so each dense row is its vector
+    index = np.zeros((1, 1), dtype=np.int64)
+    amp = np.ones((1, 1))
+    for qa, qb in pairing:
+        shifts = ((offsets >> 1) << (n - qa)) | ((offsets & 1) << (n - qb))
+        index = (index[:, None, :, None] | shifts[None, :, None, :]).reshape(
+            4 * len(index), -1
+        )
+        amp = (amp[:, None, :, None] * values[None, :, None, :]).reshape(
+            4 * len(amp), -1
+        )
+    labels = list(itertools.product(BELL_LABELS, repeat=len(pairing)))
+    step = max(1, _STACK_AMPLITUDES >> n)
     coeffs: Dict[Tuple[str, ...], complex] = {}
-    for labels in itertools.product(BELL_LABELS, repeat=len(pairing)):
-        factors = [
-            (q1, q2, label) for (q1, q2), label in zip(pairing, labels)
-        ]
-        basis_vec = bell_product_vector(state.n, factors)
-        coeffs[labels] = complex(np.vdot(basis_vec, state.amplitudes))
+    for start in range(0, len(labels), step):
+        stop = min(start + step, len(labels))
+        rows = np.zeros((stop - start, 1 << n), dtype=complex)
+        np.put_along_axis(
+            rows.real, index[start:stop], amp[start:stop], axis=1
+        )
+        for key, row in zip(labels[start:stop], rows):
+            coeffs[key] = complex(np.vdot(row, state.amplitudes))
     decomp = BellDecomposition(state.n, pairing, coeffs)
     if not decomp.reconstruct().isclose(state, tol=1e-12):
         raise AssertionError("Bell reconstruction does not match the state")
@@ -310,31 +334,62 @@ def measure_computational(
     return prob, DenseState.from_vector(branch)
 
 
+def _pattern_offsets(n: int, positions: np.ndarray) -> np.ndarray:
+    """Amplitude offsets of every bit pattern on each row of 0-based qubit
+    positions; the row's first position carries the pattern's top bit."""
+    k = positions.shape[1]
+    bits = (np.arange(1 << k)[:, None] >> np.arange(k - 1, -1, -1)) & 1
+    return (1 << (n - 1 - positions)) @ bits.T
+
+
+def _spectra(
+    state: DenseState, subsets: Sequence[Sequence[int]]
+) -> List[Tuple[float, ...]]:
+    """Descending reduced spectra on equally sized 1-based ``subsets``.
+
+    Each subset's matrix is the state transposed to (subset, rest) order
+    and reshaped to 2^k x 2^(n-k), gathered for a stack of subsets at once
+    and holding at most ``_STACK_AMPLITUDES`` amplitudes per stack.
+    """
+    n, size = state.n, len(subsets[0])
+    keep = np.array(subsets, dtype=np.int64).reshape(len(subsets), size) - 1
+    outside = np.ones((len(keep), n), dtype=bool)
+    np.put_along_axis(outside, keep, False, axis=1)
+    rest = np.nonzero(outside)[1].reshape(len(keep), n - size)
+    rows, cols = _pattern_offsets(n, keep), _pattern_offsets(n, rest)
+    step = max(1, _STACK_AMPLITUDES >> n)
+    spectra: List[Tuple[float, ...]] = []
+    for start in range(0, len(keep), step):
+        chunk = slice(start, start + step)
+        mats = state.amplitudes[rows[chunk, :, None] | cols[chunk, None, :]]
+        rho = mats @ mats.conj().transpose(0, 2, 1)
+        # eigvalsh returns each row ascending
+        vals = np.linalg.eigvalsh(rho)[:, ::-1]
+        spectra.extend(map(tuple, vals.tolist()))
+    return spectra
+
+
 def reduced_spectrum(state: DenseState, subset: Sequence[int]) -> Tuple[float, ...]:
     """Eigenvalues of the reduced density matrix on 1-based ``subset``."""
-    n = state.n
-    keep = [q - 1 for q in subset]
-    rest = [p for p in range(n) if p not in keep]
-    arr = state.amplitudes.reshape((2,) * n)
-    arr = np.transpose(arr, keep + rest)
-    mat = arr.reshape(1 << len(keep), 1 << len(rest))
-    rho = mat @ mat.conj().T
-    vals = np.linalg.eigvalsh(rho)
-    return tuple(sorted((float(v) for v in vals), reverse=True))
+    if len(set(subset)) != len(subset) or not all(
+        1 <= q <= state.n for q in subset
+    ):
+        raise ValueError(f"subset {subset} is not distinct qubits in 1..{state.n}")
+    return _spectra(state, [subset])[0]
+
+
+def _cut_spectra(state: DenseState, size: int) -> Tuple[Tuple[float, ...], ...]:
+    subsets = list(itertools.combinations(range(1, state.n + 1), size))
+    return tuple(sorted(_spectra(state, subsets)))
 
 
 def entanglement_profile(
     state: DenseState,
 ) -> Dict[int, Tuple[Tuple[float, ...], ...]]:
     """Reduced-density spectra for every bipartition up to size n/2."""
-    profile: Dict[int, List[Tuple[float, ...]]] = {}
-    for size in range(1, state.n // 2 + 1):
-        spectra = [
-            reduced_spectrum(state, subset)
-            for subset in itertools.combinations(range(1, state.n + 1), size)
-        ]
-        profile[size] = sorted(spectra)
-    return {k: tuple(v) for k, v in profile.items()}
+    return {
+        size: _cut_spectra(state, size) for size in range(1, state.n // 2 + 1)
+    }
 
 
 def profiles_match(
@@ -364,7 +419,8 @@ def classify_residual(
 
     A two-qubit residual with maximally mixed single-qubit marginals counts
     as a Bell state; otherwise the residual's entanglement profile is
-    compared against the reference state's.
+    compared against the reference state's, one cut size at a time, and
+    the first size that differs decides "mismatch".
     """
     if residual.n == 2:
         spectra = [reduced_spectrum(residual, [q]) for q in (1, 2)]
@@ -373,8 +429,13 @@ def classify_residual(
         ):
             return "bell-state"
     if reference is not None and reference.n == residual.n:
-        if profiles_match(
-            entanglement_profile(residual), entanglement_profile(reference), tol
+        if all(
+            profiles_match(
+                {k: _cut_spectra(residual, k)},
+                {k: _cut_spectra(reference, k)},
+                tol,
+            )
+            for k in range(1, residual.n // 2 + 1)
         ):
             return "profile-match"
     return "mismatch"

@@ -2,6 +2,7 @@ import json
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from ksparity.cli import main
 from ksparity.systems import build_star_table, builtin_fixtures
@@ -431,3 +432,182 @@ class TestMultipartiteCap:
         result = runner.invoke(main, ["multipartite", write_star(tmp_path, 3)])
         assert result.exit_code == 0
         assert json.loads(result.output) == {"genuinely_multipartite": True}
+
+
+# Flag values for the fuzz below, by kind: well-formed tokens first, then
+# malformed ones.  Numbers stay small on purpose: `gen star --N` and
+# `search-complete --budget` have no cap, so a large valid value would only
+# test the host's memory and patience.
+_GOOD = {
+    "num": ("0", "1", "2", "3", "9"),
+    "eigenvalues": ("+,+,+,+,-", "+,+,+,+,+", "-,-,-,-,-", "+,-"),
+    "pairing": ("1,2;3,4", "1,3;2,4", "2,1;4,3", "1,2"),
+    "qubits": ("1", "1,2", "2,4", "1,2,3,4"),
+    "outcome": ("0", "01", "11", "0101"),
+    "shape": ("3,3", "3,3,3,3", "3"),
+    "name": ("g", "ks_system", "a b"),
+    "fixture": ("list", "table1-left", "kite-quadruples"),
+}
+_BAD = ("", " ", "x", "-1", "1.5", "1e3", "0x10", "+2", "٣", "nan", "1,x;3,4",
+        ",", ";", "1;2", "1,2;2,3", "1,2,3", "0,9", "a,b", "2", "-", "4,4")
+_FLAGS = {
+    "gen star": (("--N", "num"), ("-o", "out")),
+    "gen fixture": ((None, "fixture"), ("-o", "out")),
+    "verify": ((None, "system"), ("-o", "out")),
+    "ghz-check": ((None, "system"), ("--eigenvalues", "eigenvalues"),
+                  ("-o", "out")),
+    "multipartite": ((None, "system"), ("-o", "out")),
+    "search-complete": ((None, "system"), ("--shape", "shape"),
+                        ("--budget", "num"), ("-o", "out")),
+    "state": ((None, "system"), ("--eigenvalues", "eigenvalues"),
+              ("-o", "out")),
+    "bell": ((None, "state"), ("--pairing", "pairing"), ("-o", "out")),
+    "measure": ((None, "state"), ("--qubits", "qubits"),
+                ("--outcome", "outcome"), ("-o", "out")),
+    "projectors": ((None, "system"), ("-o", "out")),
+    "bases": ((None, "system"), ("-o", "out")),
+    "parity-census": ((None, "system"), ("--brute-force-check", None),
+                      ("--catalog", "out"), ("-o", "out")),
+    "symbol": ((None, "proof"), ("--system", "system"), ("-o", "out")),
+    "export-graph": ((None, "system"), ("--name", "name"), ("-o", "out")),
+}
+
+_REQUIRED = {None, "--N", "--shape", "--pairing", "--qubits", "--outcome",
+             "--system"}
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    """Paths by kind: good inputs of each kind, then broken or missing ones."""
+    root = tmp_path_factory.mktemp("fuzz")
+    good = {
+        "star.json": build_star_table(2).to_json(),
+        "kite.json": builtin_fixtures()["kite-quadruples"].to_json(),
+        "bell.json": json.dumps({"n": 2, "amplitudes": [
+            [0.5 ** 0.5, 0], [0, 0], [0, 0], [0.5 ** 0.5, 0]]}),
+        "proof.json": json.dumps({"bases": [0, 1, 2]}),
+        "good.cfg": "dense_cap = 2\nbasis_cap = 3\n",
+    }
+    broken = {
+        "badproof.json": json.dumps({"bases": ["a"]}),
+        "garbage.json": "{not json",
+        "empty.json": "",
+        "list.json": "[1, 2]",
+        "shape.json": json.dumps({"n": "x", "observables": 3}),
+        "unnormed.json": json.dumps({"n": 1, "amplitudes": [[1, 0], [1, 0]]}),
+        "bad.cfg": "dense_cap = x\n",
+        "unknown.cfg": "workers = 2\n",
+    }
+    for name, text in {**good, **broken}.items():
+        (root / name).write_text(text)
+    (root / "binary.cfg").write_bytes(b"\xff\xfe\x00")
+    result = CliRunner().invoke(
+        main, ["state", str(root / "star.json"), "-o", str(root / "state.json")]
+    )
+    assert result.exit_code == 0
+    (root / "sub").mkdir()
+    bad = [str(root / name) for name in broken]
+    bad += [str(root / n) for n in ("binary.cfg", "missing.json", "sub")]
+    return {
+        "root": str(root),
+        "system": [str(root / "star.json"), str(root / "kite.json")],
+        "state": [str(root / "state.json"), str(root / "bell.json")],
+        "proof": [str(root / "proof.json")],
+        "config": [str(root / "good.cfg")],
+        "out": [str(root / "out.json")],
+        "bad": bad,
+        "bad_out": [str(root / "sub"), str(root / "nodir" / "out.json")],
+    }
+
+
+@st.composite
+def fuzz_argv(draw, files):
+    """A verb with each of its flags present or not, each value drawn from
+    the well-formed tokens of its kind or from the malformed ones."""
+
+    def value(kind):
+        good = files.get(kind) or _GOOD[kind]
+        bad = files["bad_out"] if kind == "out" else (
+            files["bad"] if kind in files else _BAD
+        )
+        return draw(st.sampled_from(good) | st.sampled_from(bad))
+
+    argv = []
+    if draw(st.booleans()):
+        argv.append("--ascii")
+    for flag, kind in (("--config", "config"), ("--manifest", "out")):
+        if draw(st.integers(0, 3)) == 0:
+            argv += [flag, value(kind)]
+    verb = draw(st.sampled_from(sorted(_FLAGS) + ["reproduce-paper"]))
+    argv += verb.split()
+    if verb == "reproduce-paper":
+        # a valid call runs every reproduction check; only its refusals
+        # are fast enough to fuzz
+        return argv + ["--max-qubits", draw(st.sampled_from(["x", "", "1.5"]))]
+    for flag, kind in _FLAGS[verb]:
+        # required arguments are left out one time in eight
+        if flag in _REQUIRED:
+            present = draw(st.integers(0, 7)) > 0
+        else:
+            present = flag == "--budget" or draw(st.booleans())
+        if present and flag is None:
+            argv.append(value(kind))
+        elif present:
+            argv += [flag] + ([] if kind is None else [value(kind)])
+    if draw(st.integers(0, 3)) == 0:
+        argv.insert(draw(st.integers(0, len(argv))),
+                    draw(st.sampled_from(["--bogus", "-z", "--", "extra"])))
+    return argv
+
+
+class TestInputErrors:
+    @pytest.mark.parametrize("argv", [
+        ["ghz-check", "{kite}"],
+        ["state", "{kite}"],
+        ["multipartite", "{kite}"],
+        ["ghz-check", "{star}", "--eigenvalues", "+,-"],
+        ["state", "{star}", "--eigenvalues", "+,-"],
+        ["verify", "{list}"],
+        ["bell", "{list}", "--pairing", "1,2"],
+        ["symbol", "{list}", "--system", "{star}"],
+        ["--config", "{dir}", "verify", "{star}"],
+        ["--config", "{binary}", "verify", "{star}"],
+        ["verify", "{star}", "-o", "{dir}"],
+        ["--manifest", "{dir}/missing/manifest.json", "verify", "{star}"],
+        ["export-graph", "{star}", "-o", "{dir}"],
+        ["parity-census", "{star}", "--catalog", "{dir}"],
+    ])
+    def test_usage_error_without_traceback(self, runner, tmp_path, argv):
+        # each of these once ended in an uncaught exception
+        (tmp_path / "list.json").write_text("[1, 2]")
+        (tmp_path / "binary.cfg").write_bytes(b"\xff\xfe\x00")
+        names = {
+            "{binary}": str(tmp_path / "binary.cfg"),
+            "{star}": write_star(tmp_path),
+            "{kite}": write_fixture(tmp_path, "kite-quadruples"),
+            "{list}": str(tmp_path / "list.json"),
+            "{dir}": str(tmp_path),
+        }
+        for key, path in names.items():
+            argv = [a.replace(key, path) for a in argv]
+        result = runner.invoke(main, argv)
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+
+
+class TestFuzz:
+    @settings(max_examples=600, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_argv_exits_cleanly(self, fuzz_files, data):
+        argv = data.draw(fuzz_argv(fuzz_files), label="argv")
+        runner = CliRunner()
+        # a stray token can become an output path relative to the cwd
+        with runner.isolated_filesystem(temp_dir=fuzz_files["root"]):
+            result = runner.invoke(main, argv)
+        assert result.exit_code in (0, 1, 2, 3), result.output
+        # CliRunner turns an uncaught exception into exit 1 and keeps it
+        assert result.exception is None or isinstance(
+            result.exception, SystemExit
+        ), repr(result.exception)
+        assert "Traceback" not in result.stderr

@@ -3,9 +3,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import ghz_oracles
+import state_oracles
 from ksparity.pauli import parse_word
 from ksparity.systems import (
     InconsistentEigenvaluesError,
@@ -31,6 +32,13 @@ from ksparity.states import (
 )
 
 S = 1 / math.sqrt(2)
+
+
+def random_state(n, seed):
+    rng = np.random.default_rng(seed)
+    return DenseState.from_vector(
+        rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    )
 
 
 @pytest.fixture(scope="module")
@@ -193,6 +201,21 @@ class TestBellDecomposition:
             assert (np.array(list(coeffs.values())).tobytes()
                     == np.array(list(expected.values())).tobytes())
 
+    @settings(max_examples=40, deadline=None)
+    @given(half=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+    @example(half=4, seed=0)
+    @example(half=5, seed=1)
+    def test_coefficients_match_per_label_loop(self, half, seed):
+        # 8 and 10 qubits fill more than one block of dense rows
+        psi = random_state(2 * half, seed)
+        qubits = np.random.default_rng(seed).permutation(2 * half) + 1
+        pairing = [(int(a), int(b)) for a, b in qubits.reshape(half, 2)]
+        coeffs = bell_decompose(psi, pairing).coefficients
+        expected = state_oracles.bell_coefficients(psi, pairing)
+        assert list(coeffs) == list(expected)
+        assert (np.array(list(coeffs.values())).tobytes()
+                == np.array(list(expected.values())).tobytes())
+
     def test_bad_pairing(self, psi4):
         with pytest.raises(ValueError):
             bell_decompose(psi4, [(1, 2), (2, 3)])
@@ -257,6 +280,26 @@ class TestProfiles:
         for spectrum in prof[1]:
             assert spectrum == pytest.approx((0.5, 0.5))
 
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+    @example(n=8, seed=0)
+    def test_profile_matches_per_subset_loop(self, n, seed):
+        # at 8 qubits the 70 four-qubit cuts fill more than one stack
+        psi = random_state(n, seed)
+        assert entanglement_profile(psi) == state_oracles.entanglement_profile(psi)
+
+    @pytest.mark.parametrize("subset", [[], [2], [3, 1], [5, 2, 4], [1, 2, 3, 4, 5]])
+    def test_spectrum_matches_transposed_reshape(self, subset):
+        psi = random_state(5, 7)
+        assert reduced_spectrum(psi, subset) == (
+            state_oracles.reduced_spectrum(psi, subset)
+        )
+
+    @pytest.mark.parametrize("subset", [[1, 1], [0], [6]])
+    def test_spectrum_rejects_bad_subset(self, subset):
+        with pytest.raises(ValueError):
+            reduced_spectrum(random_state(5, 7), subset)
+
     def test_profiles_match_is_tolerant(self, psi4):
         a = entanglement_profile(psi4)
         assert profiles_match(a, a)
@@ -268,6 +311,50 @@ class TestProfiles:
         assert classify_residual(inner, psi4) == "profile-match"
         _, outer = measure_computational(psi6, [1, 2], "00")
         assert classify_residual(outer, psi4) == "mismatch"
+
+    @pytest.mark.parametrize("N", [2, 3, 4, 5])
+    def test_star_residual_verdicts_match_full_profiles(self, N):
+        sys = build_star_table(N)
+        psi = joint_eigenstate(sys, default_eigenvalues(sys))
+        reference = None
+        if N > 2:
+            smaller = build_star_table(N - 1)
+            reference = joint_eigenstate(smaller, default_eigenvalues(smaller))
+        verdicts = set()
+        for pair in itertools.combinations(range(1, 2 * N + 1), 2):
+            for outcome in ("00", "01", "10", "11"):
+                _, residual = measure_computational(psi, pair, outcome)
+                verdict = classify_residual(residual, reference)
+                assert verdict == state_oracles.classify_residual(
+                    residual, reference
+                )
+                verdicts.add(verdict)
+        assert verdicts == (
+            {"bell-state"} if N == 2 else {"profile-match", "mismatch"}
+        )
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(1, 8),
+        seed=st.integers(0, 2**32 - 1),
+        reference=st.sampled_from(["none", "permuted", "random"]),
+    )
+    @example(n=8, seed=0, reference="permuted")
+    def test_random_verdicts_match_full_profiles(self, n, seed, reference):
+        # a qubit permutation keeps the sorted profile, so "permuted"
+        # references should match and "random" ones should not
+        psi = random_state(n, seed)
+        ref = None
+        if reference == "permuted":
+            order = np.random.default_rng(seed).permutation(n)
+            ref = DenseState.from_vector(
+                psi.amplitudes.reshape((2,) * n).transpose(order).ravel()
+            )
+        elif reference == "random":
+            ref = random_state(n, seed + 1)
+        assert classify_residual(psi, ref) == (
+            state_oracles.classify_residual(psi, ref)
+        )
 
     def test_mismatch_without_reference(self):
         zeros = DenseState(2, np.array([1, 0, 0, 0], dtype=complex))
