@@ -43,6 +43,7 @@ from .parity import (
     BASIS_CAP_DEFAULT,
     BRUTE_FORCE_BASES,
     KERNEL_CAP_DEFAULT,
+    KERNEL_CAP_MAX,
     compare_with_brute_force,
     enumerate_bases,
     enumerate_parity_proofs,
@@ -71,6 +72,11 @@ EXIT_CAP = 3
 # function itself has no cap.
 MULTIPARTITE_QUBIT_CAP = 14
 
+# Largest N `gen star` accepts.  The table's time and JSON grow as N^2: at
+# N = 500 (1000 qubits) the command takes about 0.7 s in-process and
+# prints 2.3 MB, at N = 1000 about 2 s and 4 MB, on a 2-core Xeon host.
+STAR_N_CAP = 500
+
 _ASCII_LABELS = {"Φ": "Phi", "Ψ": "Psi"}
 
 
@@ -98,6 +104,12 @@ def _read_config(path: Optional[str]) -> Dict[str, int]:
             settings[key] = int(value.strip())
         except ValueError:
             raise click.UsageError(f"{path}:{lineno}: {key} must be an integer")
+        if settings[key] < 0:
+            raise click.UsageError(f"{path}:{lineno}: {key} must not be negative")
+        if key == "kernel_cap" and settings[key] > KERNEL_CAP_MAX:
+            raise click.UsageError(
+                f"{path}:{lineno}: kernel_cap must be at most {KERNEL_CAP_MAX}"
+            )
     return settings
 
 
@@ -240,11 +252,19 @@ def gen():
 
 
 @gen.command("star")
-@click.option("--N", "N", type=int, required=True, help="half the qubit count")
+@click.option("--N", "N", type=int, required=True,
+              help=f"half the qubit count, at most {STAR_N_CAP}")
 @output_option
 @click.pass_obj
 def gen_star(run: Run, N: int, output):
-    """The 2N-qubit single-context GHZ table."""
+    """The 2N-qubit single-context GHZ table.
+
+    An N above the cap exits 3 before building anything: stdout stays
+    empty and stderr names the cap.
+    """
+    if N > STAR_N_CAP:
+        click.echo(f"--N {N} exceeds the cap of {STAR_N_CAP}", err=True)
+        raise SystemExit(EXIT_CAP)
     try:
         sys = build_star_table(N)
     except ValueError as exc:

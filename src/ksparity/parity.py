@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -23,8 +23,17 @@ from .projectors import ProjectorPool, orthogonal
 
 BASIS_CAP_DEFAULT = 100_000
 KERNEL_CAP_DEFAULT = 26
+# The census carries each kernel vector as its coefficients over the
+# kernel basis in one uint64 lane, so kernel_cap stays below the lane's
+# 64 bits.
+KERNEL_CAP_MAX = 63
 # Most bases the direct subset scan takes: it walks all 2^nb subsets.
 BRUTE_FORCE_BASES = 20
+# The census filters 2^_SPAN_BLOCK_BITS kernel vectors at a time, and its
+# cover prefilter tests at most _COVER_TILE survivor x cover limbs at a
+# time; together they keep its numpy temporaries to about a megabyte.
+_SPAN_BLOCK_BITS = 12
+_COVER_TILE = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -340,20 +349,24 @@ def _exact_one(open_masks: List[int], zeros: int, ones: int) -> Optional[int]:
     return None
 
 
-def _drops_satisfiable(vec: int, table: BasisTable, covers: List[int]) -> bool:
+def _drops_satisfiable(
+    vec: int, undecided: int, table: BasisTable, covers: List[int], start: int
+) -> bool:
     """Does dropping any single basis of vec leave a satisfiable set?
 
     vec selects bases as kernel vectors do (bit nb-1-j = basis j).  A
     cover, in the same bits, is the set of the table's bases that one
     found assignment holds exactly once; a cover missing at most one basis
-    of vec proves that drop satisfiable.  Only the drops no cover decides
-    are searched, and each witness found adds its cover to ``covers``,
-    which must hold covers of real assignments of this table only.
+    of vec proves that drop satisfiable.  ``undecided`` holds the drops
+    of vec that ``covers[:start]`` leave open (see ``_cover_undecided``);
+    the covers from ``start`` on are scanned here.  Only the drops no
+    cover decides are searched, and each witness found adds its cover to
+    ``covers``, which must hold covers of real assignments of this table
+    only.
     """
     bases = table.bases
     nb = len(bases)
-    undecided = vec
-    for cover in covers:
+    for cover in covers[start:]:
         miss = vec & ~cover
         if not miss & (miss - 1):
             # a cover with no miss at all satisfies vec itself, and so
@@ -381,7 +394,7 @@ def is_critical(basis_ids: Sequence[int], table: BasisTable) -> bool:
     vec = 0
     for j in basis_ids:
         vec |= 1 << (nb - 1 - j)
-    return _drops_satisfiable(vec, table, [])
+    return _drops_satisfiable(vec, vec, table, [], 0)
 
 
 def _basis_ids(vec: int, nb: int) -> Tuple[int, ...]:
@@ -404,41 +417,177 @@ def kernel_parity_sets(table: BasisTable) -> List[Tuple[int, ...]]:
     ]
 
 
-def _subset_critical(vec: int, echelon: List[int]) -> bool:
-    """No other odd-weight kernel vector has its support inside vec.
+def _to_limbs(values: Sequence[int], limbs: int) -> np.ndarray:
+    """Int bitsets as rows of 64-bit limbs, lowest limb first."""
+    return np.array(
+        [[v >> (64 * k) & 0xFFFF_FFFF_FFFF_FFFF for k in range(limbs)]
+         for v in values],
+        dtype=np.uint64,
+    ).reshape(len(values), limbs)
 
-    ``echelon`` is the kernel basis in reduced row echelon form.  Masking
-    vec's support out of it maps exactly the kernel vectors inside that
-    support to zero, vec among them, so the masked basis has rank kdim - 1
-    iff vec and 0 are the only ones.  Any third vector w would give an odd
-    one strictly inside vec: w itself if w is odd, w ^ vec if w is even.
-    A row whose pivot lies outside vec keeps the only copy of that pivot
-    after masking and always adds one to the rank, so only the rows with
-    pivots inside vec are eliminated; they must lose exactly one.
+
+def _from_limbs(rows: np.ndarray) -> List[int]:
+    """Rows of 64-bit limbs back to int bitsets."""
+    values = rows[:, 0].tolist()
+    for k in range(1, rows.shape[1]):
+        highs = rows[:, k].tolist()
+        values = [v | high << (64 * k) for v, high in zip(values, highs)]
+    return values
+
+
+def _span_coefficients(
+    kernel: List[int], echelon: List[int]
+) -> Iterator[np.ndarray]:
+    """The span of ``kernel`` in ``gf2.enumerate_span`` order, as
+    coefficient vectors over the ``echelon`` rows (bit i = row i), in
+    blocks of at most 2^_SPAN_BLOCK_BITS.
+
+    A kernel vector's coefficients are its bits at the echelon pivots.
+    Step g of the walk reaches the sum of the kernel vectors picked by
+    gray(g) = g ^ (g >> 1); with g = h * 2^s + l and l < 2^s that is
+    gray(l) ^ gray(h * 2^s), so every block is the first one XOR a
+    constant.
     """
-    keep = ~vec
-    reduced: List[int] = []
-    dependent = False
-    for row in echelon:
-        if not vec >> (row.bit_length() - 1) & 1:
-            continue
-        row &= keep
-        for r in reduced:
-            row = min(row, row ^ r)
-        if row:
-            reduced.append(row)
-        elif dependent:
-            return False
-        else:
-            dependent = True
-    return True
+    pivots = [row.bit_length() - 1 for row in echelon]
+    coefs = [
+        sum(1 << i for i, p in enumerate(pivots) if vec >> p & 1)
+        for vec in kernel
+    ]
+    low_bits = min(len(coefs), _SPAN_BLOCK_BITS)
+    low = np.zeros(1, dtype=np.uint64)
+    for coef in coefs[:low_bits]:
+        # reflected Gray code: the walk so far, then back with one more vector
+        low = np.concatenate([low, low[::-1] ^ np.uint64(coef)])
+    for h in range(1 << (len(coefs) - low_bits)):
+        g = h << low_bits
+        picked = g ^ g >> 1
+        offset = 0
+        for i, coef in enumerate(coefs):
+            if picked >> i & 1:
+                offset ^= coef
+        yield low ^ np.uint64(offset)
+
+
+def _coefficient_columns(echelon: List[int], nb: int) -> Tuple[int, List[int]]:
+    """(odd_rows, columns) of a kernel basis in reduced row echelon form.
+
+    For a kernel vector with coefficients c over the rows (bit i = row
+    i), basis j is in the vector iff col_j & c has odd weight, col_j being
+    the rows that hold basis j.  ``odd_rows`` is the rows of odd weight,
+    so the vector is odd iff c & odd_rows is.  ``columns`` is col_j of
+    every non-pivot column that some row holds.
+    """
+    pivots = {row.bit_length() - 1 for row in echelon}
+    odd_rows = sum(1 << i for i, row in enumerate(echelon) if row.bit_count() % 2)
+    columns = []
+    for bit in range(nb):
+        col = sum(1 << i for i, row in enumerate(echelon) if row >> bit & 1)
+        if col and bit not in pivots:
+            columns.append(col)
+    return odd_rows, columns
+
+
+def _subset_survivors(
+    coefs: np.ndarray, odd_rows: int, columns: List[int]
+) -> np.ndarray:
+    """Mask of the kernel vectors, given by coefficients, that are odd and
+    hold no other odd kernel vector.
+
+    Masking vec's support out of the echelon rows maps exactly the kernel
+    vectors inside vec to zero, so vec survives iff its popcount(c) rows,
+    masked, have rank popcount(c) - 1 (they sum to zero, so never more).
+    The masked rows are zero on every pivot column, so their rank is that
+    of the columns col_j & c for the non-pivot j outside vec, which are
+    the ones of even weight.  All lanes reduce their columns at once:
+    min(m, m ^ b) clears b's leading bit from m where m has it, and a zero
+    b changes nothing.
+    """
+    odd = np.bitwise_count(coefs & np.uint64(odd_rows)) & 1 == 1
+    lanes = coefs[odd]
+    rank = np.zeros(len(lanes), dtype=np.uint8)
+    reduced: List[np.ndarray] = []
+    scratch = np.empty_like(lanes)
+    for col in columns:
+        m = lanes & np.uint64(col)
+        m[np.bitwise_count(m) & 1 == 1] = 0
+        for b in reduced:
+            np.bitwise_xor(m, b, out=scratch)
+            np.minimum(m, scratch, out=m)
+        reduced.append(m)
+        rank += m != 0
+    survives = np.zeros(len(coefs), dtype=bool)
+    survives[odd] = rank + 1 == np.bitwise_count(lanes)
+    return survives
+
+
+def _coefficient_tables(echelon: List[int], limbs: int) -> List[np.ndarray]:
+    """Byte lookup tables from coefficients to basis sets: table k maps
+    byte k of c to the XOR of the echelon rows it picks, in limbs.  An
+    empty kernel gets one table, of the zero vector."""
+    rows = _to_limbs(echelon, limbs)
+    tables = []
+    for start in range(0, max(len(echelon), 1), 8):
+        table = np.zeros((1, limbs), dtype=np.uint64)
+        for row in rows[start:start + 8]:
+            table = np.concatenate([table, table ^ row])
+        tables.append(table)
+    return tables
+
+
+def _basis_sets(coefs: np.ndarray, tables: List[np.ndarray]) -> np.ndarray:
+    """The kernel vectors with these coefficients, as rows of limbs."""
+    sets = np.zeros((len(coefs), tables[0].shape[1]), dtype=np.uint64)
+    for k, table in enumerate(tables):
+        sets ^= table[coefs >> np.uint64(8 * k) & np.uint64(0xFF)]
+    return sets
+
+
+def _cover_undecided(vecs: np.ndarray, covers: np.ndarray) -> np.ndarray:
+    """The drops of each vector that no cover decides, as rows of limbs.
+
+    As in ``_drops_satisfiable``: a cover missing one basis of a vector
+    decides that drop, and a cover missing none decides them all.  Each
+    numpy pass tests a tile of at most _COVER_TILE vector x cover limbs.
+    """
+    n, limbs = vecs.shape
+    undecided = vecs.copy()
+    if not len(covers):
+        return undecided
+    cover_step = max(1, min(len(covers), _COVER_TILE // limbs))
+    vec_step = max(1, _COVER_TILE // (cover_step * limbs))
+    for v0 in range(0, n, vec_step):
+        vec = vecs[v0:v0 + vec_step, None, :]
+        decided = np.zeros((len(vec), limbs), dtype=np.uint64)
+        full = np.zeros(len(vec), dtype=bool)
+        for c0 in range(0, len(covers), cover_step):
+            miss = vec & ~covers[None, c0:c0 + cover_step, :]
+            weight = np.bitwise_count(miss).sum(axis=2, dtype=np.uint16)
+            full |= (weight == 0).any(axis=1)
+            miss[weight != 1] = 0
+            decided |= np.bitwise_or.reduce(miss, axis=1)
+        block = undecided[v0:v0 + vec_step]
+        block &= ~decided
+        block[full] = 0
+    return undecided
 
 
 def enumerate_parity_proofs(
     table: BasisTable,
     kernel_cap: int = KERNEL_CAP_DEFAULT,
 ) -> ProofCensus:
-    """Census of critical parity proofs via the GF(2) incidence kernel."""
+    """Census of critical parity proofs via the GF(2) incidence kernel.
+
+    The kernel span is walked in ``gf2.enumerate_span`` order a block at a
+    time, as coefficient vectors over its echelon basis: the subset filter
+    and the covers found before the block are applied to the whole block
+    in numpy, and only the drops they leave open are searched, vector by
+    vector.  ``kernel_cap`` runs from 0 to KERNEL_CAP_MAX; a larger kernel
+    marks the census partial.
+    """
+    if not 0 <= kernel_cap <= KERNEL_CAP_MAX:
+        raise ValueError(
+            f"kernel_cap must be 0 to {KERNEL_CAP_MAX}, not {kernel_cap}"
+        )
     if table.partial:
         raise ValueError("cannot take a census of a partial basis table")
     nb = len(table.bases)
@@ -456,35 +605,48 @@ def enumerate_parity_proofs(
         census.partial = True
         return census
     echelon, _ = gf2.rref(kernel, nb)
+    odd_rows, columns = _coefficient_columns(echelon, nb)
+    limbs = max(1, -(-nb // 64))
+    tables = _coefficient_tables(echelon, limbs)
     rank_masks = _rank_masks(table.pool)
-    # covers of the assignments found so far, and each symbol key's
-    # rendering; both live for this census only
+    # covers of the assignments found so far (also as limbs), and each
+    # symbol key's rendering; all live for this census only
     covers: List[int] = []
+    cover_limbs = np.zeros((0, limbs), dtype=np.uint64)
     rendered: Dict[Tuple[tuple, tuple], Tuple[str, str]] = {}
-    for vec in gf2.enumerate_span(kernel):
-        if vec.bit_count() % 2 == 0:
-            continue
+    for coefs in _span_coefficients(kernel, echelon):
         # cheap filter first: a proof containing a smaller proof can never
         # survive the drop-one test
-        if not _subset_critical(vec, echelon):
-            continue
-        census.subset_critical_total += 1
-        if not _drops_satisfiable(vec, table, covers):
-            continue
-        basis_ids = _basis_ids(vec, nb)
-        key = _symbol_key(basis_ids, table, rank_masks)
-        symbols = rendered.get(key)
-        if symbols is None:
-            symbols = rendered[key] = render_symbol(dict(key[0]), dict(key[1]))
-        sym_u, sym_a = symbols
-        projectors = 0
-        for j in basis_ids:
-            projectors |= table.bases[j].mask
-        proof = ParityProof(basis_ids, sym_u, sym_a, projectors.bit_count())
-        census.proofs.append(proof)
-        census.symbol_counts[sym_u] = census.symbol_counts.get(sym_u, 0) + 1
-        census.basis_count_histogram[len(basis_ids)] = (
-            census.basis_count_histogram.get(len(basis_ids), 0) + 1
+        survivors = _basis_sets(
+            coefs[_subset_survivors(coefs, odd_rows, columns)], tables
+        )
+        census.subset_critical_total += len(survivors)
+        start = len(covers)
+        undecided = _cover_undecided(survivors, cover_limbs)
+        for vec, open_drops in zip(
+            _from_limbs(survivors), _from_limbs(undecided)
+        ):
+            if not _drops_satisfiable(vec, open_drops, table, covers, start):
+                continue
+            basis_ids = _basis_ids(vec, nb)
+            key = _symbol_key(basis_ids, table, rank_masks)
+            symbols = rendered.get(key)
+            if symbols is None:
+                symbols = rendered[key] = render_symbol(
+                    dict(key[0]), dict(key[1])
+                )
+            sym_u, sym_a = symbols
+            projectors = 0
+            for j in basis_ids:
+                projectors |= table.bases[j].mask
+            proof = ParityProof(basis_ids, sym_u, sym_a, projectors.bit_count())
+            census.proofs.append(proof)
+            census.symbol_counts[sym_u] = census.symbol_counts.get(sym_u, 0) + 1
+            census.basis_count_histogram[len(basis_ids)] = (
+                census.basis_count_histogram.get(len(basis_ids), 0) + 1
+            )
+        cover_limbs = np.concatenate(
+            [cover_limbs, _to_limbs(covers[start:], limbs)]
         )
     census.total = len(census.proofs)
     return census
@@ -511,14 +673,7 @@ def _scan_subsets(
     ruler, gray, odd = walk
     nb = len(table.bases)
     limbs = max(1, -(-len(table.pool) // 64))
-    masks = np.array(
-        [
-            [basis.mask >> (64 * limb) & 0xFFFF_FFFF_FFFF_FFFF
-             for limb in range(limbs)]
-            for basis in table.bases
-        ],
-        dtype=np.uint64,
-    ).reshape(nb, limbs)
+    masks = _to_limbs([basis.mask for basis in table.bases], limbs)
     incidence = np.bitwise_xor.accumulate(masks[ruler], axis=0)
     hits = gray[~incidence.any(axis=1) & odd]
     return [

@@ -316,6 +316,8 @@ def measure_computational(
     qubits = list(qubits)
     if len(outcome) != len(qubits):
         raise ValueError("outcome length must match the measured qubit count")
+    if any(bit not in "01" for bit in outcome):
+        raise ValueError("outcome must be a string of 0s and 1s")
     if len(set(qubits)) != len(qubits):
         raise ValueError("measured qubits must be distinct")
     if any(not 1 <= q <= state.n for q in qubits):

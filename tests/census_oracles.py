@@ -1,9 +1,9 @@
 """Reference versions of the census filters and symbols, for tests only.
 
 Each function is the per-vector, dict-based version that the library
-replaced with shared assignment covers and bit-sliced multiplicities, or
-the plain loop it replaced with numpy; the tests require the library to
-agree with it.
+replaced with shared assignment covers, batched filters over blocks of
+the kernel span and bit-sliced multiplicities, or the plain loop it
+replaced with numpy; the tests require the library to agree with it.
 """
 
 from typing import Dict, List, Sequence, Tuple
@@ -14,7 +14,6 @@ from ksparity.parity import (
     ParityProof,
     ProofCensus,
     _basis_ids,
-    _subset_critical,
     assignment_satisfiable,
     render_symbol,
 )
@@ -46,6 +45,50 @@ def proof_symbol(
     return render_symbol(classes, sizes)
 
 
+def subset_critical(vec: int, echelon: List[int]) -> bool:
+    """No other odd-weight kernel vector has its support inside vec.
+
+    ``echelon`` is the kernel basis in reduced row echelon form.  Masking
+    vec's support out of it maps exactly the kernel vectors inside that
+    support to zero, vec among them, so the masked basis has rank kdim - 1
+    iff vec and 0 are the only ones.  Any third vector w would give an odd
+    one strictly inside vec: w itself if w is odd, w ^ vec if w is even.
+    A row whose pivot lies outside vec keeps the only copy of that pivot
+    after masking and always adds one to the rank, so only the rows with
+    pivots inside vec are eliminated; they must lose exactly one.
+    """
+    keep = ~vec
+    reduced: List[int] = []
+    dependent = False
+    for row in echelon:
+        if not vec >> (row.bit_length() - 1) & 1:
+            continue
+        row &= keep
+        for r in reduced:
+            row = min(row, row ^ r)
+        if row:
+            reduced.append(row)
+        elif dependent:
+            return False
+        else:
+            dependent = True
+    return True
+
+
+def cover_undecided(vec: int, covers: Sequence[int]) -> int:
+    """The drops of vec that no cover decides, one cover at a time: a
+    cover missing one basis of vec decides that drop, one missing none
+    decides them all."""
+    undecided = vec
+    for cover in covers:
+        miss = vec & ~cover
+        if not miss:
+            return 0
+        if not miss & (miss - 1):
+            undecided &= ~miss
+    return undecided
+
+
 def is_critical(basis_ids: Sequence[int], table: BasisTable) -> bool:
     """One exact-one search per dropped basis."""
     ids = tuple(basis_ids)
@@ -56,8 +99,9 @@ def is_critical(basis_ids: Sequence[int], table: BasisTable) -> bool:
 
 
 def enumerate_parity_proofs(table: BasisTable) -> ProofCensus:
-    """Census taking each subset survivor through ``is_critical`` and
-    ``proof_symbol`` above, with no kernel cap."""
+    """Census walking ``gf2.enumerate_span`` one vector at a time through
+    ``subset_critical``, ``is_critical`` and ``proof_symbol`` above, with
+    no kernel cap."""
     nb = len(table.bases)
     kernel = gf2.nullspace(table.incidence_rows(), nb)
     census = ProofCensus(
@@ -69,7 +113,7 @@ def enumerate_parity_proofs(table: BasisTable) -> ProofCensus:
     )
     echelon, _ = gf2.rref(kernel, nb)
     for vec in gf2.enumerate_span(kernel):
-        if vec.bit_count() % 2 == 0 or not _subset_critical(vec, echelon):
+        if vec.bit_count() % 2 == 0 or not subset_critical(vec, echelon):
             continue
         census.subset_critical_total += 1
         basis_ids = _basis_ids(vec, nb)

@@ -4,7 +4,7 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from ksparity.cli import main
+from ksparity.cli import STAR_N_CAP, main
 from ksparity.systems import build_star_table, builtin_fixtures
 
 
@@ -35,6 +35,16 @@ class TestGen:
     def test_star_bad_size(self, runner):
         result = runner.invoke(main, ["gen", "star", "--N", "1"])
         assert result.exit_code == 2
+
+    def test_star_size_cap(self, runner):
+        result = runner.invoke(main, ["gen", "star", "--N", str(STAR_N_CAP)])
+        assert result.exit_code == 0
+        assert len(json.loads(result.stdout)["observables"][0]) == 2 * STAR_N_CAP
+        for n in (STAR_N_CAP + 1, 100_000):
+            result = runner.invoke(main, ["gen", "star", "--N", str(n)])
+            assert result.exit_code == 3
+            assert result.stdout == ""
+            assert str(STAR_N_CAP) in result.stderr
 
     def test_fixture_list(self, runner):
         result = runner.invoke(main, ["gen", "fixture", "list"])
@@ -126,6 +136,8 @@ class TestStateCommands:
     @pytest.mark.parametrize("argv", [
         ["measure", "{psi}", "--qubits", "0", "--outcome", "0"],
         ["measure", "{psi}", "--qubits", "9", "--outcome", "0"],
+        ["measure", "{psi}", "--qubits", "1", "--outcome", "2"],
+        ["measure", "{psi}", "--qubits", "1,2", "--outcome", "0٣"],
         ["bell", "{psi}", "--pairing", "1,x;3,4"],
     ])
     def test_malformed_request_is_usage_error(self, runner, tmp_path, argv):
@@ -210,6 +222,14 @@ class TestConfig:
     def test_comments_and_spacing(self, runner, tmp_path):
         conf = tmp_path / "caps.conf"
         conf.write_text("# caps\nbasis_cap = 7   # small\n\nkernel_cap=20\n")
+        result = runner.invoke(
+            main, ["--config", str(conf), "gen", "star", "--N", "2"]
+        )
+        assert result.exit_code == 0
+
+    def test_cap_range_ends_accepted(self, runner, tmp_path):
+        conf = tmp_path / "caps.conf"
+        conf.write_text("kernel_cap = 63\nbasis_cap = 0\ndense_cap = 0\n")
         result = runner.invoke(
             main, ["--config", str(conf), "gen", "star", "--N", "2"]
         )
@@ -435,11 +455,13 @@ class TestMultipartiteCap:
 
 
 # Flag values for the fuzz below, by kind: well-formed tokens first, then
-# malformed ones.  Numbers stay small on purpose: `gen star --N` and
-# `search-complete --budget` have no cap, so a large valid value would only
-# test the host's memory and patience.
+# malformed ones.  `gen star --N` goes past its cap, which must exit 3 at
+# once.  Other numbers stay small on purpose: `search-complete --budget` has
+# no cap, so a large valid value would only test the host's memory and
+# patience.
 _GOOD = {
     "num": ("0", "1", "2", "3", "9"),
+    "star": ("0", "1", "2", "3", str(STAR_N_CAP + 1), "100000"),
     "eigenvalues": ("+,+,+,+,-", "+,+,+,+,+", "-,-,-,-,-", "+,-"),
     "pairing": ("1,2;3,4", "1,3;2,4", "2,1;4,3", "1,2"),
     "qubits": ("1", "1,2", "2,4", "1,2,3,4"),
@@ -451,7 +473,7 @@ _GOOD = {
 _BAD = ("", " ", "x", "-1", "1.5", "1e3", "0x10", "+2", "٣", "nan", "1,x;3,4",
         ",", ";", "1;2", "1,2;2,3", "1,2,3", "0,9", "a,b", "2", "-", "4,4")
 _FLAGS = {
-    "gen star": (("--N", "num"), ("-o", "out")),
+    "gen star": (("--N", "star"), ("-o", "out")),
     "gen fixture": ((None, "fixture"), ("-o", "out")),
     "verify": ((None, "system"), ("-o", "out")),
     "ghz-check": ((None, "system"), ("--eigenvalues", "eigenvalues"),
@@ -576,12 +598,24 @@ class TestInputErrors:
         ["--manifest", "{dir}/missing/manifest.json", "verify", "{star}"],
         ["export-graph", "{star}", "-o", "{dir}"],
         ["parity-census", "{star}", "--catalog", "{dir}"],
+        ["--config", "{kernel_cap=64}", "parity-census", "{star}"],
+        ["--config", "{kernel_cap=-1}", "parity-census", "{star}"],
+        ["--config", "{basis_cap=-1}", "bases", "{star}"],
+        ["--config", "{dense_cap=-1}", "state", "{star}"],
     ])
     def test_usage_error_without_traceback(self, runner, tmp_path, argv):
-        # each of these once ended in an uncaught exception
+        # each of these once ended in an uncaught exception, or ran with
+        # a cap outside what the library can honour
         (tmp_path / "list.json").write_text("[1, 2]")
         (tmp_path / "binary.cfg").write_bytes(b"\xff\xfe\x00")
+        for setting in ("kernel_cap=64", "kernel_cap=-1", "basis_cap=-1",
+                        "dense_cap=-1"):
+            (tmp_path / f"{setting}.cfg").write_text(setting + "\n")
         names = {
+            "{kernel_cap=64}": str(tmp_path / "kernel_cap=64.cfg"),
+            "{kernel_cap=-1}": str(tmp_path / "kernel_cap=-1.cfg"),
+            "{basis_cap=-1}": str(tmp_path / "basis_cap=-1.cfg"),
+            "{dense_cap=-1}": str(tmp_path / "dense_cap=-1.cfg"),
             "{binary}": str(tmp_path / "binary.cfg"),
             "{star}": write_star(tmp_path),
             "{kite}": write_fixture(tmp_path, "kite-quadruples"),

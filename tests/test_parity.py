@@ -1,5 +1,6 @@
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,13 +8,21 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import census_oracles
-from ksparity import gf2
+from ksparity import gf2, parity
 from ksparity.systems import system_from_rows
 from ksparity.projectors import ProjectorPool, projectors_of
 from ksparity.parity import (
     Basis,
+    KERNEL_CAP_MAX,
     BasisTable,
-    _subset_critical,
+    _basis_sets,
+    _coefficient_columns,
+    _coefficient_tables,
+    _cover_undecided,
+    _from_limbs,
+    _span_coefficients,
+    _subset_survivors,
+    _to_limbs,
     assignment_satisfiable,
     brute_force_parity_proofs,
     compare_with_brute_force,
@@ -184,6 +193,22 @@ class TestCensus:
         assert census.kernel_dimension == 10
         assert census.total == 0
 
+    def test_empty_kernel(self, square_table):
+        for bases in ((), square_table.bases[:1]):
+            census = enumerate_parity_proofs(BasisTable(square_table.pool, bases))
+            assert (census.kernel_dimension, census.total) == (0, 0)
+            assert census.subset_critical_total == 0 and not census.partial
+
+    @pytest.mark.parametrize("cap", [-1, KERNEL_CAP_MAX + 1, 1 << 70])
+    def test_kernel_cap_outside_the_lane_raises(self, square_table, cap):
+        # a coefficient vector over the kernel basis is one uint64 lane
+        assert KERNEL_CAP_MAX == 63
+        with pytest.raises(ValueError, match="kernel_cap"):
+            enumerate_parity_proofs(square_table, kernel_cap=cap)
+        assert enumerate_parity_proofs(
+            square_table, kernel_cap=KERNEL_CAP_MAX
+        ).total == 512
+
     def test_every_proof_verifies(self, square_table, square_census):
         for proof in square_census.proofs[::37]:
             assert verify_proof(proof.basis_ids, square_table)
@@ -298,14 +323,32 @@ def _choices_satisfiable(basis_ids, table):
     return bool(ok.any())
 
 
+def _batched_survivors(kernel, echelon, nb):
+    """The census's subset filter over the span of ``kernel``, block by
+    block, as int bitsets in walk order."""
+    odd_rows, columns = _coefficient_columns(echelon, nb)
+    tables = _coefficient_tables(echelon, max(1, -(-nb // 64)))
+    found = []
+    for coefs in _span_coefficients(kernel, echelon):
+        kept = coefs[_subset_survivors(coefs, odd_rows, columns)]
+        found += _from_limbs(_basis_sets(kept, tables))
+    return found
+
+
 class TestFilters:
     def _assert_subset_filter_matches_definition(self, table):
         echelon, odd = _odd_kernel_vectors(table)
         outcomes = set()
+        expected = []
         for vec in odd:
             inside = any(u != vec and u & ~vec == 0 for u in odd)
-            assert _subset_critical(vec, echelon) == (not inside)
+            assert census_oracles.subset_critical(vec, echelon) == (not inside)
             outcomes.add(inside)
+            if not inside:
+                expected.append(vec)
+        nb = len(table.bases)
+        kernel = gf2.nullspace(table.incidence_rows(), nb)
+        assert _batched_survivors(kernel, echelon, nb) == expected
         return outcomes
 
     def test_subset_filter_on_square_tables(self, square_tables):
@@ -383,6 +426,14 @@ def _assert_census_matches_oracle(table, census=None):
     assert (
         census.total, census.subset_critical_total, census.kernel_dimension
     ) == (oracle.total, oracle.subset_critical_total, oracle.kernel_dimension)
+    # every proof verifies and is drop-critical, and the tallies sum
+    for proof in census.proofs:
+        assert verify_proof(proof.basis_ids, table)
+        assert not assignment_satisfiable(proof.basis_ids, table)
+        assert is_critical(proof.basis_ids, table)
+    assert census.total == len(census.proofs)
+    assert sum(census.symbol_counts.values()) == census.total
+    assert sum(census.basis_count_histogram.values()) == census.total
 
 
 class TestCensusAgainstOracle:
@@ -427,6 +478,100 @@ class TestCensusAgainstOracle:
         sub = BasisTable(table.pool, tuple(table.bases[j] for j in order))
         assume(len(gf2.nullspace(sub.incidence_rows(), len(order))) <= 12)
         _assert_census_matches_oracle(sub)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.data())
+    def test_kite_less_random_bases(self, kite_table, data):
+        # the kite has kernel dimension 20; dropping bases at random down
+        # to dimension 12 or less gives sub-tables with and without proofs
+        nb = len(kite_table.bases)
+        drop = data.draw(
+            st.sets(st.integers(0, nb - 1), min_size=8, max_size=20),
+            label="drop",
+        )
+        sub = BasisTable(
+            kite_table.pool,
+            tuple(b for j, b in enumerate(kite_table.bases) if j not in drop),
+        )
+        assume(len(gf2.nullspace(sub.incidence_rows(), len(sub.bases))) <= 12)
+        _assert_census_matches_oracle(sub)
+
+
+@st.composite
+def gf2_kernels(draw):
+    """(independent vectors of nb bits, nb): kdim up to 12 and nb up to 130,
+    each vector a random subset of a few shared positions, so that the
+    span has vectors inside others and reaches past one 64-bit limb."""
+    nb = draw(st.integers(1, 130), label="nb")
+    positions = draw(
+        st.lists(st.integers(0, nb - 1), min_size=1, max_size=16, unique=True),
+        label="positions",
+    )
+    kernel = []
+    for _ in range(draw(st.integers(0, 12), label="draws")):
+        picked = draw(st.sets(st.sampled_from(positions)), label="vector")
+        vec = sum(1 << p for p in picked)
+        if gf2.rank(kernel + [vec]) > len(kernel):
+            kernel.append(vec)
+    return kernel, nb
+
+
+class TestBatchedFilters:
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_span_blocks_follow_enumerate_span(self, data):
+        kernel, nb = data.draw(gf2_kernels())
+        echelon, _ = gf2.rref(kernel, nb)
+        tables = _coefficient_tables(echelon, max(1, -(-nb // 64)))
+        bits = data.draw(st.integers(0, 13), label="block bits")
+        with mock.patch.object(parity, "_SPAN_BLOCK_BITS", bits):
+            blocks = list(_span_coefficients(kernel, echelon))
+        assert all(len(b) == 1 << min(bits, len(kernel)) for b in blocks)
+        walked = [v for b in blocks for v in _from_limbs(_basis_sets(b, tables))]
+        assert walked == list(gf2.enumerate_span(kernel))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_subset_survivors_match_oracle(self, data):
+        kernel, nb = data.draw(gf2_kernels())
+        echelon, _ = gf2.rref(kernel, nb)
+        expected = [
+            vec for vec in gf2.enumerate_span(kernel)
+            if vec.bit_count() % 2 and census_oracles.subset_critical(vec, echelon)
+        ]
+        bits = data.draw(st.integers(0, 13), label="block bits")
+        with mock.patch.object(parity, "_SPAN_BLOCK_BITS", bits):
+            assert _batched_survivors(kernel, echelon, nb) == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_cover_prefilter_matches_loop(self, data):
+        # covers near the vectors: each a vector with a few bits cleared
+        # and a few others set, so all three outcomes of a cover occur
+        nb = data.draw(st.integers(1, 130), label="nb")
+        bit = st.integers(0, nb - 1)
+        vecs = data.draw(
+            st.lists(st.integers(0, (1 << nb) - 1), max_size=40), label="vecs"
+        )
+        covers = []
+        for _ in range(data.draw(st.integers(0, 40), label="covers")):
+            cover = data.draw(
+                st.sampled_from(vecs) if vecs else st.just(0), label="near"
+            )
+            for b in data.draw(st.lists(bit, max_size=2), label="cleared"):
+                cover &= ~(1 << b)
+            for b in data.draw(st.lists(bit, max_size=3), label="set"):
+                cover |= 1 << b
+            covers.append(cover)
+        limbs = max(1, -(-nb // 64))
+        tile = data.draw(st.sampled_from([1, 2, 3, 7, 64, 1 << 13]), label="tile")
+        with mock.patch.object(parity, "_COVER_TILE", tile):
+            undecided = _cover_undecided(
+                _to_limbs(vecs, limbs), _to_limbs(covers, limbs)
+            )
+        assert _from_limbs(undecided) == [
+            census_oracles.cover_undecided(vec, covers) for vec in vecs
+        ]
 
 
 class TestSymbols:
