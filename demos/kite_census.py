@@ -1,9 +1,10 @@
 """Complete the four-qubit kite and enumerate all its parity proofs.
 
-The full census takes about 12 s on a 2-core Xeon host; everything
+The full census takes about 1 s on a 2-core Xeon host; everything
 before it is instant.  Its drop-one test keeps every satisfying
 assignment it finds as the set of bases that assignment covers exactly
-once, and searches only the drops no such cover already decides.  Run
+once, and searches only the drops no such cover already decides; a
+failed search also decides the drops that are its Pauli images.  Run
 with: python3 demos/kite_census.py
 """
 

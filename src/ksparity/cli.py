@@ -77,6 +77,11 @@ MULTIPARTITE_QUBIT_CAP = 14
 # prints 2.3 MB, at N = 1000 about 2 s and 4 MB, on a 2-core Xeon host.
 STAR_N_CAP = 500
 
+# Largest node budget `search-complete` accepts.  The search visits about
+# 0.8 million nodes a second on a 2-core Xeon host, so a run stays under
+# about a minute; the default budget is BUDGET_DEFAULT (5 million).
+SEARCH_BUDGET_CAP = 50_000_000
+
 _ASCII_LABELS = {"Φ": "Phi", "Ψ": "Psi"}
 
 
@@ -369,14 +374,14 @@ def multipartite(run: Run, system_file, output):
 
 @main.command("search-complete", help=(
     "Complete a seed into parity-witness systems, up to relabeling.\n\n"
-    f"Seeds on more than {SEARCH_QUBIT_CAP} qubits exit 3 before the "
-    "search starts."
+    f"Seeds on more than {SEARCH_QUBIT_CAP} qubits, and budgets above "
+    f"{SEARCH_BUDGET_CAP}, exit 3 before the search starts."
 ))
 @click.argument("system_file", type=click.Path(exists=True))
 @click.option("--shape", required=True,
               help="comma list of context sizes to add, e.g. 3,3,3,3")
-@click.option("--budget", type=int, default=BUDGET_DEFAULT,
-              help="search node budget")
+@click.option("--budget", type=click.IntRange(min=0), default=BUDGET_DEFAULT,
+              help=f"search node budget, at most {SEARCH_BUDGET_CAP}")
 @output_option
 @click.pass_obj
 def search_complete(run: Run, system_file, shape, budget, output):
@@ -385,6 +390,14 @@ def search_complete(run: Run, system_file, shape, budget, output):
         sizes = [int(s) for s in shape.split(",")]
     except ValueError:
         raise click.UsageError(f"bad shape {shape!r}")
+    if budget > SEARCH_BUDGET_CAP:
+        run.emit(
+            {"ok": False,
+             "error": f"search budget {budget} exceeds the cap of "
+                      f"{SEARCH_BUDGET_CAP} nodes"},
+            output,
+            EXIT_CAP,
+        )
     try:
         result = search_completions(sys, sizes, budget=budget)
     except NotImplementedError as exc:

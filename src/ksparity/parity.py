@@ -7,6 +7,14 @@ when it stops being a proof as soon as any single basis is dropped, i.e.
 the remaining bases admit a 0/1 value assignment giving each basis exactly
 one value-1 projector.  A weaker subset-based notion (no smaller parity
 proof inside) is also computed and any divergence is reported.
+
+The census walks the kernel span in numpy blocks, filters each block by
+the subset test and by the assignments found so far, and searches only
+the drops left open.  Conjugating by a Pauli operator permutes the
+projectors and maps bases to bases, so a failed search also decides the
+drop sets of its images under the table's Pauli automorphisms.  The
+symbols, projector counts and basis ids of a block's proofs are tallied
+in numpy at once.
 """
 
 from __future__ import annotations
@@ -167,6 +175,11 @@ class ProofCensus:
     kernel_dimension: int
     partial: bool = False
     subset_critical_total: int = 0
+    # exact-one searches the drop-one test ran, and the drops it answered
+    # from the table's Pauli images of failed searches instead; neither is
+    # part of any payload
+    searches: int = 0
+    shared_failures: int = 0
 
     def smallest(self) -> Optional[ParityProof]:
         if not self.proofs:
@@ -222,66 +235,99 @@ def render_symbol(
     return left_u + "−" + right_u, left_a + " - " + right_a
 
 
-def _rank_masks(pool: ProjectorPool) -> List[Tuple[int, int]]:
-    """(rank, bitset of the projectors of that rank), by rank."""
-    masks: Dict[int, int] = {}
-    for pid, proj in enumerate(pool.projectors):
-        masks[proj.rank] = masks.get(proj.rank, 0) | 1 << pid
-    return sorted(masks.items())
-
-
-def _symbol_key(
-    basis_ids: Sequence[int],
-    table: BasisTable,
-    rank_masks: List[Tuple[int, int]],
-) -> Tuple[tuple, tuple]:
-    """Sorted (rank, multiplicity) -> count and size -> count items.
-
-    Multiplicities are counted bit-sliced: ``planes[k]`` has bit p set when
-    bit k of projector p's multiplicity is set, and each basis mask is
-    added with a carry-save ripple through the planes.  Splitting the
-    support by every plane then gives the projectors of each multiplicity,
-    and popcounts against the rank masks give the class counts.
-    """
-    planes: List[int] = []
-    sizes: Dict[int, int] = {}
-    for b in basis_ids:
-        basis = table.bases[b]
-        carry = basis.mask
-        for k, plane in enumerate(planes):
-            planes[k] = plane ^ carry
-            carry &= plane
-            if not carry:
-                break
-        if carry:
-            planes.append(carry)
-        sizes[basis.size] = sizes.get(basis.size, 0) + 1
-    support = 0
-    for plane in planes:
-        support |= plane
-    groups = [(support, 0)]
-    for k, plane in enumerate(planes):
-        groups = [
-            (part, m | bit << k)
-            for group, m in groups
-            for part, bit in ((group & plane, 1), (group & ~plane, 0))
-            if part
-        ]
-    classes = []
-    for group, m in groups:
-        for rank, mask in rank_masks:
-            count = (group & mask).bit_count()
-            if count:
-                classes.append(((rank, m), count))
-    return tuple(sorted(classes)), tuple(sorted(sizes.items()))
-
-
 def proof_symbol(
     basis_ids: Sequence[int], table: BasisTable
 ) -> Tuple[str, str]:
-    """(utf8, ascii) symbol: projector rank/multiplicity classes - basis sizes."""
-    classes, sizes = _symbol_key(basis_ids, table, _rank_masks(table.pool))
-    return render_symbol(dict(classes), dict(sizes))
+    """(utf8, ascii) symbol: projector rank/multiplicity classes - basis sizes.
+
+    A basis listed twice counts twice.
+    """
+    counts = np.bincount(
+        np.asarray(basis_ids, dtype=np.intp), minlength=len(table.bases)
+    )
+    tally = _ProofTally(table, len(basis_ids))
+    symbols, _ = tally.tally(counts[None, :])
+    return symbols[0]
+
+
+class _ProofTally:
+    """Symbols and projector counts of many basis selections at once.
+
+    A selection is a row of how often each basis is picked.  Its product
+    with the basis x projector incidence gives every projector's
+    multiplicity m; the code rank_index * width + m of each projector,
+    binned per row by one ``np.bincount`` over row offsets, gives the
+    (rank, multiplicity) class counts, and one more product the
+    basis-size counts.  ``most`` bounds the multiplicities, so the code
+    width most + 1 is fixed and keys from different calls compare.  Each
+    distinct key is rendered once.
+    """
+
+    def __init__(self, table: BasisTable, most: int):
+        bases = table.bases
+        ranks = [p.rank for p in table.pool.projectors]
+        sizes = [b.size for b in bases]
+        self.ranks = sorted(set(ranks))
+        self.sizes = sorted(set(sizes))
+        self.width = most + 1
+        self.per_row = len(self.ranks) * self.width
+        # multiplicities and size counts reach at most ``most``
+        self.dtype = np.min_scalar_type(most)
+        nb = len(bases)
+        self.incidence = np.zeros((nb, len(ranks)), dtype=self.dtype)
+        self.incidence[
+            [j for j, size in enumerate(sizes) for _ in range(size)],
+            [p for b in bases for p in b.projector_ids],
+        ] = 1
+        self.size_columns = np.zeros((nb, len(self.sizes)), dtype=self.dtype)
+        size_index = {size: i for i, size in enumerate(self.sizes)}
+        self.size_columns[range(nb), [size_index[s] for s in sizes]] = 1
+        rank_index = {rank: i for i, rank in enumerate(self.ranks)}
+        self.rank_codes = np.array(
+            [rank_index[r] * self.width for r in ranks], dtype=np.intp
+        )
+        self.rendered: Dict[bytes, Tuple[str, str]] = {}
+
+    def tally(
+        self, selections: np.ndarray
+    ) -> Tuple[List[Tuple[str, str]], List[int]]:
+        """Each selection's (utf8, ascii) symbol and number of projectors."""
+        rows = len(selections)
+        selections = selections.astype(self.dtype, copy=False)
+        mult = selections @ self.incidence
+        codes = mult + self.rank_codes
+        codes += np.arange(rows, dtype=np.intp)[:, None] * self.per_row
+        classes = np.bincount(
+            codes.ravel(), minlength=rows * self.per_row
+        ).reshape(rows, self.per_row)
+        # the projectors a selection misses form no class
+        classes[:, ::self.width] = 0
+        keys = np.concatenate(
+            [classes, selections @ self.size_columns], axis=1, dtype=np.int64
+        )
+        raw = keys.tobytes()
+        step = keys.shape[1] * 8
+        symbols = []
+        for i in range(rows):
+            key = raw[i * step:(i + 1) * step]
+            rendered = self.rendered.get(key)
+            if rendered is None:
+                rendered = self.rendered[key] = self._render(keys[i])
+            symbols.append(rendered)
+        return symbols, np.count_nonzero(mult, axis=1).tolist()
+
+    def _render(self, key: np.ndarray) -> Tuple[str, str]:
+        classes, sizes = key[:self.per_row], key[self.per_row:]
+        return render_symbol(
+            {
+                (self.ranks[code // self.width], code % self.width): count
+                for code, count in enumerate(classes.tolist()) if count
+            },
+            {
+                size: count
+                for size, count in zip(self.sizes, sizes.tolist()) if count
+            },
+        )
 
 
 def satisfying_assignment(
@@ -350,7 +396,12 @@ def _exact_one(open_masks: List[int], zeros: int, ones: int) -> Optional[int]:
 
 
 def _drops_satisfiable(
-    vec: int, undecided: int, table: BasisTable, covers: List[int], start: int
+    vec: int,
+    undecided: int,
+    table: BasisTable,
+    covers: List[int],
+    start: int,
+    failed: "_FailedDrops",
 ) -> bool:
     """Does dropping any single basis of vec leave a satisfiable set?
 
@@ -362,7 +413,8 @@ def _drops_satisfiable(
     the covers from ``start`` on are scanned here.  Only the drops no
     cover decides are searched, and each witness found adds its cover to
     ``covers``, which must hold covers of real assignments of this table
-    only.
+    only.  A drop that ``failed`` already holds is unsatisfiable without a
+    search; a search that fails adds its drop to ``failed``.
     """
     bases = table.bases
     nb = len(bases)
@@ -376,8 +428,14 @@ def _drops_satisfiable(
                 return True
     while undecided:
         drop = undecided & -undecided
-        ones = satisfying_assignment(_basis_ids(vec ^ drop, nb), table)
+        rest = vec ^ drop
+        if rest in failed.known:
+            failed.shared += 1
+            return False
+        failed.searches += 1
+        ones = satisfying_assignment(_basis_ids(rest, nb), table)
         if ones is None:
+            failed.add(rest)
             return False
         cover = 0
         for j, basis in enumerate(bases):
@@ -394,7 +452,110 @@ def is_critical(basis_ids: Sequence[int], table: BasisTable) -> bool:
     vec = 0
     for j in basis_ids:
         vec |= 1 << (nb - 1 - j)
-    return _drops_satisfiable(vec, vec, table, [], 0)
+    return _drops_satisfiable(vec, vec, table, [], 0, _FailedDrops((), nb))
+
+
+# Most projector permutations, and most bases in the orbit of the table's
+# bases, that the census builds before it gives up sharing failed drops: a
+# table on n qubits has up to 4^n Pauli images.
+_AUTOMORPHISM_CAP = 1 << 10
+
+
+def _pauli_automorphisms(table: BasisTable) -> List[Tuple[int, ...]]:
+    """The basis permutations of the table induced by Pauli operators,
+    identity first; perm[j] is the image of basis j.
+
+    Conjugating by X^px Z^pz flips the sign of every stabilizer element it
+    anticommutes with, which permutes the pool's projectors and maps
+    bases to bases.  The permutations of the 2n single-qubit X and Z
+    operators act on the orbit of the table's bases and are composed into
+    their span; an element is kept if it maps every basis of this table
+    onto a basis of this table (on a sub-table, its stabilizer).  An
+    assignment for a set of bases maps to one for its image, so the image
+    of an unsatisfiable set is unsatisfiable.  If a generator maps some
+    projector out of the pool, or the orbit or span passes
+    _AUTOMORPHISM_CAP, only the identity is returned.
+    """
+    nb = len(table.bases)
+    identity = [tuple(range(nb))]
+    projs = table.pool.projectors
+    index = {p.key: i for i, p in enumerate(projs)}
+    orbit = [tuple(sorted(b.projector_ids)) for b in table.bases]
+    where = {ids: j for j, ids in enumerate(orbit)}
+    if len(index) != len(projs) or len(where) != nb:
+        return identity
+    generators = []
+    for q in range(table.n):
+        for px, pz in ((1 << q, 0), (0, 1 << q)):
+            image = [
+                index.get(tuple(
+                    ((x, z), -sign if ((x & pz) ^ (z & px)).bit_count() & 1
+                     else sign)
+                    for (x, z), sign in p.elements
+                ))
+                for p in projs
+            ]
+            if None in image:
+                return identity
+            generators.append(image)
+    # the generators as permutations of the orbit, which grows as they
+    # reach new bases
+    actions: List[List[int]] = [[] for _ in generators]
+    done = 0
+    while done < len(orbit):
+        if len(orbit) > _AUTOMORPHISM_CAP:
+            return identity
+        ids = orbit[done]
+        for image, action in zip(generators, actions):
+            moved = tuple(sorted(image[p] for p in ids))
+            if moved not in where:
+                where[moved] = len(orbit)
+                orbit.append(moved)
+            action.append(where[moved])
+        done += 1
+    group = {tuple(range(len(orbit)))}
+    for action in actions:
+        if tuple(action) in group:
+            continue
+        if 2 * len(group) > _AUTOMORPHISM_CAP:
+            return identity
+        group |= {tuple(action[i] for i in h) for h in group}
+    return sorted({h[:nb] for h in group if max(h[:nb], default=-1) < nb})
+
+
+class _FailedDrops:
+    """Drop sets found unsatisfiable, as kernel-vector bitsets (bit nb-1-j
+    = basis j), with their images under the table's automorphisms, and
+    how many drops were searched and how many answered from the set.
+
+    An image is built by byte tables: table k of a permutation maps byte
+    k of a bitset to the image of the bases it holds.
+    """
+
+    def __init__(self, perms: Sequence[Tuple[int, ...]], nb: int):
+        self.known: set = set()
+        self.searches = 0
+        self.shared = 0
+        self._tables: List[List[List[int]]] = []
+        for perm in perms:
+            if tuple(perm) == tuple(range(nb)):
+                continue
+            tables = []
+            for low in range(0, nb, 8):
+                byte_table = [0]
+                for bit in range(low, min(low + 8, nb)):
+                    moved = 1 << (nb - 1 - perm[nb - 1 - bit])
+                    byte_table += [t | moved for t in byte_table]
+                tables.append(byte_table)
+            self._tables.append(tables)
+
+    def add(self, rest: int) -> None:
+        self.known.add(rest)
+        for tables in self._tables:
+            image = 0
+            for k, byte_table in enumerate(tables):
+                image |= byte_table[rest >> 8 * k & 0xFF]
+            self.known.add(image)
 
 
 def _basis_ids(vec: int, nb: int) -> Tuple[int, ...]:
@@ -406,15 +567,35 @@ def kernel_parity_sets(table: BasisTable) -> List[Tuple[int, ...]]:
     """Every odd basis subset with even incidence, as basis-id tuples.
 
     These are the odd vectors of the GF(2) incidence kernel, in the
-    Gray-code order of ``gf2.enumerate_span``.
+    Gray-code order of ``gf2.enumerate_span``, walked by the census's own
+    blocks of coefficient vectors.
     """
     nb = len(table.bases)
     kernel = gf2.nullspace(table.incidence_rows(), nb)
-    return [
-        _basis_ids(vec, nb)
-        for vec in gf2.enumerate_span(kernel)
-        if vec.bit_count() % 2 == 1
-    ]
+    echelon, _ = gf2.rref(kernel, nb)
+    odd_rows, _ = _coefficient_columns(echelon, nb)
+    tables = _coefficient_tables(echelon, max(1, -(-nb // 64)))
+    sets: List[Tuple[int, ...]] = []
+    for coefs in _span_coefficients(kernel, echelon):
+        odd = np.bitwise_count(coefs & np.uint64(odd_rows)) & 1 == 1
+        sets += _selection_ids(_selections(_basis_sets(coefs[odd], tables), nb))
+    return sets
+
+
+def _selections(rows: np.ndarray, nb: int) -> np.ndarray:
+    """Rows of limbs (bit nb-1-j = basis j) as 0/1 rows over the bases."""
+    bits = np.unpackbits(
+        rows.astype("<u8").view(np.uint8), axis=1, bitorder="little"
+    )
+    return bits[:, :nb][:, ::-1]
+
+
+def _selection_ids(selections: np.ndarray) -> List[Tuple[int, ...]]:
+    """The basis ids each 0/1 selection row picks, ascending."""
+    _, ids = np.nonzero(selections)
+    ends = np.cumsum(np.count_nonzero(selections, axis=1)).tolist()
+    ids = ids.tolist()
+    return [tuple(ids[a:b]) for a, b in zip([0] + ends, ends)]
 
 
 def _to_limbs(values: Sequence[int], limbs: int) -> np.ndarray:
@@ -581,8 +762,16 @@ def enumerate_parity_proofs(
     time, as coefficient vectors over its echelon basis: the subset filter
     and the covers found before the block are applied to the whole block
     in numpy, and only the drops they leave open are searched, vector by
-    vector.  ``kernel_cap`` runs from 0 to KERNEL_CAP_MAX; a larger kernel
-    marks the census partial.
+    vector.  A drop whose search failed, or the image of one under the
+    table's Pauli automorphisms (``_pauli_automorphisms``), is answered
+    from a set at the point where its search would run, so the covers,
+    the searches that succeed and their order are those of a census
+    without the group.  The block's critical vectors then get their
+    symbols, projector counts and basis ids in one ``_ProofTally`` pass;
+    proofs come in walk order.  ``census.searches`` and
+    ``census.shared_failures`` count the searches run and the drops
+    answered from the set.  ``kernel_cap`` runs from 0 to KERNEL_CAP_MAX; a
+    larger kernel marks the census partial.
     """
     if not 0 <= kernel_cap <= KERNEL_CAP_MAX:
         raise ValueError(
@@ -608,12 +797,13 @@ def enumerate_parity_proofs(
     odd_rows, columns = _coefficient_columns(echelon, nb)
     limbs = max(1, -(-nb // 64))
     tables = _coefficient_tables(echelon, limbs)
-    rank_masks = _rank_masks(table.pool)
-    # covers of the assignments found so far (also as limbs), and each
-    # symbol key's rendering; all live for this census only
+    # covers of the assignments found so far (also as limbs), the drops
+    # found unsatisfiable and their images, and each symbol key's
+    # rendering; all live for this census only
     covers: List[int] = []
     cover_limbs = np.zeros((0, limbs), dtype=np.uint64)
-    rendered: Dict[Tuple[tuple, tuple], Tuple[str, str]] = {}
+    failed = _FailedDrops(_pauli_automorphisms(table), nb)
+    tally = _ProofTally(table, nb)
     for coefs in _span_coefficients(kernel, echelon):
         # cheap filter first: a proof containing a smaller proof can never
         # survive the drop-one test
@@ -623,32 +813,34 @@ def enumerate_parity_proofs(
         census.subset_critical_total += len(survivors)
         start = len(covers)
         undecided = _cover_undecided(survivors, cover_limbs)
-        for vec, open_drops in zip(
-            _from_limbs(survivors), _from_limbs(undecided)
-        ):
-            if not _drops_satisfiable(vec, open_drops, table, covers, start):
-                continue
-            basis_ids = _basis_ids(vec, nb)
-            key = _symbol_key(basis_ids, table, rank_masks)
-            symbols = rendered.get(key)
-            if symbols is None:
-                symbols = rendered[key] = render_symbol(
-                    dict(key[0]), dict(key[1])
-                )
-            sym_u, sym_a = symbols
-            projectors = 0
-            for j in basis_ids:
-                projectors |= table.bases[j].mask
-            proof = ParityProof(basis_ids, sym_u, sym_a, projectors.bit_count())
-            census.proofs.append(proof)
-            census.symbol_counts[sym_u] = census.symbol_counts.get(sym_u, 0) + 1
-            census.basis_count_histogram[len(basis_ids)] = (
-                census.basis_count_histogram.get(len(basis_ids), 0) + 1
+        critical = np.array([
+            _drops_satisfiable(vec, open_drops, table, covers, start, failed)
+            for vec, open_drops in zip(
+                _from_limbs(survivors), _from_limbs(undecided)
             )
+        ], dtype=bool)
+        if critical.any():
+            selections = _selections(survivors[critical], nb)
+            symbols, projectors = tally.tally(selections)
+            census.proofs += [
+                ParityProof(ids, sym_u, sym_a, count)
+                for ids, (sym_u, sym_a), count in zip(
+                    _selection_ids(selections), symbols, projectors
+                )
+            ]
         cover_limbs = np.concatenate(
             [cover_limbs, _to_limbs(covers[start:], limbs)]
         )
+    for proof in census.proofs:
+        census.symbol_counts[proof.symbol] = (
+            census.symbol_counts.get(proof.symbol, 0) + 1
+        )
+        census.basis_count_histogram[proof.num_bases] = (
+            census.basis_count_histogram.get(proof.num_bases, 0) + 1
+        )
     census.total = len(census.proofs)
+    census.searches = failed.searches
+    census.shared_failures = failed.shared
     return census
 
 

@@ -347,37 +347,62 @@ def _check_mermin_square(
     }
 
 
+# Pauli pairs the oracle suite multiplies as dense matrices at a time: a
+# stack of 512 four-qubit matrices takes 2 MB.
+_DENSE_PAIR_CHUNK = 512
+
+
+def _dense_pair_mismatches(pairs: List[Tuple[PauliWord, PauliWord]]) -> int:
+    """How often ``multiply`` and ``commutes`` disagree with dense matrix
+    products, over pairs of words on equal qubit counts.
+
+    Pairs are stacked by qubit count.  Each word's letter matrix (phase
+    +1) is built once by ``to_dense`` and the phase applied afterwards, as
+    ``to_dense`` does; the dense side never calls ``multiply``.  Each
+    pair's verdict is that of ``np.allclose`` with the same tolerances.
+    """
+    mismatches = 0
+    by_n: Dict[int, List[Tuple[PauliWord, PauliWord]]] = {}
+    for a, b in pairs:
+        by_n.setdefault(a.n, []).append((a, b))
+    for n, group in by_n.items():
+        side = 1 << n
+        letters = np.stack([
+            to_dense(PauliWord(n, x, z).unsigned())
+            for x in range(side) for z in range(side)
+        ])
+
+        def dense(words: List[PauliWord]) -> np.ndarray:
+            index = [w.x * side + w.z for w in words]
+            phases = np.array([w.phase for w in words])
+            return phases[:, None, None] * letters[index]
+
+        for start in range(0, len(group), _DENSE_PAIR_CHUNK):
+            chunk = group[start:start + _DENSE_PAIR_CHUNK]
+            a = dense([x for x, _ in chunk])
+            b = dense([y for _, y in chunk])
+            ab = a @ b
+            products = dense([multiply(x, y) for x, y in chunk])
+            same = np.isclose(ab, products, atol=1e-12).all(axis=(1, 2))
+            mismatches += np.count_nonzero(~same)
+            commuting = np.isclose(ab, b @ a, atol=1e-12).all(axis=(1, 2))
+            mismatches += np.count_nonzero(
+                commuting != np.array([commutes(x, y) for x, y in chunk])
+            )
+    return int(mismatches)
+
+
 def _check_oracles(
     kite: ContextSystem, square: SearchResult, rng_seed: int = 20240817
 ) -> Tuple[bool, dict]:
-    mismatches = 0
-    pair_cases = 0
-    # each word's letter matrix (phase +1) is built once; the phase is
-    # applied afterwards, as to_dense does
-    letters: Dict[Tuple[int, int, int], np.ndarray] = {}
-
-    def dense_of(word: PauliWord) -> np.ndarray:
-        key = (word.n, word.x, word.z)
-        if key not in letters:
-            letters[key] = to_dense(word.unsigned())
-        return word.phase * letters[key]
-
-    # exhaustive product/commutation versus dense matrices, n <= 2
-    for n in (1, 2):
-        words = list(all_words(n))
-        for a in words:
-            for b in words:
-                prod = multiply(a, b)
-                dense = dense_of(a) @ dense_of(b)
-                if not np.allclose(dense, dense_of(prod), atol=1e-12):
-                    mismatches += 1
-                comm_dense = bool(
-                    np.allclose(dense, dense_of(b) @ dense_of(a), atol=1e-12)
-                )
-                if comm_dense != commutes(a, b):
-                    mismatches += 1
-                pair_cases += 1
-    # randomized n = 3, 4
+    # product/commutation versus dense matrices: every pair for n <= 2,
+    # random pairs for n = 3, 4
+    pairs = [
+        (a, b)
+        for n in (1, 2)
+        for a in all_words(n)
+        for b in all_words(n)
+    ]
     rng = random.Random(rng_seed)
     for _ in range(10_000):
         n = rng.choice((3, 4))
@@ -387,14 +412,9 @@ def _check_oracles(
         b = PauliWord(
             n, rng.getrandbits(n), rng.getrandbits(n), rng.randrange(4)
         )
-        prod = multiply(a, b)
-        dense = dense_of(a) @ dense_of(b)
-        if not np.allclose(dense, dense_of(prod), atol=1e-12):
-            mismatches += 1
-        anti = dense_of(b) @ dense_of(a)
-        if bool(np.allclose(dense, anti, atol=1e-12)) != commutes(a, b):
-            mismatches += 1
-        pair_cases += 1
+        pairs.append((a, b))
+    pair_cases = len(pairs)
+    mismatches = _dense_pair_mismatches(pairs)
     # projector orthogonality versus trace(PQ) = 0 on fixture pools, n <= 4
     orth_pairs = 0
     pools: List[ProjectorPool] = []

@@ -2,11 +2,12 @@
 
 Each function is the per-vector, dict-based version that the library
 replaced with shared assignment covers, batched filters over blocks of
-the kernel span and bit-sliced multiplicities, or the plain loop it
-replaced with numpy; the tests require the library to agree with it.
+the kernel span, failed drops shared across Pauli images and symbols
+tallied per block, or the plain loop it replaced with numpy; the tests
+require the library to agree with it.
 """
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 from ksparity import gf2
 from ksparity.parity import (
@@ -43,6 +44,44 @@ def proof_symbol(
         s = table.bases[b].size
         sizes[s] = sizes.get(s, 0) + 1
     return render_symbol(classes, sizes)
+
+
+def kernel_parity_sets(table: BasisTable) -> List[Tuple[int, ...]]:
+    """Odd kernel vectors as basis-id tuples, one ``gf2.enumerate_span``
+    step at a time."""
+    nb = len(table.bases)
+    kernel = gf2.nullspace(table.incidence_rows(), nb)
+    return [
+        _basis_ids(vec, nb)
+        for vec in gf2.enumerate_span(kernel)
+        if vec.bit_count() % 2 == 1
+    ]
+
+
+def pauli_basis_images(table: BasisTable) -> Set[Tuple[int, ...]]:
+    """The basis permutations of the table induced by conjugating with
+    each of the 4^n Pauli operators X^px Z^pz that maps every basis of the
+    table onto a basis of the table, found one operator at a time."""
+    projs = table.pool.projectors
+    index = {p.key: i for i, p in enumerate(projs)}
+    where = {frozenset(b.projector_ids): j for j, b in enumerate(table.bases)}
+    images = set()
+    for px in range(1 << table.n):
+        for pz in range(1 << table.n):
+            moved = []
+            for p in projs:
+                key = []
+                for (x, z), s in p.elements:
+                    anti = (x & pz).bit_count() + (z & px).bit_count()
+                    key.append(((x, z), -s if anti % 2 else s))
+                moved.append(index.get(tuple(key)))
+            perm = tuple(
+                where.get(frozenset(moved[q] for q in b.projector_ids))
+                for b in table.bases
+            )
+            if None not in perm:
+                images.add(perm)
+    return images
 
 
 def subset_critical(vec: int, echelon: List[int]) -> bool:

@@ -4,7 +4,7 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from ksparity.cli import STAR_N_CAP, main
+from ksparity.cli import SEARCH_BUDGET_CAP, STAR_N_CAP, main
 from ksparity.systems import build_star_table, builtin_fixtures
 
 
@@ -406,6 +406,37 @@ class TestSearchComplete:
         )
         assert result.exit_code == 3
 
+    def test_budget_above_cap_exits_before_searching(
+        self, runner, tmp_path, monkeypatch
+    ):
+        import ksparity.cli
+
+        def no_search(*args, **kwargs):
+            raise AssertionError("search started above the budget cap")
+
+        monkeypatch.setattr(ksparity.cli, "search_completions", no_search)
+        kite = write_fixture(tmp_path, "kite-quadruples")
+        for budget in (SEARCH_BUDGET_CAP + 1, 10 ** 30):
+            result = runner.invoke(
+                main,
+                ["search-complete", kite, "--shape", "3,3,3,3",
+                 "--budget", str(budget)],
+            )
+            assert result.exit_code == 3
+            doc = json.loads(result.output)
+            assert doc["ok"] is False
+            assert str(SEARCH_BUDGET_CAP) in doc["error"]
+
+    def test_budget_at_cap_and_negative(self, runner, tmp_path):
+        kite = write_fixture(tmp_path, "kite-quadruples")
+        argv = ["search-complete", kite, "--shape", "3,3,3,3", "--budget"]
+        result = runner.invoke(main, argv + [str(SEARCH_BUDGET_CAP)])
+        assert result.exit_code == 0
+        assert len(json.loads(result.output)["systems"]) == 32
+        result = runner.invoke(main, argv + ["-1"])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+
     def test_qubit_cap_exit(self, runner, tmp_path, monkeypatch):
         import ksparity.search
 
@@ -455,12 +486,12 @@ class TestMultipartiteCap:
 
 
 # Flag values for the fuzz below, by kind: well-formed tokens first, then
-# malformed ones.  `gen star --N` goes past its cap, which must exit 3 at
-# once.  Other numbers stay small on purpose: `search-complete --budget` has
-# no cap, so a large valid value would only test the host's memory and
-# patience.
+# malformed ones.  `gen star --N` and `search-complete --budget` go past
+# their caps, which must exit 3 at once; their valid values stay small, so
+# a draw never runs a long search or prints a large table.
 _GOOD = {
-    "num": ("0", "1", "2", "3", "9"),
+    "budget": ("0", "1", "2", "9", "50", str(SEARCH_BUDGET_CAP + 1),
+               "1" + "0" * 30),
     "star": ("0", "1", "2", "3", str(STAR_N_CAP + 1), "100000"),
     "eigenvalues": ("+,+,+,+,-", "+,+,+,+,+", "-,-,-,-,-", "+,-"),
     "pairing": ("1,2;3,4", "1,3;2,4", "2,1;4,3", "1,2"),
@@ -480,7 +511,7 @@ _FLAGS = {
                   ("-o", "out")),
     "multipartite": ((None, "system"), ("-o", "out")),
     "search-complete": ((None, "system"), ("--shape", "shape"),
-                        ("--budget", "num"), ("-o", "out")),
+                        ("--budget", "budget"), ("-o", "out")),
     "state": ((None, "system"), ("--eigenvalues", "eigenvalues"),
               ("-o", "out")),
     "bell": ((None, "state"), ("--pairing", "pairing"), ("-o", "out")),

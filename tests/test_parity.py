@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 from unittest import mock
 
 import numpy as np
@@ -9,7 +10,8 @@ from hypothesis import strategies as st
 
 import census_oracles
 from ksparity import gf2, parity
-from ksparity.systems import system_from_rows
+from ksparity.search import _assemble, search_completions, three_member_contexts
+from ksparity.systems import ContextSystem, system_from_rows
 from ksparity.projectors import ProjectorPool, projectors_of
 from ksparity.parity import (
     Basis,
@@ -74,6 +76,12 @@ def square_census(square_censuses):
 @pytest.fixture(scope="module")
 def kite_table():
     return enumerate_bases(projectors_of(kite_completion()))
+
+
+@pytest.fixture(scope="module")
+def kite_images(kite_table):
+    """The kite's basis permutations under the 256 Pauli operators."""
+    return sorted(census_oracles.pauli_basis_images(kite_table))
 
 
 @pytest.fixture(scope="module")
@@ -241,6 +249,19 @@ class TestCensus:
         assert brute
         assert set(kernel_parity_sets(sub_table)) == set(brute)
         assert compare_with_brute_force(sub_table) == (True, False)
+
+    def test_kernel_parity_sets_follow_enumerate_span(
+        self, square_tables, kite_sub_table, kite_table
+    ):
+        # the census's block walk gives the odd vectors of the one-vector
+        # walk, in its order
+        window = BasisTable(kite_table.pool, kite_table.bases[:20])
+        empty = BasisTable(kite_table.pool, ())
+        for table in (*square_tables, kite_sub_table, window, empty):
+            assert kernel_parity_sets(table) == (
+                census_oracles.kernel_parity_sets(table)
+            )
+        assert len(kernel_parity_sets(kite_sub_table)) == 1024
 
     def test_brute_force_window_catches_a_short_kernel(
         self, kite_table, square_tables, monkeypatch
@@ -421,8 +442,13 @@ def _assert_census_matches_oracle(table, census=None):
     # ParityProof equality compares basis ids, both symbols and the
     # projector count
     assert census.proofs == oracle.proofs
-    assert census.symbol_counts == oracle.symbol_counts
-    assert census.basis_count_histogram == oracle.basis_count_histogram
+    # the tallies in the same insertion order too
+    assert list(census.symbol_counts.items()) == list(
+        oracle.symbol_counts.items()
+    )
+    assert list(census.basis_count_histogram.items()) == list(
+        oracle.basis_count_histogram.items()
+    )
     assert (
         census.total, census.subset_critical_total, census.kernel_dimension
     ) == (oracle.total, oracle.subset_critical_total, oracle.kernel_dimension)
@@ -574,6 +600,157 @@ class TestBatchedFilters:
         ]
 
 
+def _identity_group(table):
+    return [tuple(range(len(table.bases)))]
+
+
+def _census_and_covers(table):
+    """The census of the table and the cover list its drop-one test
+    ended with."""
+    held = {"covers": []}
+    drops_satisfiable = parity._drops_satisfiable
+
+    def spy(vec, undecided, table, covers, start, failed):
+        held["covers"] = covers
+        return drops_satisfiable(vec, undecided, table, covers, start, failed)
+
+    with mock.patch.object(parity, "_drops_satisfiable", spy):
+        census = enumerate_parity_proofs(table)
+    return census, held["covers"]
+
+
+@pytest.fixture(scope="module")
+def search_tables():
+    """Basis tables of systems that ``search_completions`` finds: the
+    three 2-qubit squares from an empty seed, and 3-qubit systems
+    completed from seeds of two random triples."""
+    systems = list(mermin_square_search().systems)
+    rng = random.Random(11)
+    triples = three_member_contexts(3)
+    empty = ContextSystem(3, (), ())
+    for _ in range(6):
+        seed = _assemble(empty, rng.sample(triples, 2))
+        systems += search_completions(seed, [3] * 4, budget=20_000).systems
+    assert len(systems) >= 6
+    return [enumerate_bases(projectors_of(sys)) for sys in systems]
+
+
+class TestSharedFailures:
+    def test_kite_searches_and_covers(self, kite_table):
+        shared, covers = _census_and_covers(kite_table)
+        with mock.patch.object(parity, "_pauli_automorphisms", _identity_group):
+            alone, alone_covers = _census_and_covers(kite_table)
+        # the failed searches are answered from their images; the ones
+        # that succeed run as before and find the same covers in order
+        assert (shared.searches, alone.searches) == (688, 8744)
+        assert (shared.shared_failures, alone.shared_failures) == (8056, 0)
+        assert len(covers) == 424 and covers == alone_covers
+        assert shared.proofs == alone.proofs
+        assert list(shared.symbol_counts.items()) == list(
+            alone.symbol_counts.items()
+        )
+        assert (shared.total, len(shared.symbol_counts)) == (33152, 33)
+        assert shared.subset_critical_total == alone.subset_critical_total
+        # the counters stay out of the payloads
+        summary = shared.summary_dict(kite_table)
+        assert "searches" not in summary and "shared_failures" not in summary
+
+    def test_kite_group_matches_every_pauli(self, kite_table, kite_images):
+        assert len(kite_images) == 32
+        assert parity._pauli_automorphisms(kite_table) == kite_images
+        assert kite_images[0] == tuple(range(len(kite_table.bases)))
+
+    def test_trivial_group_outside_a_closed_pool(self, kite_table):
+        n, projectors = kite_table.n, kite_table.pool.projectors
+        # without its last projector the pool is not closed under the
+        # single-qubit Pauli images
+        last = len(projectors) - 1
+        bases = tuple(b for b in kite_table.bases if last not in b.projector_ids)
+        table = BasisTable(ProjectorPool(n, projectors[:-1], ()), bases)
+        assert parity._pauli_automorphisms(table) == _identity_group(table)
+        # projectors or bases given twice
+        doubled = BasisTable(ProjectorPool(n, projectors * 2, ()), kite_table.bases)
+        assert parity._pauli_automorphisms(doubled) == _identity_group(doubled)
+        twice = BasisTable(kite_table.pool, kite_table.bases * 2)
+        assert parity._pauli_automorphisms(twice) == _identity_group(twice)
+
+    @pytest.mark.parametrize("cap, elements", [(35, 1), (36, 32)])
+    def test_group_cap(self, kite_table, cap, elements):
+        # the kite's orbit holds its 36 bases and the group 32 permutations
+        with mock.patch.object(parity, "_AUTOMORPHISM_CAP", cap):
+            assert len(parity._pauli_automorphisms(kite_table)) == elements
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_images_by_byte_tables(self, data):
+        nb = data.draw(st.integers(1, 130), label="nb")
+        perm = data.draw(st.permutations(range(nb)), label="perm")
+        vec = data.draw(st.integers(0, (1 << nb) - 1), label="vec")
+        failed = parity._FailedDrops([tuple(range(nb)), tuple(perm)], nb)
+        failed.add(vec)
+        image = sum(
+            1 << (nb - 1 - perm[j]) for j in range(nb) if vec >> (nb - 1 - j) & 1
+        )
+        assert failed.known == {vec, image}
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.data())
+    def test_pauli_image_kite_sub_tables(self, kite_table, kite_images, data):
+        # a drop set closed under one Pauli image g and moved by another,
+        # h: the group is abelian, so the sub-table keeps g
+        nb = len(kite_table.bases)
+        g = data.draw(st.sampled_from(kite_images), label="g")
+        h = data.draw(st.sampled_from(kite_images), label="h")
+        seeds = data.draw(
+            st.sets(st.integers(0, nb - 1), min_size=4, max_size=8),
+            label="seeds",
+        )
+        drop = {h[j] for j in seeds | {g[j] for j in seeds}}
+        kept = data.draw(
+            st.permutations(sorted(set(range(nb)) - drop)), label="order"
+        )
+        sub = BasisTable(
+            kite_table.pool, tuple(kite_table.bases[j] for j in kept)
+        )
+        assume(len(gf2.nullspace(sub.incidence_rows(), len(kept))) <= 12)
+        group = parity._pauli_automorphisms(sub)
+        assert group[0] == tuple(range(len(kept)))
+        assert set(group) == census_oracles.pauli_basis_images(sub)
+        if any(g[j] != j for j in kept):
+            assert len(group) > 1
+        made = []
+
+        class Recorded(parity._FailedDrops):
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.append(self)
+
+        with mock.patch.object(parity, "_FailedDrops", Recorded):
+            census = enumerate_parity_proofs(sub)
+        # every shared drop set, a failed search or an image of one, is
+        # unsatisfiable (checked on a sample of at most 40)
+        known = sorted(made[0].known)
+        for rest in known[::max(1, len(known) // 40)]:
+            assert not assignment_satisfiable(
+                parity._basis_ids(rest, len(kept)), sub
+            )
+        _assert_census_matches_oracle(sub, census)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.data())
+    def test_search_completion_sub_tables(self, search_tables, data):
+        table = data.draw(st.sampled_from(search_tables), label="table")
+        keep = list(range(len(table.bases)))
+        for _ in range(data.draw(st.integers(0, 5), label="drops")):
+            keep.remove(data.draw(st.sampled_from(keep), label="dropped"))
+        order = data.draw(st.permutations(keep), label="order")
+        sub = BasisTable(table.pool, tuple(table.bases[j] for j in order))
+        assert set(parity._pauli_automorphisms(sub)) == (
+            census_oracles.pauli_basis_images(sub)
+        )
+        _assert_census_matches_oracle(sub)
+
+
 class TestSymbols:
     @given(st.data())
     @settings(max_examples=200, deadline=None)
@@ -595,6 +772,18 @@ class TestSymbols:
         assert verify_proof(ids, table) == (
             len(ids) % 2 == 1 and all(m % 2 == 0 for m in mult.values())
         )
+
+    def test_multiplicity_at_the_code_width(self, square_tables, kite_table):
+        # a basis listed m times gives its projectors multiplicity m, the
+        # largest a list of m ids can reach
+        single = BasisTable(kite_table.pool, kite_table.bases[:1])
+        for table in (kite_table, *square_tables, single):
+            nb = len(table.bases)
+            for ids in ([], [0], [nb - 1] * 2, [0] * nb, [nb - 1] * (nb + 5),
+                        list(range(nb)), [0, nb - 1] * nb):
+                assert proof_symbol(ids, table) == (
+                    census_oracles.proof_symbol(ids, table)
+                )
 
     def test_square_smallest_symbol(self, square_table, square_census):
         utf8, ascii_form = proof_symbol(

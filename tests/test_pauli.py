@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -158,3 +160,38 @@ class TestRestriction:
 def test_all_words_count():
     assert sum(1 for _ in all_words(2)) == 15
     assert all(w.is_hermitian and w.sign == 1 for w in all_words(3))
+
+
+class TestOracleSuitePairs:
+    def test_stacked_verdicts_match_allclose(self, monkeypatch):
+        # the stacked comparison behind reproduction check 12 counts what
+        # a loop of np.allclose counts, here with the product's sign wrong
+        # on every other pair and a commutation test that always says yes
+        from ksparity import reproduce
+
+        rng = random.Random(5)
+        pairs = []
+        for _ in range(300):
+            n = rng.choice((1, 2, 3, 4))
+            pairs.append((random_word(rng, n), random_word(rng, n)))
+        assert reproduce._dense_pair_mismatches(pairs) == 0
+        negated = {(id(a), id(b)) for a, b in pairs[::2]}
+
+        def bad_multiply(a, b):
+            prod = multiply(a, b)
+            return prod.negate() if (id(a), id(b)) in negated else prod
+
+        expected = 0
+        for a, b in pairs:
+            dense = to_dense(a) @ to_dense(b)
+            expected += not np.allclose(
+                dense, to_dense(bad_multiply(a, b)), atol=1e-12
+            )
+            expected += not np.allclose(
+                dense, to_dense(b) @ to_dense(a), atol=1e-12
+            )
+        assert expected > 150
+        monkeypatch.setattr(reproduce, "multiply", bad_multiply)
+        monkeypatch.setattr(reproduce, "commutes", lambda a, b: True)
+        monkeypatch.setattr(reproduce, "_DENSE_PAIR_CHUNK", 7)
+        assert reproduce._dense_pair_mismatches(pairs) == expected
