@@ -1,8 +1,24 @@
 """Command-line front end.
 
 Every subcommand reads and writes canonical JSON so that re-running a
-recorded command reproduces byte-identical result files.  Exit codes:
-0 success, 1 verification failure, 2 usage error, 3 resource cap hit.
+recorded command reproduces byte-identical result files.  Each request
+takes one path: its system file is read and checked at load, the verb
+runs, and ``Run.emit`` writes the result and the manifest.  Exit codes:
+
+- 0: success.
+- 1: verification failure.  A system file that ``verify_system`` rejects
+  ends every verb that reads one with ``{"ok": false, "violations": [...]}``,
+  except ``verify``, which reports it as its result, and ``state``, which
+  rejects only members that do not commute.  An
+  ``InconsistentEigenvaluesError`` gives ``{"ok": false, "error": ...}``.
+- 2: usage error: an unreadable file, a malformed flag, a multi-context
+  table given to a single-context verb, and any other ``ValueError`` or
+  ``NotImplementedError`` from the library, with the verb's usage line.
+- 3: resource cap: ``DenseCapError``, ``SearchCapError`` and this
+  module's ``CapError`` give ``{"ok": false, "error": ...}``; a basis table
+  or completion search cut short by its cap gives its partial result.
+
+``_Verb.invoke`` is the one place that maps library errors to these codes.
 """
 
 from __future__ import annotations
@@ -12,7 +28,7 @@ import json
 import sys as _sys
 import time
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
 import click
 import numpy as np
@@ -85,6 +101,10 @@ SEARCH_BUDGET_CAP = 50_000_000
 _ASCII_LABELS = {"Φ": "Phi", "Ψ": "Psi"}
 
 
+class CapError(RuntimeError):
+    """A request above one of this module's caps; exits 3."""
+
+
 def _read_config(path: Optional[str]) -> Dict[str, int]:
     """TOML-style key = value lines for caps."""
     settings: Dict[str, int] = {}
@@ -126,13 +146,14 @@ def _write_text(path: str, text: str) -> None:
 
 
 class Run:
-    """Per-invocation settings plus manifest bookkeeping."""
+    """Per-invocation settings, the output path and manifest bookkeeping."""
 
     def __init__(self, settings: Dict[str, int], ascii_only: bool,
                  manifest_path: Optional[str]):
         self.settings = settings
         self.ascii_only = ascii_only
         self.manifest_path = manifest_path
+        self.output: Optional[str] = None
         self.inputs: List[str] = []
         self.started = time.perf_counter()
 
@@ -142,14 +163,15 @@ class Run:
     def note_input(self, path: str) -> None:
         self.inputs.append(path)
 
-    def emit(self, payload: dict, output: Optional[str], code: int = EXIT_OK):
-        text = json.dumps(
+    def emit(self, payload: Union[dict, str], code: int = EXIT_OK):
+        """Write a JSON payload (or ready text) and the manifest, then exit."""
+        text = payload if isinstance(payload, str) else json.dumps(
             payload, indent=2, sort_keys=True, ensure_ascii=self.ascii_only
         ) + "\n"
         results = []
-        if output:
-            _write_text(output, text)
-            results.append(output)
+        if self.output:
+            _write_text(self.output, text)
+            results.append(self.output)
         else:
             click.echo(text, nl=False)
         if self.manifest_path:
@@ -174,21 +196,56 @@ class Run:
         raise SystemExit(code)
 
 
-def _load_system(run: Run, path: str) -> ContextSystem:
+class _Verb(click.Command):
+    """A subcommand whose library errors end in the module's exit codes."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except UnderdeterminedEigenstateError as exc:
+            # `state` answers with the dimension of an eigenspace above 1
+            payload, code = {"eigenspace_dimension": exc.dimension,
+                             "eigenvalues": list(exc.eigenvalues)}, EXIT_OK
+        except InconsistentEigenvaluesError as exc:
+            payload, code = {"ok": False, "error": str(exc)}, EXIT_VERIFY
+        except (DenseCapError, SearchCapError, CapError) as exc:
+            payload, code = {"ok": False, "error": str(exc)}, EXIT_CAP
+        except (ValueError, NotImplementedError) as exc:
+            raise click.UsageError(str(exc), ctx) from exc
+        ctx.obj.emit(payload, code)
+
+
+class _Group(click.Group):
+    """A group whose subcommands, and those of its subgroups, are verbs."""
+
+    command_class = _Verb
+    group_class = type
+
+
+def _load_system(run: Run, path: str, single: bool = False,
+                 check: Union[bool, str] = True) -> ContextSystem:
+    """Read a system file and exit 1 if ``verify_system`` rejects it.
+
+    ``check="commutation"`` lets contexts whose product is not the
+    declared multiple of the identity through; ``check=False`` skips the
+    verification.
+    """
     run.note_input(path)
     try:
-        return ContextSystem.from_json(Path(path).read_text())
+        sys = ContextSystem.from_json(Path(path).read_text())
     except (OSError, ValueError, KeyError, TypeError, PauliParseError) as exc:
         raise click.UsageError(f"cannot read system file {path}: {exc}")
-
-
-def _load_single_context(run: Run, path: str) -> ContextSystem:
-    sys = _load_system(run, path)
-    if len(sys.contexts) != 1:
+    if single and len(sys.contexts) != 1:
         raise click.UsageError(
             f"{path} has {len(sys.contexts)} contexts; "
             "this command takes a single-context system"
         )
+    if check:
+        violations = verify_system(sys).violations
+        if check == "commutation":
+            violations = [v for v in violations if v.endswith("do not commute")]
+        if violations:
+            run.emit({"ok": False, "violations": violations}, EXIT_VERIFY)
     return sys
 
 
@@ -198,6 +255,14 @@ def _load_state(run: Run, path: str) -> DenseState:
         return DenseState.from_json(Path(path).read_text())
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise click.UsageError(f"cannot read state file {path}: {exc}")
+
+
+def _load_proof(run: Run, path: str) -> List[int]:
+    run.note_input(path)
+    try:
+        return [int(i) for i in json.loads(Path(path).read_text())["bases"]]
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise click.UsageError(f"cannot read proof file {path}: {exc}")
 
 
 def _parse_eigenvalues(text: str) -> List[int]:
@@ -230,13 +295,18 @@ def _parse_pairing(text: str) -> List[Tuple[int, int]]:
     return pairs
 
 
+def _set_output(ctx: click.Context, param, value: Optional[str]) -> None:
+    ctx.obj.output = value
+
+
 output_option = click.option(
-    "-o", "--output", type=click.Path(), default=None,
-    help="write the JSON payload to this file instead of stdout",
+    "-o", "--output", type=click.Path(), default=None, expose_value=False,
+    callback=_set_output,
+    help="write the result to this file instead of stdout",
 )
 
 
-@click.group()
+@click.group(cls=_Group)
 @click.version_option(__version__)
 @click.option("--config", type=click.Path(exists=True, dir_okay=False),
               default=None,
@@ -261,7 +331,7 @@ def gen():
               help=f"half the qubit count, at most {STAR_N_CAP}")
 @output_option
 @click.pass_obj
-def gen_star(run: Run, N: int, output):
+def gen_star(run: Run, N: int):
     """The 2N-qubit single-context GHZ table.
 
     An N above the cap exits 3 before building anything: stdout stays
@@ -270,40 +340,34 @@ def gen_star(run: Run, N: int, output):
     if N > STAR_N_CAP:
         click.echo(f"--N {N} exceeds the cap of {STAR_N_CAP}", err=True)
         raise SystemExit(EXIT_CAP)
-    try:
-        sys = build_star_table(N)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
-    run.emit(sys.to_json_dict(), output)
+    run.emit(build_star_table(N).to_json_dict())
 
 
 @gen.command("fixture")
 @click.argument("name")
 @output_option
 @click.pass_obj
-def gen_fixture(run: Run, name: str, output):
+def gen_fixture(run: Run, name: str):
     """One of the named built-in systems (use 'list' to enumerate)."""
     fixtures = builtin_fixtures()
     if name == "list":
-        run.emit({"fixtures": sorted(fixtures)}, output)
+        run.emit({"fixtures": sorted(fixtures)})
     if name not in fixtures:
         raise click.UsageError(
             f"unknown fixture {name!r}; available: {', '.join(sorted(fixtures))}"
         )
-    run.emit(fixtures[name].to_json_dict(), output)
+    run.emit(fixtures[name].to_json_dict())
 
 
 @main.command()
 @click.argument("system_file", type=click.Path(exists=True))
 @output_option
 @click.pass_obj
-def verify(run: Run, system_file, output):
+def verify(run: Run, system_file):
     """Check commutativity and product signs of every context."""
-    sys = _load_system(run, system_file)
-    report = verify_system(sys)
+    report = verify_system(_load_system(run, system_file, check=False))
     run.emit(
         {"ok": report.ok, "violations": report.violations},
-        output,
         EXIT_OK if report.ok else EXIT_VERIFY,
     )
 
@@ -314,31 +378,19 @@ def verify(run: Run, system_file, output):
               help="comma list of +/-, one per observable; default +...+ then the product sign")
 @output_option
 @click.pass_obj
-def ghz_check(run: Run, system_file, eigenvalues, output):
+def ghz_check(run: Run, system_file, eigenvalues):
     """Value-assignment infeasibility at single-qubit granularity."""
-    sys = _load_single_context(run, system_file)
-    report = verify_system(sys)
-    if not report.ok:
-        run.emit({"ok": False, "violations": report.violations}, output, EXIT_VERIFY)
+    sys = _load_system(run, system_file, single=True)
     ev = (_parse_eigenvalues(eigenvalues) if eigenvalues
           else default_eigenvalues(sys))
-    try:
-        infeasible = ghz_infeasible(sys, ev)
-    except InconsistentEigenvaluesError as exc:
-        run.emit({"ok": False, "error": str(exc)}, output, EXIT_VERIFY)
-        return
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    infeasible = ghz_infeasible(sys, ev)
     satisfying, total = count_ghz_assignments(sys, ev)
-    run.emit(
-        {
-            "eigenvalues": ev,
-            "infeasible": infeasible,
-            "satisfying_assignments": satisfying,
-            "total_assignments": total,
-        },
-        output,
-    )
+    run.emit({
+        "eigenvalues": ev,
+        "infeasible": infeasible,
+        "satisfying_assignments": satisfying,
+        "total_assignments": total,
+    })
 
 
 @main.command(help=(
@@ -349,18 +401,11 @@ def ghz_check(run: Run, system_file, eigenvalues, output):
 @click.argument("system_file", type=click.Path(exists=True))
 @output_option
 @click.pass_obj
-def multipartite(run: Run, system_file, output):
-    sys = _load_single_context(run, system_file)
+def multipartite(run: Run, system_file):
+    sys = _load_system(run, system_file, single=True)
     if sys.n > MULTIPARTITE_QUBIT_CAP:
-        run.emit(
-            {
-                "ok": False,
-                "error": f"multipartite supports at most "
-                f"{MULTIPARTITE_QUBIT_CAP} qubits; the table has {sys.n}",
-            },
-            output,
-            EXIT_CAP,
-        )
+        raise CapError(f"multipartite supports at most "
+                       f"{MULTIPARTITE_QUBIT_CAP} qubits; the table has {sys.n}")
     witness = find_proper_subproof(sys)
     payload: dict = {"genuinely_multipartite": witness is None}
     if witness is not None:
@@ -369,7 +414,7 @@ def multipartite(run: Run, system_file, output):
             "columns": [c + 1 for c in cols],
             "rows": list(rows),
         }
-    run.emit(payload, output)
+    run.emit(payload)
 
 
 @main.command("search-complete", help=(
@@ -384,32 +429,22 @@ def multipartite(run: Run, system_file, output):
               help=f"search node budget, at most {SEARCH_BUDGET_CAP}")
 @output_option
 @click.pass_obj
-def search_complete(run: Run, system_file, shape, budget, output):
+def search_complete(run: Run, system_file, shape, budget):
     sys = _load_system(run, system_file)
     try:
         sizes = [int(s) for s in shape.split(",")]
     except ValueError:
         raise click.UsageError(f"bad shape {shape!r}")
     if budget > SEARCH_BUDGET_CAP:
-        run.emit(
-            {"ok": False,
-             "error": f"search budget {budget} exceeds the cap of "
-                      f"{SEARCH_BUDGET_CAP} nodes"},
-            output,
-            EXIT_CAP,
-        )
-    try:
-        result = search_completions(sys, sizes, budget=budget)
-    except NotImplementedError as exc:
-        raise click.UsageError(str(exc))
-    except SearchCapError as exc:
-        run.emit({"ok": False, "error": str(exc)}, output, EXIT_CAP)
+        raise CapError(f"search budget {budget} exceeds the cap of "
+                       f"{SEARCH_BUDGET_CAP} nodes")
+    result = search_completions(sys, sizes, budget=budget)
     payload = {
         "complete": result.complete,
         "nodes": result.nodes,
         "systems": [s.to_json_dict() for s in result.systems],
     }
-    run.emit(payload, output, EXIT_OK if result.complete else EXIT_CAP)
+    run.emit(payload, EXIT_OK if result.complete else EXIT_CAP)
 
 
 @main.command()
@@ -418,29 +453,13 @@ def search_complete(run: Run, system_file, shape, budget, output):
               help="comma list of +/-, one per observable")
 @output_option
 @click.pass_obj
-def state(run: Run, system_file, eigenvalues, output):
+def state(run: Run, system_file, eigenvalues):
     """Joint eigenstate of a single-context system as a dense vector."""
-    sys = _load_single_context(run, system_file)
+    sys = _load_system(run, system_file, single=True, check="commutation")
     ev = (_parse_eigenvalues(eigenvalues) if eigenvalues
           else default_eigenvalues(sys))
-    dense_cap = run.cap("dense_cap", DENSE_STATE_CAP)
-    try:
-        psi = joint_eigenstate(sys, ev, dense_cap=dense_cap)
-    except UnderdeterminedEigenstateError as exc:
-        run.emit(
-            {"eigenspace_dimension": exc.dimension, "eigenvalues": ev},
-            output,
-        )
-        return
-    except InconsistentEigenvaluesError as exc:
-        run.emit({"ok": False, "error": str(exc)}, output, EXIT_VERIFY)
-        return
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
-    except DenseCapError as exc:
-        run.emit({"ok": False, "error": str(exc)}, output, EXIT_CAP)
-        return
-    run.emit(json.loads(psi.to_json()) | {"eigenvalues": ev}, output)
+    psi = joint_eigenstate(sys, ev, dense_cap=run.cap("dense_cap", DENSE_STATE_CAP))
+    run.emit(json.loads(psi.to_json()) | {"eigenvalues": ev})
 
 
 @main.command(help=(
@@ -454,34 +473,20 @@ def state(run: Run, system_file, eigenvalues, output):
               help="semicolon list of qubit pairs, e.g. '1,2;3,4'")
 @output_option
 @click.pass_obj
-def bell(run: Run, state_file, pairing, output):
+def bell(run: Run, state_file, pairing):
     psi = _load_state(run, state_file)
     pairs = _parse_pairing(pairing)
     dense_cap = run.cap("dense_cap", DENSE_STATE_CAP)
     if psi.n > dense_cap:
-        run.emit(
-            {
-                "ok": False,
-                "error": f"n={psi.n} exceeds dense state cap {dense_cap}",
-            },
-            output,
-            EXIT_CAP,
-        )
-    try:
-        decomp = bell_decompose(psi, pairs)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+        raise CapError(f"n={psi.n} exceeds dense state cap {dense_cap}")
     terms = {}
-    for labels, coeff in sorted(decomp.nonzero().items()):
+    for labels, coeff in sorted(bell_decompose(psi, pairs).nonzero().items()):
         key = "".join(labels)
         if run.ascii_only:
             for uni, asc in _ASCII_LABELS.items():
                 key = key.replace(uni, asc)
         terms[key] = [float(coeff.real), float(coeff.imag)]
-    run.emit(
-        {"pairing": [list(p) for p in pairs], "terms": terms},
-        output,
-    )
+    run.emit({"pairing": [list(p) for p in pairs], "terms": terms})
 
 
 @main.command()
@@ -490,45 +495,35 @@ def bell(run: Run, state_file, pairing, output):
 @click.option("--outcome", required=True, help="bit string, one per qubit")
 @output_option
 @click.pass_obj
-def measure(run: Run, state_file, qubits, outcome, output):
+def measure(run: Run, state_file, qubits, outcome):
     """Computational-basis measurement of selected qubits."""
     psi = _load_state(run, state_file)
-    try:
-        qs = [int(q) for q in qubits.split(",") if q.strip()]
-        prob, residual = measure_computational(psi, qs, outcome)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    qs = [int(q) for q in qubits.split(",") if q.strip()]
+    prob, residual = measure_computational(psi, qs, outcome)
     payload: dict = {"probability": prob, "residual": None}
     if residual is not None:
         payload["residual"] = json.loads(residual.to_json())
-    run.emit(payload, output)
+    run.emit(payload)
 
 
 @main.command()
 @click.argument("system_file", type=click.Path(exists=True))
 @output_option
 @click.pass_obj
-def projectors(run: Run, system_file, output):
+def projectors(run: Run, system_file):
     """Deduplicated eigenspace projectors of every context."""
-    sys = _load_system(run, system_file)
-    report = verify_system(sys)
-    if not report.ok:
-        run.emit({"ok": False, "violations": report.violations}, output, EXIT_VERIFY)
-    pool = projectors_of(sys)
-    run.emit(
-        {
-            "count": len(pool),
-            "projectors": [
-                {
-                    "generators": [str(g) for g in p.generators],
-                    "rank": p.rank,
-                }
-                for p in pool.projectors
-            ],
-            "context_families": [list(f) for f in pool.context_families],
-        },
-        output,
-    )
+    pool = projectors_of(_load_system(run, system_file))
+    run.emit({
+        "count": len(pool),
+        "projectors": [
+            {
+                "generators": [str(g) for g in p.generators],
+                "rank": p.rank,
+            }
+            for p in pool.projectors
+        ],
+        "context_families": [list(f) for f in pool.context_families],
+    })
 
 
 def _build_table(run: Run, sys: ContextSystem):
@@ -542,10 +537,9 @@ def _build_table(run: Run, sys: ContextSystem):
 @click.argument("system_file", type=click.Path(exists=True))
 @output_option
 @click.pass_obj
-def bases(run: Run, system_file, output):
+def bases(run: Run, system_file):
     """Exact-cover basis table over the projector pool."""
-    sys = _load_system(run, system_file)
-    pool, table = _build_table(run, sys)
+    pool, table = _build_table(run, _load_system(run, system_file))
     payload = {
         "projectors": len(pool),
         "bases": [
@@ -557,7 +551,7 @@ def bases(run: Run, system_file, output):
         "saturated": None if table.partial else is_saturated(table),
         "partial": table.partial,
     }
-    run.emit(payload, output, EXIT_CAP if table.partial else EXIT_OK)
+    run.emit(payload, EXIT_CAP if table.partial else EXIT_OK)
 
 
 @main.command("parity-census")
@@ -569,12 +563,11 @@ def bases(run: Run, system_file, output):
               help="write one JSON proof record per line to this file")
 @output_option
 @click.pass_obj
-def parity_census(run: Run, system_file, brute_force_check, catalog, output):
+def parity_census(run: Run, system_file, brute_force_check, catalog):
     """Census of critical parity proofs with symbol classification."""
-    sys = _load_system(run, system_file)
-    pool, table = _build_table(run, sys)
+    pool, table = _build_table(run, _load_system(run, system_file))
     if table.partial:
-        run.emit({"ok": False, "error": "basis table hit the cap"}, output, EXIT_CAP)
+        raise CapError("basis table hit the cap")
     census = enumerate_parity_proofs(
         table, kernel_cap=run.cap("kernel_cap", KERNEL_CAP_DEFAULT)
     )
@@ -585,7 +578,6 @@ def parity_census(run: Run, system_file, brute_force_check, catalog, output):
                 "error": "kernel dimension above the enumeration cap",
                 "kernel_dimension": census.kernel_dimension,
             },
-            output,
             EXIT_CAP,
         )
     if catalog:
@@ -614,7 +606,7 @@ def parity_census(run: Run, system_file, brute_force_check, catalog, output):
         summary["types"].sort(key=lambda t: t["symbol"])
     if brute_force_check:
         summary["brute_force_agrees"], _ = compare_with_brute_force(table)
-    run.emit(summary, output)
+    run.emit(summary)
 
 
 @main.command()
@@ -624,15 +616,10 @@ def parity_census(run: Run, system_file, brute_force_check, catalog, output):
               help="system file whose basis table the proof indexes")
 @output_option
 @click.pass_obj
-def symbol(run: Run, proof_file, system_file, output):
+def symbol(run: Run, proof_file, system_file):
     """Rank/multiplicity symbol of a proof given as {"bases": [ids]}."""
-    run.note_input(proof_file)
     sys = _load_system(run, system_file)
-    try:
-        doc = json.loads(Path(proof_file).read_text())
-        ids = [int(i) for i in doc["bases"]]
-    except (OSError, ValueError, KeyError, TypeError) as exc:
-        raise click.UsageError(f"cannot read proof file {proof_file}: {exc}")
+    ids = _load_proof(run, proof_file)
     pool, table = _build_table(run, sys)
     if any(not 0 <= i < len(table.bases) for i in ids):
         raise click.UsageError("proof references a basis id outside the table")
@@ -647,7 +634,6 @@ def symbol(run: Run, proof_file, system_file, output):
             "valid": valid,
             "critical": critical,
         },
-        output,
         EXIT_OK if valid else EXIT_VERIFY,
     )
 
@@ -655,20 +641,11 @@ def symbol(run: Run, proof_file, system_file, output):
 @main.command("export-graph")
 @click.argument("system_file", type=click.Path(exists=True))
 @click.option("--name", default="ks_system", help="graph name in the DOT output")
-@click.option("-o", "--output", type=click.Path(), default=None)
+@output_option
 @click.pass_obj
-def export_graph(run: Run, system_file, name, output):
+def export_graph(run: Run, system_file, name):
     """DOT graph: observables as nodes, contexts as cliques (bold = -identity)."""
-    sys = _load_system(run, system_file)
-    try:
-        text = export_dot(sys, name=name)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
-    if output:
-        _write_text(output, text)
-    else:
-        click.echo(text, nl=False)
-    raise SystemExit(EXIT_OK)
+    run.emit(export_dot(_load_system(run, system_file), name=name))
 
 
 @main.command("reproduce-paper")
@@ -676,7 +653,7 @@ def export_graph(run: Run, system_file, name, output):
               help="skip checks needing more qubits than this")
 @output_option
 @click.pass_obj
-def reproduce_paper(run: Run, max_qubits, output):
+def reproduce_paper(run: Run, max_qubits):
     """Run every reproduction check and print a pass/fail table."""
     results = run_all(
         max_qubits=max_qubits,
@@ -703,7 +680,7 @@ def reproduce_paper(run: Run, max_qubits, output):
         ],
         "failures": failures,
     }
-    run.emit(payload, output, EXIT_OK if not failures else EXIT_VERIFY)
+    run.emit(payload, EXIT_OK if not failures else EXIT_VERIFY)
 
 
 if __name__ == "__main__":

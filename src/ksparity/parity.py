@@ -92,11 +92,22 @@ def enumerate_bases(
 
     Exact-cover backtracking over the orthogonality graph in canonical
     projector order; exceeding ``cap`` bases flags the table as partial.
+    A branch stops as soon as the rank it could still add falls short of
+    2^n.
     """
     projs = pool.projectors
     count = len(projs)
     target = 1 << pool.n
     order = sorted(range(count), key=lambda i: projs[i].key)
+    # tails[pos][k]: the projectors of the k-th rank class at order
+    # positions pos.. as a bit mask, so that a branch can count the rank
+    # it may still reach with one popcount per class
+    ranks = sorted({p.rank for p in projs})
+    tails = [[0] * len(ranks) for _ in range(count + 1)]
+    for pos in range(count - 1, -1, -1):
+        i = order[pos]
+        tails[pos] = list(tails[pos + 1])
+        tails[pos][ranks.index(projs[i].rank)] |= 1 << i
     compat = [0] * count
     for a in range(count):
         for b in range(a + 1, count):
@@ -118,11 +129,19 @@ def enumerate_bases(
                 return
             found.append(tuple(sorted(chosen)))
             return
+        # rank_sum plus the rank of every allowed projector from pos on
+        reach = rank_sum + sum(
+            r * (allowed & tail).bit_count()
+            for r, tail in zip(ranks, tails[start])
+        )
         for pos in range(start, count):
             i = order[pos]
             if not (allowed >> i) & 1:
                 continue
+            if reach < target:
+                break
             r = projs[i].rank
+            reach -= r
             if rank_sum + r > target:
                 continue
             chosen.append(i)

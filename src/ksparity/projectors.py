@@ -14,6 +14,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
+from . import gf2
 from .pauli import PauliWord, multiply, to_dense
 from .systems import ContextSystem
 
@@ -87,29 +88,17 @@ def projector_from_signed_words(
             prod = multiply(elem, w)
             signs[(prod.x, prod.z)] = prod.sign
         gens.append(w)
-    canonical = _canonical_generators(n, gens)
+    # canonical generators: the reduced row echelon form of the symplectic
+    # rows, each row a group element with the sign the group gives it
+    rows, _ = gf2.rref([(w.x << n) | w.z for w in gens], 2 * n)
+    mask = (1 << n) - 1
+    canonical = []
+    for row in rows:
+        x, z = row >> n, row & mask
+        sigma = 0 if signs[(x, z)] == 1 else 2
+        canonical.append(PauliWord(n, x, z).with_sigma(sigma))
     elements = tuple(sorted(signs.items()))
     return StabilizerProjector(n, tuple(canonical), elements)
-
-
-def _canonical_generators(n: int, gens: Sequence[PauliWord]) -> List[PauliWord]:
-    """Signed row reduction of the symplectic generator matrix."""
-    rows = list(gens)
-    out: List[PauliWord] = []
-    for col in range(2 * n):
-        bit = 1 << (2 * n - 1 - col)
-
-        def has(w: PauliWord) -> bool:
-            return bool(((w.x << n) | w.z) & bit)
-
-        piv = next((i for i, w in enumerate(rows) if has(w)), None)
-        if piv is None:
-            continue
-        pivot = rows.pop(piv)
-        out = [multiply(w, pivot) if has(w) else w for w in out]
-        rows = [multiply(w, pivot) if has(w) else w for w in rows]
-        out.append(pivot)
-    return out
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import gf2
-from .pauli import DenseCapError, PauliWord
+from .pauli import DenseCapError, PauliWord, commutes
 from .systems import (
     ContextSystem,
     InconsistentEigenvaluesError,
@@ -41,10 +41,14 @@ BELL_VECTORS = {
 
 
 class UnderdeterminedEigenstateError(ValueError):
-    """The signed generators do not pin down a one-dimensional eigenspace."""
+    """The signed generators do not pin down a one-dimensional eigenspace.
 
-    def __init__(self, dimension: int):
+    Carries the eigenspace dimension and the eigenvalues of the request.
+    """
+
+    def __init__(self, dimension: int, eigenvalues: Sequence[int] = ()):
         self.dimension = dimension
+        self.eigenvalues = tuple(eigenvalues)
         super().__init__(
             f"eigenspace has dimension {dimension}, not a unique state"
         )
@@ -135,10 +139,16 @@ def joint_eigenstate(
 
     Computed by applying the projectors (I + s_i O_i)/2 to a sequence of
     basis vectors until a nonzero image survives; the result is verified
-    against every eigen-equation to 1e-10.  Eigenvalues that break a
-    dependency among the members raise ``InconsistentEigenvaluesError``.
+    against every eigen-equation to 1e-10.  Members that do not commute
+    raise ``ValueError`` naming the first such pair; eigenvalues that
+    break a dependency among the members raise
+    ``InconsistentEigenvaluesError``.
     """
     ctx = _single_context(sys)
+    words = [sys.observables[m] for m in ctx.members]
+    for a, b in itertools.combinations(words, 2):
+        if not commutes(a, b):
+            raise ValueError(f"members {a} and {b} do not commute")
     if sys.n > dense_cap:
         raise DenseCapError(f"n={sys.n} exceeds dense state cap {dense_cap}")
     if len(eigenvalues) != len(ctx.members):
@@ -154,9 +164,8 @@ def joint_eigenstate(
     check_eigenvalue_dependencies(sys, eigenvalues)
     dim = eigenspace_dimension(sys)
     if dim != 1:
-        raise UnderdeterminedEigenstateError(dim)
+        raise UnderdeterminedEigenstateError(dim, eigenvalues)
 
-    words = [sys.observables[m] for m in ctx.members]
     size = 1 << sys.n
     for start in range(size):
         vec = np.zeros(size, dtype=complex)

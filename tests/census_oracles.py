@@ -3,8 +3,9 @@
 Each function is the per-vector, dict-based version that the library
 replaced with shared assignment covers, batched filters over blocks of
 the kernel span, failed drops shared across Pauli images and symbols
-tallied per block, or the plain loop it replaced with numpy; the tests
-require the library to agree with it.
+tallied per block, the plain loop it replaced with numpy, or the exact
+cover search without its reachable-rank bound; the tests require the
+library to agree with it.
 """
 
 from typing import Dict, List, Sequence, Set, Tuple
@@ -18,6 +19,7 @@ from ksparity.parity import (
     assignment_satisfiable,
     render_symbol,
 )
+from ksparity.projectors import ProjectorPool, orthogonal
 
 
 def proof_multiplicities(
@@ -183,3 +185,25 @@ def brute_force_parity_proofs(table: BasisTable) -> List[Tuple[int, ...]]:
         if vec == 0 and gray.bit_count() % 2 == 1:
             found.append(tuple(j for j in range(nb) if gray >> j & 1))
     return found
+
+
+def exact_covers(pool: ProjectorPool) -> List[Tuple[int, ...]]:
+    """Every set of mutually orthogonal projectors with rank sum 2^n,
+    sorted, from a search that tries each projector in id order and never
+    prunes a branch that fits."""
+    projs = pool.projectors
+    target = 1 << pool.n
+    found: List[Tuple[int, ...]] = []
+
+    def grow(chosen: List[int], total: int, start: int) -> None:
+        if total == target:
+            found.append(tuple(chosen))
+            return
+        for i in range(start, len(projs)):
+            if total + projs[i].rank <= target and all(
+                orthogonal(projs[i], projs[j]) for j in chosen
+            ):
+                grow(chosen + [i], total + projs[i].rank, i + 1)
+
+    grow([], 0, 0)
+    return sorted(found)

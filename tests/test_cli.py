@@ -19,6 +19,16 @@ def write_star(tmp_path, N=2):
     return str(path)
 
 
+# one-context tables that verify_system rejects: members that do not
+# commute, and a declared product sign that is wrong (XX.YY.ZZ = -II)
+INVALID_SYSTEMS = {
+    "noncommuting": {"n": 2, "observables": ["XI", "ZI"],
+                     "contexts": [{"members": [0, 1], "sign": 1}]},
+    "wrong-sign": {"n": 2, "observables": ["XX", "YY", "ZZ"],
+                   "contexts": [{"members": [0, 1, 2], "sign": 1}]},
+}
+
+
 def write_fixture(tmp_path, name):
     path = tmp_path / f"{name}.json"
     path.write_text(builtin_fixtures()[name].to_json())
@@ -77,6 +87,46 @@ class TestVerify:
         path.write_text("{not json")
         result = runner.invoke(main, ["verify", str(path)])
         assert result.exit_code == 2
+
+
+class TestLoadTimeVerification:
+    @pytest.mark.parametrize("system", sorted(INVALID_SYSTEMS))
+    @pytest.mark.parametrize("argv", [
+        ["ghz-check", "{system}"],
+        ["multipartite", "{system}"],
+        ["search-complete", "{system}", "--shape", "3,3"],
+        ["projectors", "{system}"],
+        ["bases", "{system}"],
+        ["parity-census", "{system}"],
+        ["symbol", "{proof}", "--system", "{system}"],
+        ["export-graph", "{system}"],
+    ])
+    def test_invalid_system_exits_one(self, runner, tmp_path, system, argv):
+        path = tmp_path / "system.json"
+        path.write_text(json.dumps(INVALID_SYSTEMS[system]))
+        proof = tmp_path / "proof.json"
+        proof.write_text(json.dumps({"bases": [0]}))
+        argv = [a.replace("{system}", str(path)).replace("{proof}", str(proof))
+                for a in argv]
+        result = runner.invoke(main, argv)
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit)
+        doc = json.loads(result.stdout)
+        assert doc["ok"] is False and doc["violations"]
+
+    def test_state_rejects_members_that_do_not_commute(self, runner, tmp_path):
+        path = tmp_path / "system.json"
+        path.write_text(json.dumps(INVALID_SYSTEMS["noncommuting"]))
+        result = runner.invoke(main, ["state", str(path)])
+        assert result.exit_code == 1
+        assert json.loads(result.stdout) == {
+            "ok": False,
+            "violations": ["context 0: members XI and ZI do not commute"],
+        }
+        path.write_text(json.dumps(INVALID_SYSTEMS["wrong-sign"]))
+        result = runner.invoke(main, ["state", str(path)])
+        assert result.exit_code == 1
+        assert "no joint eigenstate" in json.loads(result.stdout)["error"]
 
 
 class TestGhzCheck:
@@ -374,6 +424,20 @@ class TestReproduceAndManifest:
         assert doc["results"] == [out]
         assert "ksparity" in doc["versions"]
 
+    def test_export_graph_writes_manifest(self, runner, tmp_path):
+        star = write_star(tmp_path)
+        out = str(tmp_path / "star.dot")
+        manifest = str(tmp_path / "manifest.json")
+        result = runner.invoke(
+            main, ["--manifest", manifest, "export-graph", star, "-o", out]
+        )
+        assert result.exit_code == 0
+        assert result.stdout == ""
+        assert open(out).read().startswith("graph ks_system {")
+        doc = json.loads(open(manifest).read())
+        assert star in doc["inputs"]
+        assert doc["results"] == [out]
+
     def test_rerun_is_byte_identical(self, runner, tmp_path):
         star = write_star(tmp_path)
         out1, out2 = str(tmp_path / "a.json"), str(tmp_path / "b.json")
@@ -531,7 +595,8 @@ _REQUIRED = {None, "--N", "--shape", "--pairing", "--qubits", "--outcome",
 
 @pytest.fixture(scope="module")
 def fuzz_files(tmp_path_factory):
-    """Paths by kind: good inputs of each kind, then broken or missing ones."""
+    """Paths by kind: readable inputs of each kind (two of the systems
+    fail verify_system), then broken or missing ones."""
     root = tmp_path_factory.mktemp("fuzz")
     good = {
         "star.json": build_star_table(2).to_json(),
@@ -551,6 +616,8 @@ def fuzz_files(tmp_path_factory):
         "bad.cfg": "dense_cap = x\n",
         "unknown.cfg": "workers = 2\n",
     }
+    good.update({f"{name}.json": json.dumps(doc)
+                 for name, doc in INVALID_SYSTEMS.items()})
     for name, text in {**good, **broken}.items():
         (root / name).write_text(text)
     (root / "binary.cfg").write_bytes(b"\xff\xfe\x00")
@@ -563,7 +630,8 @@ def fuzz_files(tmp_path_factory):
     bad += [str(root / n) for n in ("binary.cfg", "missing.json", "sub")]
     return {
         "root": str(root),
-        "system": [str(root / "star.json"), str(root / "kite.json")],
+        "system": [str(root / name) for name in (
+            "star.json", "kite.json", "noncommuting.json", "wrong-sign.json")],
         "state": [str(root / "state.json"), str(root / "bell.json")],
         "proof": [str(root / "proof.json")],
         "config": [str(root / "good.cfg")],

@@ -11,7 +11,12 @@ from hypothesis import strategies as st
 import census_oracles
 from ksparity import gf2, parity
 from ksparity.search import _assemble, search_completions, three_member_contexts
-from ksparity.systems import ContextSystem, system_from_rows
+from ksparity.systems import (
+    ContextSystem,
+    build_star_table,
+    builtin_fixtures,
+    system_from_rows,
+)
 from ksparity.projectors import ProjectorPool, projectors_of
 from ksparity.parity import (
     Basis,
@@ -134,6 +139,47 @@ class TestBasisTable:
             for pid in range(len(square_table.pool)):
                 bit = bool(rows[pid] & (1 << (nb - 1 - j)))
                 assert bit == (pid in basis.projector_ids)
+
+    @pytest.mark.parametrize("name", ["table2-right", "star3"])
+    def test_single_context_has_one_pure_basis(self, name):
+        # 32 projectors of rank 8 and 64 of rank 1: the search once tried
+        # every set of mutually orthogonal projectors and never returned
+        system = (build_star_table(3) if name == "star3"
+                  else builtin_fixtures()[name])
+        pool = projectors_of(system)
+        table = enumerate_bases(pool)
+        assert [b.kind for b in table.bases] == ["pure"]
+        assert table.bases[0].projector_ids == tuple(range(len(pool)))
+        assert not table.partial
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_bases_of_sub_pools_match_oracle(self, square_tables, kite_table,
+                                             data):
+        tables = square_tables + [kite_table]
+        pool = data.draw(st.sampled_from(tables), label="table").pool
+        keep = sorted(data.draw(
+            st.sets(st.integers(0, len(pool) - 1), min_size=1),
+            label="keep",
+        ))
+        new_id = {old: new for new, old in enumerate(keep)}
+        sub = ProjectorPool(
+            pool.n,
+            tuple(pool.projectors[i] for i in keep),
+            tuple(
+                tuple(new_id[i] for i in fam if i in new_id)
+                for fam in pool.context_families
+            ),
+        )
+        table = enumerate_bases(sub)
+        assert [b.projector_ids for b in table.bases] == (
+            census_oracles.exact_covers(sub)
+        )
+        cap = data.draw(st.integers(0, 6), label="cap")
+        capped = enumerate_bases(sub, cap=cap)
+        assert set(capped.bases) <= set(table.bases)
+        assert len(capped.bases) == min(cap, len(table.bases))
+        assert capped.partial == (len(table.bases) > cap)
 
     def test_cap_marks_partial(self, square_table):
         table = enumerate_bases(square_table.pool, cap=3)

@@ -104,6 +104,14 @@ class TestJointEigenstate:
         with pytest.raises(UnderdeterminedEigenstateError) as err:
             joint_eigenstate(sys, [1])
         assert err.value.dimension == 2
+        assert err.value.eigenvalues == (1,)
+
+    @pytest.mark.parametrize("rows", [["XI", "ZI"], ["XI", "ZI", "IX", "IZ"]])
+    def test_members_that_do_not_commute(self, rows):
+        # once an eigen-equation assertion, and a negative shift count
+        # when the members outnumbered the qubits
+        with pytest.raises(ValueError, match="XI and ZI do not commute"):
+            joint_eigenstate(system_from_rows(rows, 1), [1] * len(rows))
 
     def test_inconsistent_signature(self):
         sys = build_star_table(2)
