@@ -17,6 +17,9 @@ runs, and ``Run.emit`` writes the result and the manifest.  Exit codes:
 - 3: resource cap: ``DenseCapError``, ``SearchCapError`` and this
   module's ``CapError`` give ``{"ok": false, "error": ...}``; a basis table
   or completion search cut short by its cap gives its partial result.
+  ``CapError`` comes from this module's caps, among them ``POOL_CAP``,
+  which ``projectors`` and the basis-table verbs check before they build
+  a projector pool.
 
 ``_Verb.invoke`` is the one place that maps library errors to these codes.
 """
@@ -33,7 +36,7 @@ from typing import Dict, List, Optional, Tuple, Union
 import click
 import numpy as np
 
-from . import __version__
+from . import __version__, gf2
 from .pauli import DenseCapError, PauliParseError
 from .systems import (
     ContextSystem,
@@ -97,6 +100,14 @@ STAR_N_CAP = 500
 # 0.8 million nodes a second on a 2-core Xeon host, so a run stays under
 # about a minute; the default budget is BUDGET_DEFAULT (5 million).
 SEARCH_BUDGET_CAP = 50_000_000
+
+# Most projectors `projectors` and the basis-table verbs accept, checked on
+# the bound sum(2^rank) over the contexts before the pool is built.
+# enumerate_bases recurses once per projector it adds to a basis, and a
+# basis holds at most the pool, so its recursion stays under Python's limit
+# of 1000 frames.  `gen star --N 4` (256 projectors) is under the cap;
+# `--N 5` (1024) ran `bases` for about two minutes before a RecursionError.
+POOL_CAP = 512
 
 _ASCII_LABELS = {"Φ": "Phi", "Ψ": "Psi"}
 
@@ -512,7 +523,7 @@ def measure(run: Run, state_file, qubits, outcome):
 @click.pass_obj
 def projectors(run: Run, system_file):
     """Deduplicated eigenspace projectors of every context."""
-    pool = projectors_of(_load_system(run, system_file))
+    pool = _pool_of(_load_system(run, system_file))
     run.emit({
         "count": len(pool),
         "projectors": [
@@ -526,8 +537,19 @@ def projectors(run: Run, system_file):
     })
 
 
+def _pool_of(sys: ContextSystem):
+    bound = sum(
+        1 << gf2.rank([(w.x << sys.n) | w.z for w in sys.context_words(ctx)])
+        for ctx in sys.contexts
+    )
+    if bound > POOL_CAP:
+        raise CapError(f"the projector pool may hold {bound} projectors, "
+                       f"above the cap of {POOL_CAP}")
+    return projectors_of(sys)
+
+
 def _build_table(run: Run, sys: ContextSystem):
-    pool = projectors_of(sys)
+    pool = _pool_of(sys)
     return pool, enumerate_bases(
         pool, cap=run.cap("basis_cap", BASIS_CAP_DEFAULT)
     )

@@ -19,7 +19,6 @@ in numpy at once.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
@@ -27,7 +26,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import gf2
-from .projectors import ProjectorPool, orthogonal
+from .projectors import ProjectorPool
 
 BASIS_CAP_DEFAULT = 100_000
 KERNEL_CAP_DEFAULT = 26
@@ -108,12 +107,7 @@ def enumerate_bases(
         i = order[pos]
         tails[pos] = list(tails[pos + 1])
         tails[pos][ranks.index(projs[i].rank)] |= 1 << i
-    compat = [0] * count
-    for a in range(count):
-        for b in range(a + 1, count):
-            if orthogonal(projs[a], projs[b]):
-                compat[a] |= 1 << b
-                compat[b] |= 1 << a
+    compat = pool.orthogonality
     pure_families = {frozenset(fam) for fam in pool.context_families}
 
     found: List[Tuple[int, ...]] = []
@@ -158,15 +152,14 @@ def enumerate_bases(
 
 def is_saturated(table: BasisTable) -> bool:
     """Every orthogonal projector pair co-occurs in at least one basis."""
-    together = set()
+    together = [0] * len(table.pool)
     for basis in table.bases:
-        for a, b in itertools.combinations(basis.projector_ids, 2):
-            together.add((a, b))
-    projs = table.pool.projectors
-    for a, b in itertools.combinations(range(len(projs)), 2):
-        if orthogonal(projs[a], projs[b]) and (a, b) not in together:
-            return False
-    return True
+        for p in basis.projector_ids:
+            together[p] |= basis.mask
+    return all(
+        not orth & ~both
+        for orth, both in zip(table.pool.orthogonality, together)
+    )
 
 
 # ---------------------------------------------------------------------------

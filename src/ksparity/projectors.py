@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from functools import cached_property
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -33,18 +34,15 @@ class StabilizerProjector:
     elements: Tuple[Tuple[Tuple[int, int], int], ...]
 
     @property
-    def num_generators(self) -> int:
-        return len(self.generators)
-
-    @property
     def rank(self) -> int:
-        return 1 << (self.n - self.num_generators)
+        return 1 << (self.n - len(self.generators))
 
     @property
     def key(self) -> Tuple[Tuple[Tuple[int, int], int], ...]:
         return self.elements
 
-    def element_signs(self) -> Dict[Tuple[int, int], int]:
+    @cached_property
+    def signs(self) -> Dict[Tuple[int, int], int]:
         return dict(self.elements)
 
     def to_dense(self) -> np.ndarray:
@@ -61,6 +59,47 @@ class StabilizerProjector:
         return f"<{gens}>"
 
 
+def _signed_group(
+    words: Sequence[PauliWord],
+) -> Dict[Tuple[int, int], Tuple[int, int]]:
+    """The group that commuting Hermitian words generate, built once: (x, z)
+    -> (sign with every word as given, bitset of the independent words
+    that multiply to it, the first at the top bit).  Negating a set of
+    independent words negates the elements with an odd number of factors
+    in it."""
+    n = words[0].n
+    group = {(0, 0): (1, 0)}
+    for w in words:
+        if (w.x, w.z) in group:
+            continue
+        for (x, z), (sign, factors) in list(group.items()):
+            group[(x, z)] = (sign, factors << 1)
+            prod = multiply(PauliWord(n, x, z).with_sigma(1 - sign), w)
+            group[(prod.x, prod.z)] = (prod.sign, factors << 1 | 1)
+    return group
+
+
+def _sign_patterns(
+    n: int,
+    group: Dict[Tuple[int, int], Tuple[int, int]],
+    negations: Iterable[int],
+) -> Iterator[StabilizerProjector]:
+    """The projector of each bitset of negated independent words, its
+    generators the group's reduced row echelon rows with their signs."""
+    items = [(key, *group[key]) for key in sorted(group)]
+    rows, _ = gf2.rref([(x << n) | z for (x, z), _, _ in items], 2 * n)
+    canonical = [(row >> n, row & ((1 << n) - 1)) for row in rows]
+    for negated in negations:
+        signs = {
+            key: -sign if (factors & negated).bit_count() & 1 else sign
+            for key, sign, factors in items
+        }
+        yield StabilizerProjector(n, tuple(
+            PauliWord(n, x, z).with_sigma(1 - signs[(x, z)])
+            for x, z in canonical
+        ), tuple(signs.items()))
+
+
 def projector_from_signed_words(
     words: Sequence[PauliWord],
 ) -> StabilizerProjector:
@@ -70,35 +109,14 @@ def projector_from_signed_words(
     """
     if not words:
         raise ValueError("at least one signed word is required")
-    n = words[0].n
-    signs: Dict[Tuple[int, int], int] = {(0, 0): 1}
-    gens: List[PauliWord] = []
     for w in words:
         if not w.is_hermitian:
             raise ValueError(f"generator {w} is not Hermitian")
-        key = (w.x, w.z)
-        if key in signs:
-            if signs[key] != w.sign:
-                raise ValueError(
-                    f"inconsistent sign for dependent generator {w}"
-                )
-            continue
-        for (x, z), s in list(signs.items()):
-            elem = PauliWord(n, x, z).with_sigma(0 if s == 1 else 2)
-            prod = multiply(elem, w)
-            signs[(prod.x, prod.z)] = prod.sign
-        gens.append(w)
-    # canonical generators: the reduced row echelon form of the symplectic
-    # rows, each row a group element with the sign the group gives it
-    rows, _ = gf2.rref([(w.x << n) | w.z for w in gens], 2 * n)
-    mask = (1 << n) - 1
-    canonical = []
-    for row in rows:
-        x, z = row >> n, row & mask
-        sigma = 0 if signs[(x, z)] == 1 else 2
-        canonical.append(PauliWord(n, x, z).with_sigma(sigma))
-    elements = tuple(sorted(signs.items()))
-    return StabilizerProjector(n, tuple(canonical), elements)
+    group = _signed_group(words)
+    for w in words:
+        if group[(w.x, w.z)][0] != w.sign:
+            raise ValueError(f"inconsistent sign for dependent generator {w}")
+    return next(_sign_patterns(words[0].n, group, [0]))
 
 
 @dataclass(frozen=True)
@@ -112,38 +130,36 @@ class ProjectorPool:
     def __len__(self) -> int:
         return len(self.projectors)
 
+    @cached_property
+    def orthogonality(self) -> Tuple[int, ...]:
+        """Bit j of entry i is set iff projectors i and j are orthogonal."""
+        rows = [0] * len(self.projectors)
+        pairs = itertools.combinations(enumerate(self.projectors), 2)
+        for (a, p), (b, q) in pairs:
+            if orthogonal(p, q):
+                rows[a] |= 1 << b
+                rows[b] |= 1 << a
+        return tuple(rows)
+
 
 def projectors_of(sys: ContextSystem) -> ProjectorPool:
-    """One projector per consistent sign assignment of each context."""
+    """One projector per consistent sign assignment of each context, read
+    off its one group: pattern p negates the independent members whose
+    bits it holds, the ``itertools.product((1, -1))`` order."""
     by_key: Dict[tuple, int] = {}
     projectors: List[StabilizerProjector] = []
     families: List[Tuple[int, ...]] = []
     for ctx in sys.contexts:
-        words = sys.context_words(ctx)
-        # independent members: greedy symplectic basis
-        basis: List[int] = []
-        independent: List[int] = []
-        for i, w in enumerate(words):
-            vec = (w.x << sys.n) | w.z
-            for b in basis:
-                vec = min(vec, vec ^ b)
-            if vec:
-                basis.append(vec)
-                independent.append(i)
-        family: List[int] = []
-        for pattern in itertools.product((1, -1), repeat=len(independent)):
-            signed = []
-            for i, s in zip(independent, pattern):
-                w = words[i]
-                signed.append(w if s == 1 else w.negate())
-            proj = projector_from_signed_words(signed)
-            idx = by_key.get(proj.key)
-            if idx is None:
-                idx = len(projectors)
-                by_key[proj.key] = idx
+        group = _signed_group(sys.context_words(ctx))
+        if len(group) == 1:
+            raise ValueError("at least one signed word is required")
+        family = set()
+        for proj in _sign_patterns(sys.n, group, range(len(group))):
+            idx = by_key.setdefault(proj.key, len(projectors))
+            if idx == len(projectors):
                 projectors.append(proj)
-            family.append(idx)
-        families.append(tuple(sorted(set(family))))
+            family.add(idx)
+        families.append(tuple(sorted(family)))
     return ProjectorPool(sys.n, tuple(projectors), tuple(families))
 
 
@@ -151,9 +167,5 @@ def orthogonal(p: StabilizerProjector, q: StabilizerProjector) -> bool:
     """True iff some common group element carries opposite signs."""
     if p.n != q.n:
         raise ValueError("projectors act on different qubit counts")
-    qs = q.element_signs()
-    for key, sign in p.elements:
-        other = qs.get(key)
-        if other is not None and other != sign:
-            return True
-    return False
+    qs = q.signs
+    return any(qs.get(key, sign) != sign for key, sign in p.elements)

@@ -20,7 +20,6 @@ from . import gf2
 from .pauli import DenseCapError, PauliWord, commutes
 from .systems import (
     ContextSystem,
-    InconsistentEigenvaluesError,
     _single_context,
     check_eigenvalue_dependencies,
 )
@@ -151,16 +150,6 @@ def joint_eigenstate(
             raise ValueError(f"members {a} and {b} do not commute")
     if sys.n > dense_cap:
         raise DenseCapError(f"n={sys.n} exceeds dense state cap {dense_cap}")
-    if len(eigenvalues) != len(ctx.members):
-        raise ValueError("one eigenvalue per context member is required")
-    ev_product = 1
-    for e in eigenvalues:
-        ev_product *= e
-    if ev_product != ctx.sign:
-        raise InconsistentEigenvaluesError(
-            f"eigenvalue product {ev_product:+d} does not match "
-            f"context product sign {ctx.sign:+d}"
-        )
     check_eigenvalue_dependencies(sys, eigenvalues)
     dim = eigenspace_dimension(sys)
     if dim != 1:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -226,21 +227,28 @@ def check_eigenvalue_dependencies(
 ) -> None:
     """Raise unless the eigenvalues respect every dependency among the rows.
 
-    Each vector of the left null space of the members' symplectic bitsets
-    picks rows whose product is a multiple of the identity; a joint
-    eigenstate exists only if the chosen eigenvalues multiply to the sign
-    of that product.  Checking a basis suffices, because for commuting
+    There must be one per member, and their product must be the context's
+    declared sign.  Each vector of the left null space of the members'
+    symplectic bitsets picks rows whose product is a multiple of the
+    identity; a joint eigenstate exists only if the chosen eigenvalues
+    multiply to the sign of that product.  Checking a basis suffices, because for commuting
     words both sides multiply along sums of null vectors.
     """
     ctx = _single_context(sys)
+    if len(eigenvalues) != len(ctx.members):
+        raise ValueError("one eigenvalue per context member is required")
+    ev_product = math.prod(eigenvalues)
+    if ev_product != ctx.sign:
+        raise InconsistentEigenvaluesError(
+            f"eigenvalue product {ev_product:+d} does not match "
+            f"context product sign {ctx.sign:+d}; no joint eigenstate exists"
+        )
     words = sys.context_words(ctx)
     rows = [(w.x << sys.n) | w.z for w in words]
     for vec in gf2.left_nullspace(rows, 2 * sys.n):
         chosen = gf2.row_bits(vec, len(rows))
         prod = product_of([words[i] for i in chosen])
-        ev_product = 1
-        for i in chosen:
-            ev_product *= eigenvalues[i]
+        ev_product = math.prod(eigenvalues[i] for i in chosen)
         if prod.sigma % 2 or prod.sign != ev_product:
             names = ", ".join(str(words[i]) for i in chosen)
             raise InconsistentEigenvaluesError(
@@ -286,16 +294,7 @@ def ghz_infeasible(sys: ContextSystem, eigenvalues: Sequence[int]) -> bool:
     Decided by the GF(2) slot equations.  Eigenvalues that no joint
     eigenstate can carry raise ``InconsistentEigenvaluesError``.
     """
-    ctx = _single_context(sys)
     _, rows, rhs = _ghz_equations(sys, eigenvalues)
-    ev_product = 1
-    for e in eigenvalues:
-        ev_product *= e
-    if ev_product != ctx.sign:
-        raise InconsistentEigenvaluesError(
-            f"eigenvalue product {ev_product:+d} does not match "
-            f"context product sign {ctx.sign:+d}; no joint eigenstate exists"
-        )
     check_eigenvalue_dependencies(sys, eigenvalues)
     return not gf2.solvable(rows, rhs)
 

@@ -3,14 +3,17 @@
 Each function is the per-vector, dict-based version that the library
 replaced with shared assignment covers, batched filters over blocks of
 the kernel span, failed drops shared across Pauli images and symbols
-tallied per block, the plain loop it replaced with numpy, or the exact
-cover search without its reachable-rank bound; the tests require the
-library to agree with it.
+tallied per block, the plain loop it replaced with numpy, the exact
+cover search without its reachable-rank bound, the projector pool with
+one group built per sign pattern, or the pair-by-pair saturation test;
+the tests require the library to agree with it.
 """
 
+import itertools
 from typing import Dict, List, Sequence, Set, Tuple
 
 from ksparity import gf2
+from ksparity.pauli import PauliWord, product_of
 from ksparity.parity import (
     BasisTable,
     ParityProof,
@@ -19,7 +22,8 @@ from ksparity.parity import (
     assignment_satisfiable,
     render_symbol,
 )
-from ksparity.projectors import ProjectorPool, orthogonal
+from ksparity.projectors import ProjectorPool, StabilizerProjector, orthogonal
+from ksparity.systems import ContextSystem
 
 
 def proof_multiplicities(
@@ -207,3 +211,58 @@ def exact_covers(pool: ProjectorPool) -> List[Tuple[int, ...]]:
 
     grow([], 0, 0)
     return sorted(found)
+
+
+def projectors_of(sys: ContextSystem) -> ProjectorPool:
+    """The pool with each sign pattern's group built on its own: every
+    element is the ``product_of`` a subset of the signed independent
+    members, and the generators are the ``gf2.rref`` rows of those
+    members, signed as the group signs them."""
+    n, mask = sys.n, (1 << sys.n) - 1
+    by_key: Dict[tuple, int] = {}
+    projectors: List[StabilizerProjector] = []
+    families: List[Tuple[int, ...]] = []
+    for ctx in sys.contexts:
+        independent: List[PauliWord] = []
+        for w in sys.context_words(ctx):
+            rows = [(v.x << n) | v.z for v in independent + [w]]
+            if gf2.rank(rows) > len(independent):
+                independent.append(w)
+        family = set()
+        for pattern in itertools.product((1, -1), repeat=len(independent)):
+            signed = [w if s == 1 else w.negate()
+                      for w, s in zip(independent, pattern)]
+            signs = {(0, 0): 1}
+            for size in range(1, len(signed) + 1):
+                for subset in itertools.combinations(signed, size):
+                    prod = product_of(subset)
+                    signs[(prod.x, prod.z)] = prod.sign
+            rows, _ = gf2.rref([(w.x << n) | w.z for w in signed], 2 * n)
+            generators = tuple(
+                PauliWord(n, r >> n, r & mask).with_sigma(
+                    0 if signs[(r >> n, r & mask)] == 1 else 2)
+                for r in rows
+            )
+            proj = StabilizerProjector(
+                n, generators, tuple(sorted(signs.items()))
+            )
+            if proj.key not in by_key:
+                by_key[proj.key] = len(projectors)
+                projectors.append(proj)
+            family.add(by_key[proj.key])
+        families.append(tuple(sorted(family)))
+    return ProjectorPool(n, tuple(projectors), tuple(families))
+
+
+def is_saturated(table: BasisTable) -> bool:
+    """Every orthogonal projector pair co-occurs in at least one basis,
+    one ``orthogonal`` call per pair."""
+    together = set()
+    for basis in table.bases:
+        for a, b in itertools.combinations(basis.projector_ids, 2):
+            together.add((a, b))
+    projs = table.pool.projectors
+    for a, b in itertools.combinations(range(len(projs)), 2):
+        if orthogonal(projs[a], projs[b]) and (a, b) not in together:
+            return False
+    return True

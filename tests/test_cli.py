@@ -4,7 +4,7 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from ksparity.cli import SEARCH_BUDGET_CAP, STAR_N_CAP, main
+from ksparity.cli import POOL_CAP, SEARCH_BUDGET_CAP, STAR_N_CAP, main
 from ksparity.systems import build_star_table, builtin_fixtures
 
 
@@ -146,12 +146,16 @@ class TestGhzCheck:
         assert json.loads(result.output)["infeasible"] is True
 
     def test_inconsistent_signature(self, runner, tmp_path):
-        result = runner.invoke(
-            main,
-            ["ghz-check", write_star(tmp_path),
-             "--eigenvalues", "+,+,+,+,+"],
-        )
-        assert result.exit_code == 1
+        for verb in ("ghz-check", "state"):
+            result = runner.invoke(
+                main,
+                [verb, write_star(tmp_path), "--eigenvalues", "+,+,+,+,+"],
+            )
+            assert result.exit_code == 1
+            assert json.loads(result.stdout)["error"] == (
+                "eigenvalue product +1 does not match context product "
+                "sign -1; no joint eigenstate exists"
+            )
 
 
 class TestStateCommands:
@@ -530,6 +534,34 @@ class TestSearchComplete:
         assert result.exit_code == 2
 
 
+class TestPoolCap:
+    @pytest.mark.parametrize("verb", ["projectors", "bases"])
+    def test_star_four_is_under_the_cap(self, runner, tmp_path, verb):
+        result = runner.invoke(main, [verb, write_star(tmp_path, 4)])
+        assert result.exit_code == 0
+        doc = json.loads(result.stdout)
+        assert doc["count" if verb == "projectors" else "projectors"] == 256
+
+    @pytest.mark.parametrize("N, bound", [(5, 1024), (6, 4096)])
+    @pytest.mark.parametrize("verb", ["projectors", "bases"])
+    def test_larger_stars_exit_before_the_pool_is_built(
+        self, runner, tmp_path, monkeypatch, verb, N, bound
+    ):
+        import ksparity.cli
+
+        def no_pool(sys):
+            raise AssertionError("pool built above the cap")
+
+        monkeypatch.setattr(ksparity.cli, "projectors_of", no_pool)
+        result = runner.invoke(main, [verb, write_star(tmp_path, N)])
+        assert result.exit_code == 3
+        assert json.loads(result.stdout) == {
+            "ok": False,
+            "error": f"the projector pool may hold {bound} projectors, "
+                     f"above the cap of {POOL_CAP}",
+        }
+
+
 class TestMultipartiteCap:
     def test_sixteen_qubits_exit_at_once(self, runner, tmp_path, monkeypatch):
         import ksparity.cli
@@ -701,12 +733,20 @@ class TestInputErrors:
         ["--config", "{kernel_cap=-1}", "parity-census", "{star}"],
         ["--config", "{basis_cap=-1}", "bases", "{star}"],
         ["--config", "{dense_cap=-1}", "state", "{star}"],
+        # a context of identity members verifies, but has no sign pattern
+        ["projectors", "{identity}"],
+        ["bases", "{identity}"],
+        ["parity-census", "{identity}"],
     ])
     def test_usage_error_without_traceback(self, runner, tmp_path, argv):
         # each of these once ended in an uncaught exception, or ran with
         # a cap outside what the library can honour
         (tmp_path / "list.json").write_text("[1, 2]")
         (tmp_path / "binary.cfg").write_bytes(b"\xff\xfe\x00")
+        (tmp_path / "identity.json").write_text(json.dumps({
+            "n": 2, "observables": ["II"],
+            "contexts": [{"members": [0], "sign": 1}],
+        }))
         for setting in ("kernel_cap=64", "kernel_cap=-1", "basis_cap=-1",
                         "dense_cap=-1"):
             (tmp_path / f"{setting}.cfg").write_text(setting + "\n")
@@ -719,6 +759,7 @@ class TestInputErrors:
             "{star}": write_star(tmp_path),
             "{kite}": write_fixture(tmp_path, "kite-quadruples"),
             "{list}": str(tmp_path / "list.json"),
+            "{identity}": str(tmp_path / "identity.json"),
             "{dir}": str(tmp_path),
         }
         for key, path in names.items():

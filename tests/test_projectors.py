@@ -1,10 +1,25 @@
+import functools
 import itertools
+import random
 
 import numpy as np
 import pytest
 
+import census_oracles
 from ksparity.pauli import parse_word
-from ksparity.systems import Context, ContextSystem, builtin_fixtures, system_from_rows
+from ksparity.parity import BasisTable, enumerate_bases, is_saturated
+from ksparity.reproduce import (
+    kite_completion,
+    mermin_square_search,
+    reconstructed_single_table_contexts,
+)
+from ksparity.systems import (
+    Context,
+    ContextSystem,
+    build_star_table,
+    builtin_fixtures,
+    system_from_rows,
+)
 from ksparity.projectors import (
     orthogonal,
     projector_from_signed_words,
@@ -92,6 +107,11 @@ class TestProjectorsOf:
         assert len(pool) == 4
         assert all(p.rank == 4 for p in pool.projectors)
 
+    def test_all_identity_context_refused(self):
+        # it verifies, but has no independent member to sign
+        with pytest.raises(ValueError, match="at least one signed word"):
+            projectors_of(system_from_rows(["II"], 1))
+
 
 class TestOrthogonality:
     def test_opposite_sign_z(self):
@@ -119,3 +139,78 @@ class TestOrthogonality:
             assert orthogonal(pool.projectors[i], pool.projectors[j]) == (
                 tr < 1e-9
             )
+
+
+# every fixture, the kite completion, the three squares, the stars N = 2..4
+# and the reconstructed four-qubit table
+ORACLE_SYSTEMS = sorted(builtin_fixtures()) + [
+    "kite", "square0", "square1", "square2", "star2", "star3", "star4",
+    "table1-left-reconstructed",
+]
+
+
+@functools.cache
+def oracle_system(name):
+    fixtures = builtin_fixtures()
+    if name in fixtures:
+        return fixtures[name]
+    if name == "kite":
+        return kite_completion()
+    if name.startswith("square"):
+        return mermin_square_search().systems[int(name[-1])]
+    if name.startswith("star"):
+        return build_star_table(int(name[-1]))
+    return reconstructed_single_table_contexts(fixtures["table1-left"])
+
+
+class TestAgainstPerPatternOracle:
+    @pytest.mark.parametrize("name", ORACLE_SYSTEMS)
+    def test_pool_and_table_match_field_by_field(self, name):
+        sys = oracle_system(name)
+        pool = projectors_of(sys)
+        expected = census_oracles.projectors_of(sys)
+        assert len(pool) == len(expected)
+        for p, q in zip(pool.projectors, expected.projectors):
+            assert [(g.x, g.z, g.lam) for g in p.generators] == [
+                (g.x, g.z, g.lam) for g in q.generators
+            ]
+            assert p.elements == q.elements
+        assert pool.context_families == expected.context_families
+        table = enumerate_bases(pool)
+        oracle_table = enumerate_bases(expected)
+        assert [(b.projector_ids, b.kind) for b in table.bases] == [
+            (b.projector_ids, b.kind) for b in oracle_table.bases
+        ]
+        assert table.partial == oracle_table.partial
+        assert is_saturated(table) == census_oracles.is_saturated(oracle_table)
+
+    @pytest.mark.parametrize("name", ORACLE_SYSTEMS)
+    def test_orthogonality_graph_is_the_relation(self, name):
+        pool = projectors_of(oracle_system(name))
+        graph = pool.orthogonality
+        for i, p in enumerate(pool.projectors):
+            assert not graph[i] >> i & 1
+            for j, q in enumerate(pool.projectors):
+                assert graph[i] >> j & 1 == graph[j] >> i & 1
+                assert bool(graph[i] >> j & 1) == orthogonal(p, q)
+
+    @pytest.mark.parametrize(
+        "name", ["kite", "square0", "square1", "square2"]
+    )
+    def test_saturation_matches_pair_loop_on_sub_tables(self, name):
+        table = enumerate_bases(projectors_of(oracle_system(name)))
+        rng = random.Random(name)
+        subsets = [table.bases]
+        subsets += [table.bases[:j] + table.bases[j + 1:]
+                    for j in range(len(table.bases))]
+        subsets += [
+            tuple(b for b in table.bases if rng.random() < 0.7)
+            for _ in range(20)
+        ]
+        verdicts = set()
+        for bases in subsets:
+            sub = BasisTable(table.pool, bases)
+            verdict = is_saturated(sub)
+            assert verdict == census_oracles.is_saturated(sub)
+            verdicts.add(verdict)
+        assert verdicts == {True, False}
