@@ -102,11 +102,11 @@ STAR_N_CAP = 500
 SEARCH_BUDGET_CAP = 50_000_000
 
 # Most projectors `projectors` and the basis-table verbs accept, checked on
-# the bound sum(2^rank) over the contexts before the pool is built.
-# enumerate_bases recurses once per projector it adds to a basis, and a
-# basis holds at most the pool, so its recursion stays under Python's limit
-# of 1000 frames.  `gen star --N 4` (256 projectors) is under the cap;
-# `--N 5` (1024) ran `bases` for about two minutes before a RecursionError.
+# the bound sum(2^rank) over the contexts before the pool is built.  The
+# orthogonality graph tests every pair of projectors, so its time grows as
+# the square of the pool: on a 2-core Xeon host `gen star --N 4` (256
+# projectors) builds its pool and bases in about 0.2 s, and `--N 5` (1024),
+# above the cap, in about 2.4 s.
 POOL_CAP = 512
 
 _ASCII_LABELS = {"Φ": "Phi", "Ψ": "Psi"}

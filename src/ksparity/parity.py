@@ -10,15 +10,18 @@ proof inside) is also computed and any divergence is reported.
 
 The census walks the kernel span in numpy blocks, filters each block by
 the subset test and by the assignments found so far, and searches only
-the drops left open.  Conjugating by a Pauli operator permutes the
+the drops left open.  It holds every set of bases as a bitset with bit
+j = basis j; the kernel rows, built the other way round, are turned once
+into its lookup tables.  Conjugating by a Pauli operator permutes the
 projectors and maps bases to bases, so a failed search also decides the
-drop sets of its images under the table's Pauli automorphisms.  The
-symbols, projector counts and basis ids of a block's proofs are tallied
-in numpy at once.
+drop sets of its images under the table's Pauli automorphisms, read off
+the group of the pool's own Pauli permutations.  The symbols, projector
+counts and basis ids of a block's proofs are tallied in numpy at once.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
@@ -90,9 +93,10 @@ def enumerate_bases(
     """All sets of mutually orthogonal projectors with rank-sum 2^n.
 
     Exact-cover backtracking over the orthogonality graph in canonical
-    projector order; exceeding ``cap`` bases flags the table as partial.
-    A branch stops as soon as the rank it could still add falls short of
-    2^n.
+    projector order, on an explicit stack, so that a basis may hold any
+    number of projectors; exceeding ``cap`` bases flags the table as
+    partial.  A branch stops as soon as the rank it could still add falls
+    short of 2^n.
     """
     projs = pool.projectors
     count = len(projs)
@@ -110,39 +114,40 @@ def enumerate_bases(
     compat = pool.orthogonality
     pure_families = {frozenset(fam) for fam in pool.context_families}
 
-    found: List[Tuple[int, ...]] = []
-    partial = False
-
-    def extend(chosen: List[int], rank_sum: int, allowed: int, start: int):
-        nonlocal partial
-        if partial:
-            return
-        if rank_sum == target:
-            if len(found) >= cap:
-                partial = True
-                return
-            found.append(tuple(sorted(chosen)))
-            return
-        # rank_sum plus the rank of every allowed projector from pos on
-        reach = rank_sum + sum(
+    def branch(rank_sum: int, allowed: int, start: int) -> List[int]:
+        """A branch's frame: its rank sum, allowed projectors, next order
+        position and the rank sum plus the rank of every allowed projector
+        from that position on."""
+        return [rank_sum, allowed, start, rank_sum + sum(
             r * (allowed & tail).bit_count()
             for r, tail in zip(ranks, tails[start])
-        )
-        for pos in range(start, count):
-            i = order[pos]
-            if not (allowed >> i) & 1:
-                continue
-            if reach < target:
-                break
-            r = projs[i].rank
-            reach -= r
-            if rank_sum + r > target:
-                continue
-            chosen.append(i)
-            extend(chosen, rank_sum + r, allowed & compat[i], pos + 1)
-            chosen.pop()
+        )]
 
-    extend([], 0, (1 << count) - 1, 0)
+    found: List[Tuple[int, ...]] = []
+    partial = False
+    chosen: List[int] = []
+    frames = [branch(0, (1 << count) - 1, 0)]
+    while frames:
+        frame = frames[-1]
+        rank_sum, allowed, pos, reach = frame
+        while pos < count and not (allowed >> order[pos]) & 1:
+            pos += 1
+        if pos == count or reach < target:
+            frames.pop()
+            if chosen:  # the root frame chose nothing
+                chosen.pop()
+            continue
+        i = order[pos]
+        r = projs[i].rank
+        frame[2:] = pos + 1, reach - r
+        if rank_sum + r < target:
+            chosen.append(i)
+            frames.append(branch(rank_sum + r, allowed & compat[i], pos + 1))
+        elif rank_sum + r == target:
+            if len(found) >= cap:
+                partial = True
+                break
+            found.append(tuple(sorted(chosen + [i])))
     bases = tuple(
         Basis(ids, "pure" if frozenset(ids) in pure_families else "hybrid")
         for ids in sorted(found)
@@ -417,19 +422,18 @@ def _drops_satisfiable(
 ) -> bool:
     """Does dropping any single basis of vec leave a satisfiable set?
 
-    vec selects bases as kernel vectors do (bit nb-1-j = basis j).  A
-    cover, in the same bits, is the set of the table's bases that one
-    found assignment holds exactly once; a cover missing at most one basis
-    of vec proves that drop satisfiable.  ``undecided`` holds the drops
-    of vec that ``covers[:start]`` leave open (see ``_cover_undecided``);
-    the covers from ``start`` on are scanned here.  Only the drops no
-    cover decides are searched, and each witness found adds its cover to
-    ``covers``, which must hold covers of real assignments of this table
-    only.  A drop that ``failed`` already holds is unsatisfiable without a
-    search; a search that fails adds its drop to ``failed``.
+    vec is a bitset of basis ids.  A cover is the set of the table's bases
+    that one found assignment holds exactly once; a cover missing at most
+    one basis of vec proves that drop satisfiable.  ``undecided`` holds
+    the drops of vec that ``covers[:start]`` leave open (see
+    ``_cover_undecided``); the covers from ``start`` on are scanned here.
+    Only the drops no cover decides are searched, and each witness found
+    adds its cover to ``covers``, which must hold covers of real
+    assignments of this table only.  A drop that ``failed`` already holds is unsatisfiable without a
+    search; a search that fails adds its drop to ``failed``.  The drop of
+    the highest basis id is searched first.
     """
     bases = table.bases
-    nb = len(bases)
     for cover in covers[start:]:
         miss = vec & ~cover
         if not miss & (miss - 1):
@@ -439,20 +443,20 @@ def _drops_satisfiable(
             if not undecided:
                 return True
     while undecided:
-        drop = undecided & -undecided
+        drop = 1 << (undecided.bit_length() - 1)
         rest = vec ^ drop
         if rest in failed.known:
             failed.shared += 1
             return False
         failed.searches += 1
-        ones = satisfying_assignment(_basis_ids(rest, nb), table)
+        ones = satisfying_assignment(_basis_ids(rest), table)
         if ones is None:
             failed.add(rest)
             return False
-        cover = 0
-        for j, basis in enumerate(bases):
-            if (basis.mask & ones).bit_count() == 1:
-                cover |= 1 << (nb - 1 - j)
+        cover = sum(
+            1 << j for j, basis in enumerate(bases)
+            if (basis.mask & ones).bit_count() == 1
+        )
         covers.append(cover)
         undecided &= ~drop if vec & ~cover else 0
     return True
@@ -460,16 +464,13 @@ def _drops_satisfiable(
 
 def is_critical(basis_ids: Sequence[int], table: BasisTable) -> bool:
     """Dropping any single basis must leave a satisfiable configuration."""
-    nb = len(table.bases)
-    vec = 0
-    for j in basis_ids:
-        vec |= 1 << (nb - 1 - j)
-    return _drops_satisfiable(vec, vec, table, [], 0, _FailedDrops((), nb))
+    vec = sum(1 << j for j in set(basis_ids))
+    return _drops_satisfiable(vec, vec, table, [], 0, _FailedDrops(()))
 
 
-# Most projector permutations, and most bases in the orbit of the table's
-# bases, that the census builds before it gives up sharing failed drops: a
-# table on n qubits has up to 4^n Pauli images.
+# Most elements of the group of projector permutations that the census
+# builds before it gives up sharing failed drops: a pool on n qubits has
+# up to 4^n Pauli images.
 _AUTOMORPHISM_CAP = 1 << 10
 
 
@@ -480,84 +481,73 @@ def _pauli_automorphisms(table: BasisTable) -> List[Tuple[int, ...]]:
     Conjugating by X^px Z^pz flips the sign of every stabilizer element it
     anticommutes with, which permutes the pool's projectors and maps
     bases to bases.  The permutations of the 2n single-qubit X and Z
-    operators act on the orbit of the table's bases and are composed into
-    their span; an element is kept if it maps every basis of this table
-    onto a basis of this table (on a sub-table, its stabilizer).  An
-    assignment for a set of bases maps to one for its image, so the image
-    of an unsatisfiable set is unsatisfiable.  If a generator maps some
-    projector out of the pool, or the orbit or span passes
+    operators commute and are their own inverses, so the group they
+    generate grows by doubling: each generator not in it yet composed with
+    every element so far.  An element is kept if it maps every basis of
+    this table onto a basis of this table (on a sub-table, its
+    stabilizer).  An assignment for a set of bases maps to one for its
+    image, so the image of an unsatisfiable set is unsatisfiable.  If a
+    generator maps some projector out of the pool, or the group passes
     _AUTOMORPHISM_CAP, only the identity is returned.
     """
     nb = len(table.bases)
     identity = [tuple(range(nb))]
     projs = table.pool.projectors
     index = {p.key: i for i, p in enumerate(projs)}
-    orbit = [tuple(sorted(b.projector_ids)) for b in table.bases]
-    where = {ids: j for j, ids in enumerate(orbit)}
+    where = {frozenset(b.projector_ids): j for j, b in enumerate(table.bases)}
     if len(index) != len(projs) or len(where) != nb:
         return identity
-    generators = []
+    group = {tuple(range(len(projs)))}
     for q in range(table.n):
         for px, pz in ((1 << q, 0), (0, 1 << q)):
-            image = [
+            image = tuple(
                 index.get(tuple(
                     ((x, z), -sign if ((x & pz) ^ (z & px)).bit_count() & 1
                      else sign)
                     for (x, z), sign in p.elements
                 ))
                 for p in projs
-            ]
+            )
             if None in image:
                 return identity
-            generators.append(image)
-    # the generators as permutations of the orbit, which grows as they
-    # reach new bases
-    actions: List[List[int]] = [[] for _ in generators]
-    done = 0
-    while done < len(orbit):
-        if len(orbit) > _AUTOMORPHISM_CAP:
-            return identity
-        ids = orbit[done]
-        for image, action in zip(generators, actions):
-            moved = tuple(sorted(image[p] for p in ids))
-            if moved not in where:
-                where[moved] = len(orbit)
-                orbit.append(moved)
-            action.append(where[moved])
-        done += 1
-    group = {tuple(range(len(orbit)))}
-    for action in actions:
-        if tuple(action) in group:
-            continue
-        if 2 * len(group) > _AUTOMORPHISM_CAP:
-            return identity
-        group |= {tuple(action[i] for i in h) for h in group}
-    return sorted({h[:nb] for h in group if max(h[:nb], default=-1) < nb})
+            if image in group:
+                continue
+            if 2 * len(group) > _AUTOMORPHISM_CAP:
+                return identity
+            group |= {tuple(image[i] for i in h) for h in group}
+    perms = {
+        tuple(
+            where.get(frozenset(h[p] for p in b.projector_ids))
+            for b in table.bases
+        )
+        for h in group
+    }
+    return sorted(perm for perm in perms if None not in perm)
 
 
 class _FailedDrops:
-    """Drop sets found unsatisfiable, as kernel-vector bitsets (bit nb-1-j
-    = basis j), with their images under the table's automorphisms, and
-    how many drops were searched and how many answered from the set.
+    """Drop sets found unsatisfiable, as bitsets of basis ids, with their
+    images under the table's automorphisms, and how many drops were
+    searched and how many answered from the set.
 
     An image is built by byte tables: table k of a permutation maps byte
     k of a bitset to the image of the bases it holds.
     """
 
-    def __init__(self, perms: Sequence[Tuple[int, ...]], nb: int):
+    def __init__(self, perms: Sequence[Tuple[int, ...]]):
         self.known: set = set()
         self.searches = 0
         self.shared = 0
         self._tables: List[List[List[int]]] = []
         for perm in perms:
+            nb = len(perm)
             if tuple(perm) == tuple(range(nb)):
                 continue
             tables = []
             for low in range(0, nb, 8):
                 byte_table = [0]
-                for bit in range(low, min(low + 8, nb)):
-                    moved = 1 << (nb - 1 - perm[nb - 1 - bit])
-                    byte_table += [t | moved for t in byte_table]
+                for j in range(low, min(low + 8, nb)):
+                    byte_table += [t | 1 << perm[j] for t in byte_table]
                 tables.append(byte_table)
             self._tables.append(tables)
 
@@ -570,9 +560,9 @@ class _FailedDrops:
             self.known.add(image)
 
 
-def _basis_ids(vec: int, nb: int) -> Tuple[int, ...]:
-    """Basis ids selected by a kernel vector (bit nb-1-j = basis j)."""
-    return tuple(j for j in range(nb) if vec & (1 << (nb - 1 - j)))
+def _basis_ids(vec: int) -> Tuple[int, ...]:
+    """Basis ids in a bitset, ascending."""
+    return tuple(j for j in range(vec.bit_length()) if vec >> j & 1)
 
 
 def kernel_parity_sets(table: BasisTable) -> List[Tuple[int, ...]]:
@@ -583,10 +573,7 @@ def kernel_parity_sets(table: BasisTable) -> List[Tuple[int, ...]]:
     blocks of coefficient vectors.
     """
     nb = len(table.bases)
-    kernel = gf2.nullspace(table.incidence_rows(), nb)
-    echelon, _ = gf2.rref(kernel, nb)
-    odd_rows, _ = _coefficient_columns(echelon, nb)
-    tables = _coefficient_tables(echelon, max(1, -(-nb // 64)))
+    kernel, echelon, odd_rows, _, tables = _incidence_kernel(table)
     sets: List[Tuple[int, ...]] = []
     for coefs in _span_coefficients(kernel, echelon):
         odd = np.bitwise_count(coefs & np.uint64(odd_rows)) & 1 == 1
@@ -594,12 +581,25 @@ def kernel_parity_sets(table: BasisTable) -> List[Tuple[int, ...]]:
     return sets
 
 
+def _incidence_kernel(
+    table: BasisTable,
+) -> Tuple[List[int], List[int], int, List[int], List[np.ndarray]]:
+    """(kernel, echelon, odd_rows, columns, tables): the table's GF(2)
+    incidence kernel in the bits of ``incidence_rows``, its reduced row
+    echelon form, and what the census reads off the echelon rows."""
+    nb = len(table.bases)
+    kernel = gf2.nullspace(table.incidence_rows(), nb)
+    echelon, _ = gf2.rref(kernel, nb)
+    odd_rows, columns = _coefficient_columns(echelon, nb)
+    return kernel, echelon, odd_rows, columns, _coefficient_tables(echelon, nb)
+
+
 def _selections(rows: np.ndarray, nb: int) -> np.ndarray:
-    """Rows of limbs (bit nb-1-j = basis j) as 0/1 rows over the bases."""
+    """Rows of limbs (bit j = basis j) as 0/1 rows over the nb bases."""
     bits = np.unpackbits(
         rows.astype("<u8").view(np.uint8), axis=1, bitorder="little"
     )
-    return bits[:, :nb][:, ::-1]
+    return bits[:, :nb]
 
 
 def _selection_ids(selections: np.ndarray) -> List[Tuple[int, ...]]:
@@ -713,11 +713,14 @@ def _subset_survivors(
     return survives
 
 
-def _coefficient_tables(echelon: List[int], limbs: int) -> List[np.ndarray]:
+def _coefficient_tables(echelon: List[int], nb: int) -> List[np.ndarray]:
     """Byte lookup tables from coefficients to basis sets: table k maps
-    byte k of c to the XOR of the echelon rows it picks, in limbs.  An
-    empty kernel gets one table, of the zero vector."""
-    rows = _to_limbs(echelon, limbs)
+    byte k of c to the XOR of the echelon rows it picks, in limbs.  A row
+    holds basis j at bit nb-1-j, as ``incidence_rows`` sets it, and is
+    turned here once to bit j, the order of every basis set the census
+    keeps.  An empty kernel gets one table, of the zero vector."""
+    limbs = max(1, -(-nb // 64))
+    rows = _to_limbs([int(f"{row:0{nb}b}"[::-1], 2) for row in echelon], limbs)
     tables = []
     for start in range(0, max(len(echelon), 1), 8):
         table = np.zeros((1, limbs), dtype=np.uint64)
@@ -792,29 +795,24 @@ def enumerate_parity_proofs(
     if table.partial:
         raise ValueError("cannot take a census of a partial basis table")
     nb = len(table.bases)
-    rows = table.incidence_rows()
-    kernel = gf2.nullspace(rows, nb)
-    kdim = len(kernel)
+    kernel, echelon, odd_rows, columns, tables = _incidence_kernel(table)
     census = ProofCensus(
         total=0,
         proofs=[],
         symbol_counts={},
         basis_count_histogram={},
-        kernel_dimension=kdim,
+        kernel_dimension=len(kernel),
     )
-    if kdim > kernel_cap:
+    if len(kernel) > kernel_cap:
         census.partial = True
         return census
-    echelon, _ = gf2.rref(kernel, nb)
-    odd_rows, columns = _coefficient_columns(echelon, nb)
     limbs = max(1, -(-nb // 64))
-    tables = _coefficient_tables(echelon, limbs)
     # covers of the assignments found so far (also as limbs), the drops
     # found unsatisfiable and their images, and each symbol key's
     # rendering; all live for this census only
     covers: List[int] = []
     cover_limbs = np.zeros((0, limbs), dtype=np.uint64)
-    failed = _FailedDrops(_pauli_automorphisms(table), nb)
+    failed = _FailedDrops(_pauli_automorphisms(table))
     tally = _ProofTally(table, nb)
     for coefs in _span_coefficients(kernel, echelon):
         # cheap filter first: a proof containing a smaller proof can never
@@ -843,13 +841,8 @@ def enumerate_parity_proofs(
         cover_limbs = np.concatenate(
             [cover_limbs, _to_limbs(covers[start:], limbs)]
         )
-    for proof in census.proofs:
-        census.symbol_counts[proof.symbol] = (
-            census.symbol_counts.get(proof.symbol, 0) + 1
-        )
-        census.basis_count_histogram[proof.num_bases] = (
-            census.basis_count_histogram.get(proof.num_bases, 0) + 1
-        )
+    census.symbol_counts = Counter(p.symbol for p in census.proofs)
+    census.basis_count_histogram = Counter(p.num_bases for p in census.proofs)
     census.total = len(census.proofs)
     census.searches = failed.searches
     census.shared_failures = failed.shared

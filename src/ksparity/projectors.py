@@ -149,10 +149,13 @@ def projectors_of(sys: ContextSystem) -> ProjectorPool:
     by_key: Dict[tuple, int] = {}
     projectors: List[StabilizerProjector] = []
     families: List[Tuple[int, ...]] = []
-    for ctx in sys.contexts:
+    for ci, ctx in enumerate(sys.contexts):
         group = _signed_group(sys.context_words(ctx))
         if len(group) == 1:
-            raise ValueError("at least one signed word is required")
+            raise ValueError(
+                f"context {ci}: every member is the identity, so it has "
+                "no sign pattern to take a projector of"
+            )
         family = set()
         for proj in _sign_patterns(sys.n, group, range(len(group))):
             idx = by_key.setdefault(proj.key, len(projectors))

@@ -105,10 +105,7 @@ def apply_pauli(word: PauliWord, vec: np.ndarray) -> np.ndarray:
     """Act with a Pauli word on an amplitude vector (qubit 1 = MSB)."""
     n = word.n
     idx = np.arange(1 << n)
-    masked = (idx ^ word.x) & word.z
-    par = np.zeros(1 << n, dtype=np.int64)
-    for b in range(n):
-        par ^= (masked >> b) & 1
+    par = np.bitwise_count((idx ^ word.x) & word.z) & 1
     out = np.empty_like(vec, dtype=complex)
     out[...] = vec[idx ^ word.x] * np.where(par, -1.0, 1.0)
     # phase of the X^x Z^z ordering plus the word's own i power

@@ -18,7 +18,6 @@ from ksparity.parity import (
     BasisTable,
     ParityProof,
     ProofCensus,
-    _basis_ids,
     assignment_satisfiable,
     render_symbol,
 )
@@ -52,13 +51,19 @@ def proof_symbol(
     return render_symbol(classes, sizes)
 
 
+def kernel_basis_ids(vec: int, nb: int) -> Tuple[int, ...]:
+    """Basis ids of a ``gf2`` kernel vector of ``incidence_rows``, which
+    holds basis j at bit nb-1-j."""
+    return tuple(j for j in range(nb) if vec >> (nb - 1 - j) & 1)
+
+
 def kernel_parity_sets(table: BasisTable) -> List[Tuple[int, ...]]:
     """Odd kernel vectors as basis-id tuples, one ``gf2.enumerate_span``
     step at a time."""
     nb = len(table.bases)
     kernel = gf2.nullspace(table.incidence_rows(), nb)
     return [
-        _basis_ids(vec, nb)
+        kernel_basis_ids(vec, nb)
         for vec in gf2.enumerate_span(kernel)
         if vec.bit_count() % 2 == 1
     ]
@@ -161,7 +166,7 @@ def enumerate_parity_proofs(table: BasisTable) -> ProofCensus:
         if vec.bit_count() % 2 == 0 or not subset_critical(vec, echelon):
             continue
         census.subset_critical_total += 1
-        basis_ids = _basis_ids(vec, nb)
+        basis_ids = kernel_basis_ids(vec, nb)
         if not is_critical(basis_ids, table):
             continue
         sym_u, sym_a = proof_symbol(basis_ids, table)

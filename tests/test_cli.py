@@ -762,11 +762,14 @@ class TestInputErrors:
             "{identity}": str(tmp_path / "identity.json"),
             "{dir}": str(tmp_path),
         }
+        identity = "{identity}" in argv
         for key, path in names.items():
             argv = [a.replace(key, path) for a in argv]
         result = runner.invoke(main, argv)
         assert result.exit_code == 2, result.output
         assert isinstance(result.exception, SystemExit)
+        if identity:
+            assert "context 0: every member is the identity" in result.stderr
 
 
 class TestFuzz:

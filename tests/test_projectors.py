@@ -108,9 +108,17 @@ class TestProjectorsOf:
         assert all(p.rank == 4 for p in pool.projectors)
 
     def test_all_identity_context_refused(self):
-        # it verifies, but has no independent member to sign
+        # it verifies, but has no independent member to sign; the message
+        # names the context
+        words = tuple(parse_word(w) for w in ("XX", "YY", "ZZ", "II"))
+        system = ContextSystem(
+            2, words, (Context((0, 1, 2), -1), Context((3,), 1))
+        )
+        with pytest.raises(ValueError, match="context 1: every member is "
+                                             "the identity"):
+            projectors_of(system)
         with pytest.raises(ValueError, match="at least one signed word"):
-            projectors_of(system_from_rows(["II"], 1))
+            projector_from_signed_words([])
 
 
 class TestOrthogonality:
