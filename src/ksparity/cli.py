@@ -31,18 +31,19 @@ import json
 import sys as _sys
 import time
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import click
 import numpy as np
 
 from . import __version__, gf2
-from .pauli import DenseCapError, PauliParseError
+from .pauli import DenseCapError
 from .systems import (
     ContextSystem,
     InconsistentEigenvaluesError,
     build_star_table,
     builtin_fixtures,
+    commutation_violations,
     count_ghz_assignments,
     default_eigenvalues,
     find_proper_subproof,
@@ -109,8 +110,6 @@ SEARCH_BUDGET_CAP = 50_000_000
 # above the cap, in about 2.4 s.
 POOL_CAP = 512
 
-_ASCII_LABELS = {"Φ": "Phi", "Ψ": "Psi"}
-
 
 class CapError(RuntimeError):
     """A request above one of this module's caps; exits 3."""
@@ -171,9 +170,6 @@ class Run:
     def cap(self, name: str, default: int) -> int:
         return self.settings.get(name, default)
 
-    def note_input(self, path: str) -> None:
-        self.inputs.append(path)
-
     def emit(self, payload: Union[dict, str], code: int = EXIT_OK):
         """Write a JSON payload (or ready text) and the manifest, then exit."""
         text = payload if isinstance(payload, str) else json.dumps(
@@ -233,6 +229,15 @@ class _Group(click.Group):
     group_class = type
 
 
+def _read_input(run: Run, path: str, kind: str, parse: Callable):
+    """``parse`` of an input file's text; a usage error if that fails."""
+    run.inputs.append(path)
+    try:
+        return parse(Path(path).read_text())
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise click.UsageError(f"cannot read {kind} file {path}: {exc}")
+
+
 def _load_system(run: Run, path: str, single: bool = False,
                  check: Union[bool, str] = True) -> ContextSystem:
     """Read a system file and exit 1 if ``verify_system`` rejects it.
@@ -241,39 +246,20 @@ def _load_system(run: Run, path: str, single: bool = False,
     declared multiple of the identity through; ``check=False`` skips the
     verification.
     """
-    run.note_input(path)
-    try:
-        sys = ContextSystem.from_json(Path(path).read_text())
-    except (OSError, ValueError, KeyError, TypeError, PauliParseError) as exc:
-        raise click.UsageError(f"cannot read system file {path}: {exc}")
+    sys = _read_input(run, path, "system", ContextSystem.from_json)
     if single and len(sys.contexts) != 1:
         raise click.UsageError(
             f"{path} has {len(sys.contexts)} contexts; "
             "this command takes a single-context system"
         )
-    if check:
-        violations = verify_system(sys).violations
-        if check == "commutation":
-            violations = [v for v in violations if v.endswith("do not commute")]
-        if violations:
-            run.emit({"ok": False, "violations": violations}, EXIT_VERIFY)
+    if check == "commutation":
+        violations = [v for ci in range(len(sys.contexts))
+                      for v in commutation_violations(sys, ci)]
+    else:
+        violations = verify_system(sys).violations if check else []
+    if violations:
+        run.emit({"ok": False, "violations": violations}, EXIT_VERIFY)
     return sys
-
-
-def _load_state(run: Run, path: str) -> DenseState:
-    run.note_input(path)
-    try:
-        return DenseState.from_json(Path(path).read_text())
-    except (OSError, ValueError, KeyError, TypeError) as exc:
-        raise click.UsageError(f"cannot read state file {path}: {exc}")
-
-
-def _load_proof(run: Run, path: str) -> List[int]:
-    run.note_input(path)
-    try:
-        return [int(i) for i in json.loads(Path(path).read_text())["bases"]]
-    except (OSError, ValueError, KeyError, TypeError) as exc:
-        raise click.UsageError(f"cannot read proof file {path}: {exc}")
 
 
 def _parse_eigenvalues(text: str) -> List[int]:
@@ -485,19 +471,18 @@ def state(run: Run, system_file, eigenvalues):
 @output_option
 @click.pass_obj
 def bell(run: Run, state_file, pairing):
-    psi = _load_state(run, state_file)
+    psi = _read_input(run, state_file, "state", DenseState.from_json)
     pairs = _parse_pairing(pairing)
     dense_cap = run.cap("dense_cap", DENSE_STATE_CAP)
     if psi.n > dense_cap:
         raise CapError(f"n={psi.n} exceeds dense state cap {dense_cap}")
-    terms = {}
-    for labels, coeff in sorted(bell_decompose(psi, pairs).nonzero().items()):
-        key = "".join(labels)
-        if run.ascii_only:
-            for uni, asc in _ASCII_LABELS.items():
-                key = key.replace(uni, asc)
-        terms[key] = [float(coeff.real), float(coeff.imag)]
-    run.emit({"pairing": [list(p) for p in pairs], "terms": terms})
+    payload = bell_decompose(psi, pairs).to_json_dict()
+    if run.ascii_only:
+        payload["terms"] = {
+            key.replace("Φ", "Phi").replace("Ψ", "Psi"): coeff
+            for key, coeff in payload["terms"].items()
+        }
+    run.emit(payload)
 
 
 @main.command()
@@ -508,7 +493,7 @@ def bell(run: Run, state_file, pairing):
 @click.pass_obj
 def measure(run: Run, state_file, qubits, outcome):
     """Computational-basis measurement of selected qubits."""
-    psi = _load_state(run, state_file)
+    psi = _read_input(run, state_file, "state", DenseState.from_json)
     qs = [int(q) for q in qubits.split(",") if q.strip()]
     prob, residual = measure_computational(psi, qs, outcome)
     payload: dict = {"probability": prob, "residual": None}
@@ -641,7 +626,8 @@ def parity_census(run: Run, system_file, brute_force_check, catalog):
 def symbol(run: Run, proof_file, system_file):
     """Rank/multiplicity symbol of a proof given as {"bases": [ids]}."""
     sys = _load_system(run, system_file)
-    ids = _load_proof(run, proof_file)
+    ids = _read_input(run, proof_file, "proof",
+                      lambda text: [int(i) for i in json.loads(text)["bases"]])
     pool, table = _build_table(run, sys)
     if any(not 0 <= i < len(table.bases) for i in ids):
         raise click.UsageError("proof references a basis id outside the table")

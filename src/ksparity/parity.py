@@ -24,7 +24,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -465,7 +465,7 @@ def _drops_satisfiable(
 def is_critical(basis_ids: Sequence[int], table: BasisTable) -> bool:
     """Dropping any single basis must leave a satisfiable configuration."""
     vec = sum(1 << j for j in set(basis_ids))
-    return _drops_satisfiable(vec, vec, table, [], 0, _FailedDrops(()))
+    return _drops_satisfiable(vec, vec, table, [], 0, _FailedDrops(lambda: ()))
 
 
 # Most elements of the group of projector permutations that the census
@@ -530,16 +530,22 @@ class _FailedDrops:
     images under the table's automorphisms, and how many drops were
     searched and how many answered from the set.
 
+    ``group`` returns the automorphisms; it is called at the first
+    ``add``, so a census whose searches all succeed never builds them.
     An image is built by byte tables: table k of a permutation maps byte
     k of a bitset to the image of the bases it holds.
     """
 
-    def __init__(self, perms: Sequence[Tuple[int, ...]]):
+    def __init__(self, group: Callable[[], Sequence[Tuple[int, ...]]]):
         self.known: set = set()
         self.searches = 0
         self.shared = 0
-        self._tables: List[List[List[int]]] = []
-        for perm in perms:
+        self._group = group
+
+    @cached_property
+    def _tables(self) -> List[List[List[int]]]:
+        out = []
+        for perm in self._group():
             nb = len(perm)
             if tuple(perm) == tuple(range(nb)):
                 continue
@@ -549,7 +555,8 @@ class _FailedDrops:
                 for j in range(low, min(low + 8, nb)):
                     byte_table += [t | 1 << perm[j] for t in byte_table]
                 tables.append(byte_table)
-            self._tables.append(tables)
+            out.append(tables)
+        return out
 
     def add(self, rest: int) -> None:
         self.known.add(rest)
@@ -778,12 +785,12 @@ def enumerate_parity_proofs(
     and the covers found before the block are applied to the whole block
     in numpy, and only the drops they leave open are searched, vector by
     vector.  A drop whose search failed, or the image of one under the
-    table's Pauli automorphisms (``_pauli_automorphisms``), is answered
-    from a set at the point where its search would run, so the covers,
-    the searches that succeed and their order are those of a census
-    without the group.  The block's critical vectors then get their
-    symbols, projector counts and basis ids in one ``_ProofTally`` pass;
-    proofs come in walk order.  ``census.searches`` and
+    table's Pauli automorphisms (``_pauli_automorphisms``, built at the
+    first failed search), is answered from a set at the point where its
+    search would run, so the covers, the searches that succeed and their
+    order are those of a census without the group.  The block's critical
+    vectors then get their symbols, projector counts and basis ids in one
+    ``_ProofTally`` pass; proofs come in walk order.  ``census.searches`` and
     ``census.shared_failures`` count the searches run and the drops
     answered from the set.  ``kernel_cap`` runs from 0 to KERNEL_CAP_MAX; a
     larger kernel marks the census partial.
@@ -812,7 +819,7 @@ def enumerate_parity_proofs(
     # rendering; all live for this census only
     covers: List[int] = []
     cover_limbs = np.zeros((0, limbs), dtype=np.uint64)
-    failed = _FailedDrops(_pauli_automorphisms(table))
+    failed = _FailedDrops(lambda: _pauli_automorphisms(table))
     tally = _ProofTally(table, nb)
     for coefs in _span_coefficients(kernel, echelon):
         # cheap filter first: a proof containing a smaller proof can never

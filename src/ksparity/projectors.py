@@ -17,7 +17,7 @@ import numpy as np
 
 from . import gf2
 from .pauli import PauliWord, multiply, to_dense
-from .systems import ContextSystem
+from .systems import ContextSystem, anticommuting_pairs, commutation_violations
 
 
 @dataclass(frozen=True)
@@ -112,6 +112,8 @@ def projector_from_signed_words(
     for w in words:
         if not w.is_hermitian:
             raise ValueError(f"generator {w} is not Hermitian")
+    for a, b in anticommuting_pairs(words):
+        raise ValueError(f"members {a} and {b} do not commute")
     group = _signed_group(words)
     for w in words:
         if group[(w.x, w.z)][0] != w.sign:
@@ -150,6 +152,8 @@ def projectors_of(sys: ContextSystem) -> ProjectorPool:
     projectors: List[StabilizerProjector] = []
     families: List[Tuple[int, ...]] = []
     for ci, ctx in enumerate(sys.contexts):
+        for violation in commutation_violations(sys, ci):
+            raise ValueError(violation)
         group = _signed_group(sys.context_words(ctx))
         if len(group) == 1:
             raise ValueError(

@@ -19,10 +19,11 @@ from typing import Callable, Dict, List, Tuple
 
 import numpy as np
 
-from .pauli import PauliWord, all_words, commutes, multiply, to_dense
+from .pauli import PauliWord, all_words, commutes, multiply, product_of, to_dense
 from .systems import (
     Context,
     ContextSystem,
+    anticommuting_pairs,
     build_star_table,
     builtin_fixtures,
     count_ghz_assignments,
@@ -460,13 +461,9 @@ def reconstructed_single_table_contexts(sys: ContextSystem) -> ContextSystem:
         for combo in itertools.combinations(range(count), size):
             if any(set(combo) <= set(m) for m in maximal):
                 continue
-            if all(
-                commutes(words[i], words[j])
-                for i, j in itertools.combinations(combo, 2)
-            ):
+            members = [words[i] for i in combo]
+            if next(anticommuting_pairs(members), None) is None:
                 maximal.append(combo)
-    from .pauli import product_of
-
     contexts = []
     for combo in maximal:
         p = product_of([words[i] for i in combo])

@@ -17,10 +17,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import gf2
-from .pauli import DenseCapError, PauliWord, commutes
+from .pauli import DenseCapError, PauliWord, product_of
 from .systems import (
     ContextSystem,
     _single_context,
+    anticommuting_pairs,
     check_eigenvalue_dependencies,
 )
 
@@ -28,6 +29,9 @@ DENSE_STATE_CAP = 14
 
 # most amplitudes one stacked gather or block of dense Bell rows holds
 _STACK_AMPLITUDES = 1 << 14
+
+# descending reduced spectra, one per qubit subset of a cut size
+Spectra = Tuple[Tuple[float, ...], ...]
 
 BELL_LABELS = ("Φ+", "Φ-", "Ψ+", "Ψ-")
 _S = 1 / math.sqrt(2)
@@ -118,12 +122,33 @@ def apply_pauli(word: PauliWord, vec: np.ndarray) -> np.ndarray:
 
 def eigenspace_dimension(sys: ContextSystem) -> int:
     """2^(n - m) with m the number of symplectically independent members."""
-    ctx = _single_context(sys)
-    rows = []
-    for m in ctx.members:
-        ob = sys.observables[m]
-        rows.append((ob.x << sys.n) | ob.z)
-    return 1 << (sys.n - gf2.rank(rows))
+    words = sys.context_words(_single_context(sys))
+    return 1 << (sys.n - gf2.rank([(w.x << sys.n) | w.z for w in words]))
+
+
+def _support_start(words: List[PauliWord], eigenvalues: Sequence[int]) -> int:
+    """Smallest basis index b in the joint eigenstate's support.
+
+    A product of members whose X parts cancel is +-Z^z, so |z & b| is odd
+    iff its sign times their eigenvalues is -1.  b is fixed from its top
+    bit down, each bit 0 if these equations still have a solution.
+    """
+    n = words[0].n
+    rows, rhs = [], []
+    for vec in gf2.left_nullspace([w.x for w in words], n):
+        chosen = gf2.row_bits(vec, len(words))
+        prod = product_of([words[i] for i in chosen])
+        rows.append(prod.z)
+        sign = prod.sign * math.prod(eigenvalues[i] for i in chosen)
+        rhs.append(int(sign < 0))
+    start = 0
+    for bit in reversed(range(n)):
+        rows.append(1 << bit)
+        rhs.append(0)
+        if not gf2.solvable(rows, rhs):
+            rhs[-1] = 1
+            start |= 1 << bit
+    return start
 
 
 def joint_eigenstate(
@@ -133,18 +158,16 @@ def joint_eigenstate(
 ) -> DenseState:
     """Unique unit vector with O_i psi = s_i psi for every context member.
 
-    Computed by applying the projectors (I + s_i O_i)/2 to a sequence of
-    basis vectors until a nonzero image survives; the result is verified
-    against every eigen-equation to 1e-10.  Members that do not commute
-    raise ``ValueError`` naming the first such pair; eigenvalues that
-    break a dependency among the members raise
-    ``InconsistentEigenvaluesError``.
+    Computed by applying the projectors (I + s_i O_i)/2 to the first basis
+    vector in the state's support (``_support_start``); the result is
+    verified against every eigen-equation to 1e-10.  Members that do not
+    commute raise ``ValueError`` naming the first such pair; eigenvalues
+    other than +1 and -1 raise ``ValueError`` and eigenvalues that break a
+    dependency among the members ``InconsistentEigenvaluesError``.
     """
-    ctx = _single_context(sys)
-    words = [sys.observables[m] for m in ctx.members]
-    for a, b in itertools.combinations(words, 2):
-        if not commutes(a, b):
-            raise ValueError(f"members {a} and {b} do not commute")
+    words = sys.context_words(_single_context(sys))
+    for a, b in anticommuting_pairs(words):
+        raise ValueError(f"members {a} and {b} do not commute")
     if sys.n > dense_cap:
         raise DenseCapError(f"n={sys.n} exceeds dense state cap {dense_cap}")
     check_eigenvalue_dependencies(sys, eigenvalues)
@@ -152,30 +175,21 @@ def joint_eigenstate(
     if dim != 1:
         raise UnderdeterminedEigenstateError(dim, eigenvalues)
 
-    size = 1 << sys.n
-    for start in range(size):
-        vec = np.zeros(size, dtype=complex)
-        vec[start] = 1.0
-        for w, s in zip(words, eigenvalues):
-            vec = 0.5 * (vec + s * apply_pauli(w, vec))
-        if np.linalg.norm(vec) > 1e-9:
-            state = DenseState.from_vector(vec)
-            for w, s in zip(words, eigenvalues):
-                resid = apply_pauli(w, state.amplitudes) - s * state.amplitudes
-                if np.linalg.norm(resid) > 1e-10:
-                    raise AssertionError(f"eigen-equation violated for {w}")
-            return state
-    raise AssertionError("projector product annihilated every basis vector")
+    vec = np.zeros(1 << sys.n, dtype=complex)
+    vec[_support_start(words, eigenvalues)] = 1.0
+    for w, s in zip(words, eigenvalues):
+        vec = 0.5 * (vec + s * apply_pauli(w, vec))
+    assert np.linalg.norm(vec) > 1e-9, "projector product annihilated the start"
+    state = DenseState.from_vector(vec)
+    for w, s in zip(words, eigenvalues):
+        resid = apply_pauli(w, state.amplitudes) - s * state.amplitudes
+        if np.linalg.norm(resid) > 1e-10:
+            raise AssertionError(f"eigen-equation violated for {w}")
+    return state
 
 
 # ---------------------------------------------------------------------------
 # Bell decompositions
-
-
-def _check_pairing(n: int, pairing: Sequence[Tuple[int, int]]) -> None:
-    flat = [q for pair in pairing for q in pair]
-    if sorted(flat) != list(range(1, n + 1)):
-        raise ValueError(f"pairing {pairing} does not cover qubits 1..{n}")
 
 
 @dataclass(frozen=True)
@@ -203,15 +217,17 @@ class BellDecomposition:
             vec += coeff * bell_product_vector(self.n, factors)
         return DenseState.from_vector(vec)
 
-    def to_json(self) -> str:
-        terms = {
-            "".join(labels): [float(c.real), float(c.imag)]
-            for labels, c in sorted(self.nonzero().items())
+    def to_json_dict(self) -> dict:
+        return {
+            "pairing": [list(p) for p in self.pairing],
+            "terms": {
+                "".join(labels): [float(c.real), float(c.imag)]
+                for labels, c in sorted(self.nonzero().items())
+            },
         }
-        return json.dumps(
-            {"pairing": [list(p) for p in self.pairing], "terms": terms},
-            ensure_ascii=False,
-        )
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_json_dict(), ensure_ascii=False)
 
 
 def bell_product_vector(
@@ -249,9 +265,10 @@ def bell_decompose(
     state: DenseState, pairing: Sequence[Tuple[int, int]]
 ) -> BellDecomposition:
     """Coefficients of the state in the tensor-product Bell basis."""
-    _check_pairing(state.n, pairing)
-    pairing = tuple((int(a), int(b)) for a, b in pairing)
     n = state.n
+    if sorted(q for pair in pairing for q in pair) != list(range(1, n + 1)):
+        raise ValueError(f"pairing {pairing} does not cover qubits 1..{n}")
+    pairing = tuple((int(a), int(b)) for a, b in pairing)
     bells = np.array([BELL_VECTORS[label].real for label in BELL_LABELS])
     offsets = np.array([np.flatnonzero(b) for b in bells])
     values = np.take_along_axis(bells, offsets, axis=1)
@@ -292,8 +309,7 @@ def bell_support(
 ) -> Tuple[int, List[float]]:
     """(term count, sorted magnitudes) of the nonzero Bell coefficients."""
     nz = bell_decompose(state, pairing).nonzero(tol)
-    mags = sorted(abs(c) for c in nz.values())
-    return len(nz), mags
+    return len(nz), sorted(abs(c) for c in nz.values())
 
 
 # ---------------------------------------------------------------------------
@@ -375,36 +391,33 @@ def reduced_spectrum(state: DenseState, subset: Sequence[int]) -> Tuple[float, .
     return _spectra(state, [subset])[0]
 
 
-def _cut_spectra(state: DenseState, size: int) -> Tuple[Tuple[float, ...], ...]:
+def _cut_spectra(state: DenseState, size: int) -> Spectra:
     subsets = list(itertools.combinations(range(1, state.n + 1), size))
     return tuple(sorted(_spectra(state, subsets)))
 
 
-def entanglement_profile(
-    state: DenseState,
-) -> Dict[int, Tuple[Tuple[float, ...], ...]]:
+def entanglement_profile(state: DenseState) -> Dict[int, Spectra]:
     """Reduced-density spectra for every bipartition up to size n/2."""
     return {
         size: _cut_spectra(state, size) for size in range(1, state.n // 2 + 1)
     }
 
 
+def _spectra_match(a: Spectra, b: Spectra, tol: float) -> bool:
+    """Equally many spectra, each as long as its match and within tol."""
+    return len(a) == len(b) and all(
+        len(sa) == len(sb)
+        and not any(abs(x - y) > tol for x, y in zip(sa, sb))
+        for sa, sb in zip(a, b)
+    )
+
+
 def profiles_match(
-    a: Dict[int, Tuple[Tuple[float, ...], ...]],
-    b: Dict[int, Tuple[Tuple[float, ...], ...]],
-    tol: float = 1e-9,
+    a: Dict[int, Spectra], b: Dict[int, Spectra], tol: float = 1e-9
 ) -> bool:
-    if a.keys() != b.keys():
-        return False
-    for k in a:
-        if len(a[k]) != len(b[k]):
-            return False
-        for sa, sb in zip(a[k], b[k]):
-            if len(sa) != len(sb):
-                return False
-            if any(abs(x - y) > tol for x, y in zip(sa, sb)):
-                return False
-    return True
+    return a.keys() == b.keys() and all(
+        _spectra_match(a[k], b[k], tol) for k in a
+    )
 
 
 def classify_residual(
@@ -427,10 +440,8 @@ def classify_residual(
             return "bell-state"
     if reference is not None and reference.n == residual.n:
         if all(
-            profiles_match(
-                {k: _cut_spectra(residual, k)},
-                {k: _cut_spectra(reference, k)},
-                tol,
+            _spectra_match(
+                _cut_spectra(residual, k), _cut_spectra(reference, k), tol
             )
             for k in range(1, residual.n // 2 + 1)
         ):

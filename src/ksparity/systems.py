@@ -13,7 +13,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import gf2
 from .pauli import PauliWord, commutes, parse_word, product_of
@@ -107,17 +107,27 @@ class ValidationReport:
     violations: List[str] = field(default_factory=list)
 
 
+def anticommuting_pairs(words: Sequence[PauliWord]) -> Iterator[tuple]:
+    """The pairs of words that do not commute, in combinations order."""
+    for a, b in itertools.combinations(words, 2):
+        if not commutes(a, b):
+            yield a, b
+
+
+def commutation_violations(sys: ContextSystem, ci: int) -> List[str]:
+    """One line per pair of members of context ``ci`` that do not commute."""
+    return [
+        f"context {ci}: members {a} and {b} do not commute"
+        for a, b in anticommuting_pairs(sys.context_words(sys.contexts[ci]))
+    ]
+
+
 def verify_system(sys: ContextSystem) -> ValidationReport:
     """Check pairwise commutativity and product sign of every context."""
     violations: List[str] = []
     for ci, ctx in enumerate(sys.contexts):
-        words = sys.context_words(ctx)
-        for (i, a), (j, b) in itertools.combinations(enumerate(words), 2):
-            if not commutes(a, b):
-                violations.append(
-                    f"context {ci}: members {a} and {b} do not commute"
-                )
-        prod = product_of(words)
+        violations += commutation_violations(sys, ci)
+        prod = product_of(sys.context_words(ctx))
         if not prod.is_identity_letters:
             violations.append(
                 f"context {ci}: product {prod} is not proportional to identity"
@@ -150,41 +160,28 @@ Slot = Tuple[int, str]  # (0-based qubit position, letter)
 
 def word_slots(word: PauliWord) -> List[Slot]:
     """Non-identity (position, letter) slots of a word."""
-    return [
-        (pos, word.letter(pos))
-        for pos in range(word.n)
-        if word.letter(pos) != "I"
-    ]
+    return [(pos, c) for pos, c in enumerate(word.letters()) if c != "I"]
 
 
-def _slot_equations(
-    sys: ContextSystem, contexts: Optional[Sequence[Context]] = None
-) -> Tuple[List[Slot], List[int], List[int]]:
-    """GF(2) equations at single-qubit granularity, one per context.
-
-    Returns (slots, rows, rhs) where bit (nslots-1-j) of a row flags slot j
-    and rhs bit is 1 for a -identity context.
-    """
-    contexts = list(sys.contexts if contexts is None else contexts)
-    slots = sorted(
-        {
-            s
-            for ctx in contexts
-            for m in ctx.members
-            for s in word_slots(sys.observables[m])
-        }
-    )
-    index = {s: i for i, s in enumerate(slots)}
-    width = len(slots)
+def _context_equations(
+    contexts: Sequence[Context], variables: Sequence[Sequence]
+) -> Tuple[list, List[int], List[int]]:
+    """GF(2) equations, one per context, member m standing for the product
+    of ``variables[m]``.  Returns (names, rows, rhs): the members' variables
+    sorted, bit (len(names)-1-j) of a row flagging names[j], and rhs bit 1
+    for a -identity context."""
+    names = sorted({v for c in contexts for m in c.members
+                    for v in variables[m]})
+    index = {v: i for i, v in enumerate(names)}
     rows, rhs = [], []
     for ctx in contexts:
         row = 0
         for m in ctx.members:
-            for s in word_slots(sys.observables[m]):
-                row ^= 1 << (width - 1 - index[s])
+            for v in variables[m]:
+                row ^= 1 << (len(names) - 1 - index[v])
         rows.append(row)
         rhs.append(0 if ctx.sign == 1 else 1)
-    return slots, rows, rhs
+    return names, rows, rhs
 
 
 def gf2_infeasible(sys: ContextSystem, granularity: str = "single-qubit") -> bool:
@@ -195,19 +192,13 @@ def gf2_infeasible(sys: ContextSystem, granularity: str = "single-qubit") -> boo
     the observables themselves are the variables.
     """
     if granularity == "single-qubit":
-        _, rows, rhs = _slot_equations(sys)
-        return not gf2.solvable(rows, rhs)
-    if granularity == "observable":
-        width = len(sys.observables)
-        rows, rhs = [], []
-        for ctx in sys.contexts:
-            row = 0
-            for m in ctx.members:
-                row ^= 1 << (width - 1 - m)
-            rows.append(row)
-            rhs.append(0 if ctx.sign == 1 else 1)
-        return not gf2.solvable(rows, rhs)
-    raise ValueError(f"unknown granularity {granularity!r}")
+        variables = [word_slots(ob) for ob in sys.observables]
+    elif granularity == "observable":
+        variables = [[m] for m in range(len(sys.observables))]
+    else:
+        raise ValueError(f"unknown granularity {granularity!r}")
+    _, rows, rhs = _context_equations(sys.contexts, variables)
+    return not gf2.solvable(rows, rhs)
 
 
 def _single_context(sys: ContextSystem) -> Context:
@@ -222,21 +213,29 @@ def default_eigenvalues(sys: ContextSystem) -> List[int]:
     return [1] * (len(ctx.members) - 1) + [ctx.sign]
 
 
+def _check_signature(ctx: Context, eigenvalues: Sequence[int]) -> None:
+    """Raise ``ValueError`` unless each member has one eigenvalue, +-1."""
+    if len(eigenvalues) != len(ctx.members):
+        raise ValueError("one eigenvalue per context member is required")
+    if any(e not in (1, -1) for e in eigenvalues):
+        raise ValueError("eigenvalues must be +1 or -1")
+
+
 def check_eigenvalue_dependencies(
     sys: ContextSystem, eigenvalues: Sequence[int]
 ) -> None:
     """Raise unless the eigenvalues respect every dependency among the rows.
 
-    There must be one per member, and their product must be the context's
-    declared sign.  Each vector of the left null space of the members'
-    symplectic bitsets picks rows whose product is a multiple of the
-    identity; a joint eigenstate exists only if the chosen eigenvalues
-    multiply to the sign of that product.  Checking a basis suffices, because for commuting
-    words both sides multiply along sums of null vectors.
+    There must be one per member, each +1 or -1, and their product must be
+    the context's declared sign.  Each vector of the left null space of the
+    members' symplectic bitsets picks rows whose product is a multiple of
+    the identity; a joint eigenstate exists only if the chosen eigenvalues
+    multiply to the sign of that product.  Checking a basis suffices,
+    because for commuting words both sides multiply along sums of null
+    vectors.
     """
     ctx = _single_context(sys)
-    if len(eigenvalues) != len(ctx.members):
-        raise ValueError("one eigenvalue per context member is required")
+    _check_signature(ctx, eigenvalues)
     ev_product = math.prod(eigenvalues)
     if ev_product != ctx.sign:
         raise InconsistentEigenvaluesError(
@@ -258,30 +257,21 @@ def check_eigenvalue_dependencies(
             )
 
 
-def _ghz_equations(
-    sys: ContextSystem, eigenvalues: Sequence[int]
-) -> Tuple[List[Slot], List[int], List[int]]:
-    """Slot equations with one row per member, its eigenvalue as target."""
-    ctx = _single_context(sys)
-    if len(eigenvalues) != len(ctx.members):
-        raise ValueError("one eigenvalue per context member is required")
-    if any(e not in (1, -1) for e in eigenvalues):
-        raise ValueError("eigenvalues must be +1 or -1")
-    signed = tuple(
-        Context((m,), e) for m, e in zip(ctx.members, eigenvalues)
-    )
-    return _slot_equations(sys, signed)
-
-
 def count_ghz_assignments(
     sys: ContextSystem, eigenvalues: Sequence[int]
 ) -> Tuple[int, int]:
     """(satisfying, total) over all +-1 assignments to the letter slots.
 
-    The satisfying assignments are the solutions of the slot equations:
-    none if they are inconsistent, else 2^(slots - rank).
+    The slot equations have one row per member, its eigenvalue as target.
+    The satisfying assignments are their solutions: none if they are
+    inconsistent, else 2^(slots - rank).
     """
-    slots, rows, rhs = _ghz_equations(sys, eigenvalues)
+    ctx = _single_context(sys)
+    _check_signature(ctx, eigenvalues)
+    signed = [Context((m,), e) for m, e in zip(ctx.members, eigenvalues)]
+    slots, rows, rhs = _context_equations(
+        signed, [word_slots(o) for o in sys.observables]
+    )
     total = 1 << len(slots)
     if not gf2.solvable(rows, rhs):
         return 0, total
@@ -294,9 +284,8 @@ def ghz_infeasible(sys: ContextSystem, eigenvalues: Sequence[int]) -> bool:
     Decided by the GF(2) slot equations.  Eigenvalues that no joint
     eigenstate can carry raise ``InconsistentEigenvaluesError``.
     """
-    _, rows, rhs = _ghz_equations(sys, eigenvalues)
     check_eigenvalue_dependencies(sys, eigenvalues)
-    return not gf2.solvable(rows, rhs)
+    return count_ghz_assignments(sys, eigenvalues)[0] == 0
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Reference versions of the dense state kernels, for tests only.
 
-Each function is the per-subset or per-label loop that the library
-replaced with batched numpy code; the tests require the library to agree
-with it bit for bit.
+Each function is the per-subset, per-label or per-basis-vector loop that
+the library replaced with batched numpy code or a GF(2) closed form; the
+tests require the library to agree with it bit for bit.
 """
 
 import itertools
@@ -13,9 +13,11 @@ import numpy as np
 from ksparity.states import (
     BELL_LABELS,
     DenseState,
+    apply_pauli,
     bell_product_vector,
     profiles_match,
 )
+from ksparity.systems import ContextSystem
 
 
 def reduced_spectrum(state: DenseState, subset: Sequence[int]) -> Tuple[float, ...]:
@@ -77,3 +79,21 @@ def bell_coefficients(
         basis_vec = bell_product_vector(state.n, factors)
         coeffs[labels] = complex(np.vdot(basis_vec, state.amplitudes))
     return coeffs
+
+
+def joint_eigenstate(
+    sys: ContextSystem, eigenvalues: Sequence[int]
+) -> DenseState:
+    """Project basis vectors one by one, in index order, until one keeps a
+    nonzero image; the projections are those of the library, so the state
+    is bit-identical to its start from the first index in the support."""
+    words = sys.context_words(sys.contexts[0])
+    size = 1 << sys.n
+    for start in range(size):
+        vec = np.zeros(size, dtype=complex)
+        vec[start] = 1.0
+        for w, s in zip(words, eigenvalues):
+            vec = 0.5 * (vec + s * apply_pauli(w, vec))
+        if np.linalg.norm(vec) > 1e-9:
+            return DenseState.from_vector(vec)
+    raise AssertionError("projector product annihilated every basis vector")

@@ -726,6 +726,19 @@ class TestSharedFailures:
         summary = shared.summary_dict(kite_table)
         assert "searches" not in summary and "shared_failures" not in summary
 
+    def test_group_built_at_the_first_failed_search(self, kite_table):
+        # the star-3 table has one basis and an empty kernel, so its census
+        # searches nothing and never needs the group; the kite's builds it
+        # once
+        star = enumerate_bases(projectors_of(build_star_table(3)))
+        with mock.patch.object(
+            parity, "_pauli_automorphisms", wraps=parity._pauli_automorphisms
+        ) as group:
+            census = enumerate_parity_proofs(star)
+            assert (census.searches, group.call_count) == (0, 0)
+            census = enumerate_parity_proofs(kite_table)
+            assert (census.searches, group.call_count) == (688, 1)
+
     def test_kite_group_matches_every_pauli(self, kite_table, kite_images):
         assert len(kite_images) == 32
         assert parity._pauli_automorphisms(kite_table) == kite_images
@@ -758,7 +771,7 @@ class TestSharedFailures:
         nb = data.draw(st.integers(1, 130), label="nb")
         perm = data.draw(st.permutations(range(nb)), label="perm")
         vec = data.draw(st.integers(0, (1 << nb) - 1), label="vec")
-        failed = parity._FailedDrops([tuple(range(nb)), tuple(perm)])
+        failed = parity._FailedDrops(lambda: [tuple(range(nb)), tuple(perm)])
         failed.add(vec)
         image = sum(1 << perm[j] for j in range(nb) if vec >> j & 1)
         assert failed.known == {vec, image}

@@ -76,6 +76,22 @@ class TestProjectorConstruction:
 
 
 class TestProjectorsOf:
+    def test_members_that_do_not_commute(self):
+        # the message names the context and its first pair that does not
+        # commute, not the imaginary phase of their product
+        words = tuple(parse_word(w) for w in ("XX", "YY", "ZZ", "XI", "ZI"))
+        system = ContextSystem(
+            2, words, (Context((0, 1, 2), -1), Context((3, 4), 1))
+        )
+        with pytest.raises(
+            ValueError, match="^context 1: members XI and ZI do not commute$"
+        ):
+            projectors_of(system)
+        with pytest.raises(
+            ValueError, match="^members XI and -ZI do not commute$"
+        ):
+            projector_from_signed_words([signed("XI"), signed("ZI", -1)])
+
     def test_single_complete_context(self):
         sys = system_from_rows(["ZI", "IZ", "ZZ"], 1)
         pool = projectors_of(sys)

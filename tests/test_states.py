@@ -1,17 +1,25 @@
 import itertools
 import math
+import random
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import ghz_oracles
 import state_oracles
-from ksparity.pauli import parse_word
+from ksparity import gf2, states
+from ksparity.pauli import PauliWord, commutes, parse_word, product_of
 from ksparity.systems import (
+    Context,
+    ContextSystem,
     InconsistentEigenvaluesError,
     build_star_table,
+    check_eigenvalue_dependencies,
+    count_ghz_assignments,
     default_eigenvalues,
+    ghz_infeasible,
     system_from_rows,
 )
 from ksparity.states import (
@@ -39,6 +47,36 @@ def random_state(n, seed):
     return DenseState.from_vector(
         rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
     )
+
+
+def all_z_table(n):
+    """Z on each qubit and Z on all of them: one state, |1...1> when every
+    single Z is at -1, the last basis vector."""
+    rows = ["I" * i + "Z" + "I" * (n - i - 1) for i in range(n)]
+    return system_from_rows(rows + ["Z" * n], 1)
+
+
+def two_dependency_table():
+    """The four-qubit star table on qubits 1-4 next to XI, IX, XX on qubits
+    5, 6: the whole table and its last three rows each multiply to a
+    multiple of the identity."""
+    rows = [str(ob) + "II" for ob in build_star_table(2).observables]
+    return system_from_rows(rows + ["IIIIXI", "IIIIIX", "IIIIXX"], -1)
+
+
+def random_stabilizer_table(rng, n):
+    """n independent commuting words drawn at random, and their product
+    with phase +1, as one context carrying the sign that makes it close."""
+    words = []
+    while len(words) < n:
+        w = PauliWord(n, rng.randrange(1 << n), rng.randrange(1 << n))
+        w = w.unsigned()
+        rows = [(v.x << n) | v.z for v in words + [w]]
+        if all(commutes(w, v) for v in words) and gf2.rank(rows) == len(rows):
+            words.append(w)
+    words.append(product_of(words).unsigned())
+    sign = product_of(words).sign
+    return ContextSystem(n, tuple(words), (Context(tuple(range(n + 1)), sign),))
 
 
 @pytest.fixture(scope="module")
@@ -121,12 +159,70 @@ class TestJointEigenstate:
     def test_second_dependency_rejected(self):
         # XI, IX, XX on qubits 5, 6 multiply to +identity: + + - has the
         # right total product but no joint eigenstate
-        rows = [str(ob) + "II" for ob in build_star_table(2).observables]
-        sys = system_from_rows(rows + ["IIIIXI", "IIIIIX", "IIIIXX"], -1)
+        sys = two_dependency_table()
         with pytest.raises(InconsistentEigenvaluesError):
             joint_eigenstate(sys, (1, 1, 1, 1, 1, 1, 1, -1))
         state = joint_eigenstate(sys, (1, 1, 1, 1, -1, 1, -1, -1))
         assert state.n == 6
+
+
+class TestStartVector:
+    """The projections start from the first basis vector of the support,
+    worked out over GF(2); the trial loop of ``state_oracles`` projects
+    basis vectors in order until one survives."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_matches_trial_loop(self, data):
+        kind = data.draw(st.sampled_from(["star", "all-z", "random", "control"]))
+        if kind == "star":
+            sys = build_star_table(data.draw(st.integers(2, 4), label="N"))
+        elif kind == "all-z":
+            sys = all_z_table(data.draw(st.integers(2, 8), label="n"))
+        elif kind == "random":
+            seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+            n = data.draw(st.integers(2, 6), label="n")
+            sys = random_stabilizer_table(random.Random(seed), n)
+        else:
+            sys = two_dependency_table()
+        ev = data.draw(st.lists(
+            st.sampled_from([1, -1]),
+            min_size=len(sys.observables), max_size=len(sys.observables),
+        ), label="eigenvalues")
+        try:
+            check_eigenvalue_dependencies(sys, ev)
+        except InconsistentEigenvaluesError:
+            assume(False)
+        state = joint_eigenstate(sys, ev)
+        oracle = state_oracles.joint_eigenstate(sys, ev)
+        assert state.amplitudes.tobytes() == oracle.amplitudes.tobytes()
+
+    def test_last_basis_vector_without_trials(self):
+        # every single Z at -1 puts the state on index 4095 alone, the last
+        # vector a trial loop would reach; the start is found without
+        # projecting, so each member is applied once to project and once to
+        # verify
+        sys = all_z_table(12)
+        ev = [-1] * 12 + [1]
+        with mock.patch.object(
+            states, "apply_pauli", wraps=states.apply_pauli
+        ) as apply:
+            state = joint_eigenstate(sys, ev)
+        assert apply.call_count == 2 * len(ev)
+        assert np.flatnonzero(state.amplitudes).tolist() == [4095]
+
+    def test_eigenvalues_must_be_plus_or_minus_one(self):
+        # 3 and -1/3 multiply to -1, the table's sign, but no Pauli word
+        # has them as eigenvalues; every entry point says so alike
+        sys = build_star_table(2)
+        ev = [3, 1, 1, 1, -1 / 3]
+        for check in (joint_eigenstate, ghz_infeasible, count_ghz_assignments,
+                      check_eigenvalue_dependencies):
+            with pytest.raises(
+                ValueError, match=r"^eigenvalues must be \+1 or -1$"
+            ) as err:
+                check(sys, ev)
+            assert type(err.value) is ValueError
 
 
 class TestBellDecomposition:

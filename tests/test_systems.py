@@ -10,8 +10,10 @@ from ksparity.systems import (
     Context,
     ContextSystem,
     InconsistentEigenvaluesError,
+    anticommuting_pairs,
     build_star_table,
     builtin_fixtures,
+    commutation_violations,
     count_ghz_assignments,
     default_eigenvalues,
     find_proper_subproof,
@@ -135,6 +137,17 @@ class TestVerification:
         report = verify_system(sys)
         assert not report.ok
         assert "do not commute" in report.violations[0]
+
+    def test_anticommuting_pairs_in_combinations_order(self):
+        rows = ["XI", "ZI", "IZ", "YI"]
+        pairs = [(str(a), str(b)) for a, b in
+                 anticommuting_pairs([parse_word(r) for r in rows])]
+        assert pairs == [("XI", "ZI"), ("XI", "YI"), ("ZI", "YI")]
+        sys = system_from_rows(rows, 1)
+        lines = [f"context 0: members {a} and {b} do not commute"
+                 for a, b in pairs]
+        assert commutation_violations(sys, 0) == lines
+        assert verify_system(sys).violations[:3] == lines
 
     def test_wrong_sign_reported(self):
         sys = ContextSystem(
