@@ -8,10 +8,12 @@ tolerance well defined.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -59,8 +61,18 @@ class UnderdeterminedEigenstateError(ValueError):
 
 @dataclass(frozen=True)
 class DenseState:
+    """A normalized, phase-canonical state of ``n`` qubits.
+
+    ``amplitudes`` is the state's own copy of the vector and is read-only,
+    so spectra kept for the state (see ``classify_residual``) stay valid.
+    """
+
     n: int
     amplitudes: np.ndarray
+    # cut size -> sorted cut spectra, filled while the state is a reference
+    _kept_spectra: Dict[int, Spectra] = field(
+        init=False, repr=False, compare=False, default_factory=dict
+    )
 
     def __post_init__(self):
         vec = np.asarray(self.amplitudes, dtype=complex)
@@ -69,7 +81,10 @@ class DenseState:
         norm = np.linalg.norm(vec)
         if not math.isclose(norm, 1.0, abs_tol=1e-12):
             raise ValueError(f"state is not normalized (norm {norm})")
-        object.__setattr__(self, "amplitudes", _canonical_phase(vec))
+        # a unit vector has a nonzero lead, so this is a new array
+        vec = _canonical_phase(vec)
+        vec.flags.writeable = False
+        object.__setattr__(self, "amplitudes", vec)
 
     @classmethod
     def from_vector(cls, vec: np.ndarray) -> "DenseState":
@@ -316,6 +331,15 @@ def bell_support(
 # measurement and entanglement
 
 
+def _qubit_indices(qubits: Sequence[int]) -> List[int]:
+    """The qubits as Python ints; ``ValueError`` for any index that
+    ``operator.index`` refuses, such as a float, rather than truncating it."""
+    try:
+        return [operator.index(q) for q in qubits]
+    except TypeError:
+        raise ValueError(f"qubit indices {list(qubits)} are not all integers") from None
+
+
 def measure_computational(
     state: DenseState, qubits: Sequence[int], outcome: str
 ) -> Tuple[float, Optional[DenseState]]:
@@ -324,7 +348,7 @@ def measure_computational(
     Returns (probability, residual state on the unmeasured qubits); zero
     probability branches return no residual.
     """
-    qubits = list(qubits)
+    qubits = _qubit_indices(qubits)
     if len(outcome) != len(qubits):
         raise ValueError("outcome length must match the measured qubit count")
     if any(bit not in "01" for bit in outcome):
@@ -355,26 +379,54 @@ def _pattern_offsets(n: int, positions: np.ndarray) -> np.ndarray:
     return (1 << (n - 1 - positions)) @ bits.T
 
 
-def _spectra(
-    state: DenseState, subsets: Sequence[Sequence[int]]
-) -> List[Tuple[float, ...]]:
-    """Descending reduced spectra on equally sized 1-based ``subsets``.
+def _subset_offsets(
+    n: int, subsets: Sequence[Sequence[int]]
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Row and column offset tables of equally sized 0-based ``subsets``.
 
-    Each subset's matrix is the state transposed to (subset, rest) order
-    and reshaped to 2^k x 2^(n-k), gathered for a stack of subsets at once
-    and holding at most ``_STACK_AMPLITUDES`` amplitudes per stack.
+    Row ``i`` of the first table holds the offsets of subset ``i``'s bit
+    patterns, row ``i`` of the second those of the other qubits', so
+    ``rows[i, :, None] | cols[i, None, :]`` gathers the state transposed
+    to (subset, rest) order as a 2^k x 2^(n-k) matrix.
     """
-    n, size = state.n, len(subsets[0])
-    keep = np.array(subsets, dtype=np.int64).reshape(len(subsets), size) - 1
+    size = len(subsets[0])
+    keep = np.array(subsets, dtype=np.int64).reshape(len(subsets), size)
     outside = np.ones((len(keep), n), dtype=bool)
     np.put_along_axis(outside, keep, False, axis=1)
     rest = np.nonzero(outside)[1].reshape(len(keep), n - size)
-    rows, cols = _pattern_offsets(n, keep), _pattern_offsets(n, rest)
-    step = max(1, _STACK_AMPLITUDES >> n)
+    return _pattern_offsets(n, keep), _pattern_offsets(n, rest)
+
+
+@functools.cache
+def _cut_offsets(n: int, size: int) -> Tuple[np.ndarray, np.ndarray]:
+    """``_subset_offsets`` of every size-``size`` subset of n qubits, in
+    ``itertools.combinations`` order, built once per (n, size) and kept
+    read-only for the life of the process.
+
+    The tables hold C(n, size) * (2^size + 2^(n - size)) int64 entries
+    together: about 4.5 MB for every size at n = 12 and 40 MB at the
+    14-qubit dense cap.
+    """
+    tables = _subset_offsets(n, list(itertools.combinations(range(n), size)))
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+def _spectra(
+    amplitudes: np.ndarray, rows: np.ndarray, cols: np.ndarray
+) -> List[Tuple[float, ...]]:
+    """Descending reduced spectra of the matrices the offset tables gather.
+
+    The matrices are gathered a stack of subsets at a time, each stack
+    holding at most ``_STACK_AMPLITUDES`` amplitudes, and each stack's
+    reduced density matrices go through one batched ``eigvalsh``.
+    """
+    step = max(1, _STACK_AMPLITUDES // (rows.shape[1] * cols.shape[1]))
     spectra: List[Tuple[float, ...]] = []
-    for start in range(0, len(keep), step):
+    for start in range(0, len(rows), step):
         chunk = slice(start, start + step)
-        mats = state.amplitudes[rows[chunk, :, None] | cols[chunk, None, :]]
+        mats = amplitudes[rows[chunk, :, None] | cols[chunk, None, :]]
         rho = mats @ mats.conj().transpose(0, 2, 1)
         # eigvalsh returns each row ascending
         vals = np.linalg.eigvalsh(rho)[:, ::-1]
@@ -383,17 +435,32 @@ def _spectra(
 
 
 def reduced_spectrum(state: DenseState, subset: Sequence[int]) -> Tuple[float, ...]:
-    """Eigenvalues of the reduced density matrix on 1-based ``subset``."""
+    """Eigenvalues of the reduced density matrix on 1-based ``subset``.
+
+    The subset's offset tables are built for this call alone.
+    """
+    subset = _qubit_indices(subset)
     if len(set(subset)) != len(subset) or not all(
         1 <= q <= state.n for q in subset
     ):
         raise ValueError(f"subset {subset} is not distinct qubits in 1..{state.n}")
-    return _spectra(state, [subset])[0]
+    rows, cols = _subset_offsets(state.n, [[q - 1 for q in subset]])
+    return _spectra(state.amplitudes, rows, cols)[0]
 
 
 def _cut_spectra(state: DenseState, size: int) -> Spectra:
-    subsets = list(itertools.combinations(range(1, state.n + 1), size))
-    return tuple(sorted(_spectra(state, subsets)))
+    """Sorted spectra of every size-``size`` cut, from the kept tables."""
+    rows, cols = _cut_offsets(state.n, size)
+    return tuple(sorted(_spectra(state.amplitudes, rows, cols)))
+
+
+def _reference_spectra(reference: DenseState, size: int) -> Spectra:
+    """``_cut_spectra`` of a reference state, computed once per cut size
+    and kept on the state: its amplitudes are read-only, so they hold."""
+    kept = reference._kept_spectra
+    if size not in kept:
+        kept[size] = _cut_spectra(reference, size)
+    return kept[size]
 
 
 def entanglement_profile(state: DenseState) -> Dict[int, Spectra]:
@@ -430,18 +497,21 @@ def classify_residual(
     A two-qubit residual with maximally mixed single-qubit marginals counts
     as a Bell state; otherwise the residual's entanglement profile is
     compared against the reference state's, one cut size at a time, and
-    the first size that differs decides "mismatch".
+    the first size that differs decides "mismatch".  The reference's cut
+    spectra are computed once per size and kept on it, so one reference
+    serves many residuals; the residual's are computed afresh and not kept.
     """
+    own: Dict[int, Spectra] = {}
     if residual.n == 2:
-        spectra = [reduced_spectrum(residual, [q]) for q in (1, 2)]
-        if all(
-            abs(s[0] - 0.5) < tol and abs(s[1] - 0.5) < tol for s in spectra
-        ):
+        own[1] = _cut_spectra(residual, 1)
+        if all(abs(s[0] - 0.5) < tol and abs(s[1] - 0.5) < tol for s in own[1]):
             return "bell-state"
     if reference is not None and reference.n == residual.n:
         if all(
             _spectra_match(
-                _cut_spectra(residual, k), _cut_spectra(reference, k), tol
+                own[k] if k in own else _cut_spectra(residual, k),
+                _reference_spectra(reference, k),
+                tol,
             )
             for k in range(1, residual.n // 2 + 1)
         ):

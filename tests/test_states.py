@@ -106,6 +106,20 @@ class TestDenseState:
         again = DenseState.from_json(psi4.to_json())
         assert again.isclose(psi4, tol=1e-15)
 
+    @pytest.mark.parametrize("build", [
+        lambda vec: DenseState(2, vec),
+        DenseState.from_vector,
+    ])
+    def test_amplitudes_cannot_change_after_building(self, build):
+        # the state owns a read-only copy; the caller's array stays theirs
+        given = np.array([0.6, 0, 0, 0.8], dtype=complex)
+        psi = build(given)
+        with pytest.raises(ValueError):
+            psi.amplitudes[0] = 0
+        assert given.flags.writeable
+        given[:] = [0, 1, 0, 0]
+        assert psi.amplitudes.tolist() == [0.6, 0, 0, 0.8]
+
 
 class TestApplyPauli:
     def test_matches_dense_matrix(self):
@@ -343,6 +357,16 @@ class TestMeasurement:
         with pytest.raises(ValueError):
             measure_computational(psi4, qubits, "0" * len(qubits))
 
+    @pytest.mark.parametrize("qubits", [[1.5], [2.0], [1, np.float64(3.0)], ["1"]])
+    def test_qubit_not_an_integer(self, psi4, qubits):
+        with pytest.raises(ValueError):
+            measure_computational(psi4, qubits, "0" * len(qubits))
+
+    def test_numpy_integer_qubits(self, psi4):
+        prob, residual = measure_computational(psi4, np.array([1, 3]), "01")
+        want_prob, want = measure_computational(psi4, [1, 3], "01")
+        assert prob == want_prob and residual.isclose(want, tol=0)
+
     def test_empty_measurement(self, psi4):
         prob, residual = measure_computational(psi4, [], "")
         assert prob == 1.0 and residual is psi4
@@ -404,6 +428,18 @@ class TestProfiles:
         with pytest.raises(ValueError):
             reduced_spectrum(random_state(5, 7), subset)
 
+    @pytest.mark.parametrize("subset", [[2.9], [2.0], [1, np.float64(3.0)], ["1"]])
+    def test_spectrum_rejects_non_integer_qubits(self, subset):
+        # an int64 cast would read 2.9 as qubit 2
+        with pytest.raises(ValueError):
+            reduced_spectrum(random_state(5, 7), subset)
+
+    def test_spectrum_takes_numpy_integers(self):
+        psi = random_state(5, 7)
+        assert reduced_spectrum(psi, [np.int64(4), np.int64(2)]) == (
+            reduced_spectrum(psi, [4, 2])
+        )
+
     def test_profiles_match_is_tolerant(self, psi4):
         a = entanglement_profile(psi4)
         assert profiles_match(a, a)
@@ -459,6 +495,53 @@ class TestProfiles:
         assert classify_residual(psi, ref) == (
             state_oracles.classify_residual(psi, ref)
         )
+
+    @settings(max_examples=20, deadline=None)
+    @given(n=st.integers(2, 6), seed=st.integers(0, 2**32 - 1))
+    def test_kept_reference_spectra_follow_each_reference(self, n, seed):
+        # each round drops its two references and builds two new ones with
+        # other profiles: spectra kept under a recycled object id would
+        # give a stale verdict
+        rng = np.random.default_rng(seed)
+
+        def permuted(state):
+            order = rng.permutation(n)
+            return DenseState.from_vector(
+                state.amplitudes.reshape((2,) * n).transpose(order).ravel()
+            )
+
+        for round_ in range(4):
+            refs = [random_state(n, seed + 2 * round_ + i) for i in (0, 1)]
+            for i in range(8):
+                ref = refs[i % 2]
+                residual = permuted(refs[rng.integers(2)])
+                assert classify_residual(residual, ref) == (
+                    state_oracles.classify_residual(residual, ref)
+                )
+            del refs, ref
+
+    def test_reference_spectra_computed_once_per_cut_size(self, monkeypatch):
+        sys8, sys6 = build_star_table(4), build_star_table(3)
+        psi = joint_eigenstate(sys8, default_eigenvalues(sys8))
+        reference = joint_eigenstate(sys6, default_eigenvalues(sys6))
+        spectra = states._spectra
+        sizes = []
+
+        def counting(amplitudes, rows, cols):
+            if amplitudes is reference.amplitudes:
+                sizes.append(rows.shape[1].bit_length() - 1)
+            return spectra(amplitudes, rows, cols)
+
+        monkeypatch.setattr(states, "_spectra", counting)
+        residuals = [
+            measure_computational(psi, pair, outcome)[1]
+            for pair in itertools.combinations(range(1, 9), 2)
+            for outcome in ("00", "01", "10", "11")
+        ]
+        verdicts = {classify_residual(r, reference) for r in residuals}
+        assert verdicts == {"profile-match", "mismatch"}
+        assert sizes == [1, 2, 3]
+        assert all(r._kept_spectra == {} for r in residuals)
 
     def test_mismatch_without_reference(self):
         zeros = DenseState(2, np.array([1, 0, 0, 0], dtype=complex))
