@@ -1,6 +1,9 @@
 """GF(2) linear algebra on int bitsets.
 
-A matrix is a list of Python ints; bit j of row i is entry (i, j).
+A matrix is a list of Python ints; bit j of row i is entry (i, j).  Every
+bitset here is in that one order: bit j of a matrix row is column j, and
+bit i of a left-null-space vector is row i.  Pivots are taken from the
+lowest column up.
 """
 
 from __future__ import annotations
@@ -20,16 +23,16 @@ def rank(rows: List[int]) -> int:
 
 
 def rref(rows: List[int], ncols: int) -> Tuple[List[int], List[int]]:
-    """Reduced row echelon form; returns (rows, pivot column indices).
+    """Reduced row echelon form; returns (rows, pivot columns).
 
-    Columns are indexed from the most significant bit (col 0 = bit ncols-1)
-    so that pivots follow reading order of the bitsets.
+    Pivots ascend from column 0, so each row's pivot is its lowest bit and
+    every other row is 0 there.  Bits at ncols and above ride along.
     """
     work = [r for r in rows]
     out: List[int] = []
     pivots: List[int] = []
     for col in range(ncols):
-        bit = 1 << (ncols - 1 - col)
+        bit = 1 << col
         piv = next((i for i, r in enumerate(work) if r & bit), None)
         if piv is None:
             continue
@@ -51,40 +54,36 @@ def solvable(rows: List[int], rhs: List[int]) -> bool:
 
 
 def nullspace(rows: List[int], ncols: int) -> List[int]:
-    """Basis of {v : A v = 0}, one bitset of width ncols per basis vector."""
+    """Basis of {v : A v = 0}, one bitset of width ncols per basis vector:
+    per free column f, in ascending order, the vector that is 1 at f and 0
+    at the other free columns."""
     red, pivots = rref(rows, ncols)
     pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
     basis = []
-    for f in free:
-        vec = 1 << (ncols - 1 - f)
+    for f in range(ncols):
+        if f in pivot_set:
+            continue
+        vec = 1 << f
         for row, pc in zip(red, pivots):
-            if row & (1 << (ncols - 1 - f)):
-                vec |= 1 << (ncols - 1 - pc)
+            if row >> f & 1:
+                vec |= 1 << pc
         basis.append(vec)
     return basis
 
 
 def left_nullspace(rows: List[int], ncols: int) -> List[int]:
-    """Basis of {y : y^T A = 0}; each bitset has one bit per row.
-
-    Bit convention: bit (nrows-1-i) of a result corresponds to row i.
-    """
-    nrows = len(rows)
-    cols = []
-    for c in range(ncols):
-        bit = 1 << (ncols - 1 - c)
-        col = 0
-        for i, r in enumerate(rows):
-            if r & bit:
-                col |= 1 << (nrows - 1 - i)
-        cols.append(col)
-    return nullspace(cols, nrows)
+    """Basis of {y : y^T A = 0}; bit i of each bitset picks row i."""
+    cols = [
+        sum(1 << i for i, r in enumerate(rows) if r >> c & 1)
+        for c in range(ncols)
+    ]
+    return nullspace(cols, len(rows))
 
 
-def row_bits(vec: int, nrows: int) -> List[int]:
-    """Row indices selected by a left-nullspace bitset."""
-    return [i for i in range(nrows) if vec & (1 << (nrows - 1 - i))]
+def bits(vec: int) -> List[int]:
+    """The set bits of ``vec``, ascending: the columns a row holds, or the
+    rows a left-null-space vector picks."""
+    return [i for i in range(vec.bit_length()) if vec >> i & 1]
 
 
 def enumerate_span(basis: List[int]):

@@ -79,11 +79,10 @@ class BasisTable:
 
     def incidence_rows(self) -> List[int]:
         """Projector-by-basis GF(2) matrix as int rows (bit j = basis j)."""
-        nb = len(self.bases)
         rows = [0] * len(self.pool.projectors)
         for j, basis in enumerate(self.bases):
             for pid in basis.projector_ids:
-                rows[pid] |= 1 << (nb - 1 - j)
+                rows[pid] |= 1 << j
         return rows
 
 
@@ -449,7 +448,7 @@ def _drops_satisfiable(
             failed.shared += 1
             return False
         failed.searches += 1
-        ones = satisfying_assignment(_basis_ids(rest), table)
+        ones = satisfying_assignment(gf2.bits(rest), table)
         if ones is None:
             failed.add(rest)
             return False
@@ -567,11 +566,6 @@ class _FailedDrops:
             self.known.add(image)
 
 
-def _basis_ids(vec: int) -> Tuple[int, ...]:
-    """Basis ids in a bitset, ascending."""
-    return tuple(j for j in range(vec.bit_length()) if vec >> j & 1)
-
-
 def kernel_parity_sets(table: BasisTable) -> List[Tuple[int, ...]]:
     """Every odd basis subset with even incidence, as basis-id tuples.
 
@@ -642,15 +636,16 @@ def _span_coefficients(
     coefficient vectors over the ``echelon`` rows (bit i = row i), in
     blocks of at most 2^_SPAN_BLOCK_BITS.
 
-    A kernel vector's coefficients are its bits at the echelon pivots.
+    A kernel vector's coefficients are its bits at the echelon pivots,
+    each row's lowest bit.
     Step g of the walk reaches the sum of the kernel vectors picked by
     gray(g) = g ^ (g >> 1); with g = h * 2^s + l and l < 2^s that is
     gray(l) ^ gray(h * 2^s), so every block is the first one XOR a
     constant.
     """
-    pivots = [row.bit_length() - 1 for row in echelon]
+    pivots = [row & -row for row in echelon]
     coefs = [
-        sum(1 << i for i, p in enumerate(pivots) if vec >> p & 1)
+        sum(1 << i for i, p in enumerate(pivots) if vec & p)
         for vec in kernel
     ]
     low_bits = min(len(coefs), _SPAN_BLOCK_BITS)
@@ -675,14 +670,14 @@ def _coefficient_columns(echelon: List[int], nb: int) -> Tuple[int, List[int]]:
     i), basis j is in the vector iff col_j & c has odd weight, col_j being
     the rows that hold basis j.  ``odd_rows`` is the rows of odd weight,
     so the vector is odd iff c & odd_rows is.  ``columns`` is col_j of
-    every non-pivot column that some row holds.
+    every non-pivot column (no row's lowest bit) that some row holds.
     """
-    pivots = {row.bit_length() - 1 for row in echelon}
+    pivots = sum(row & -row for row in echelon)
     odd_rows = sum(1 << i for i, row in enumerate(echelon) if row.bit_count() % 2)
     columns = []
     for bit in range(nb):
         col = sum(1 << i for i, row in enumerate(echelon) if row >> bit & 1)
-        if col and bit not in pivots:
+        if col and not pivots >> bit & 1:
             columns.append(col)
     return odd_rows, columns
 
@@ -722,12 +717,11 @@ def _subset_survivors(
 
 def _coefficient_tables(echelon: List[int], nb: int) -> List[np.ndarray]:
     """Byte lookup tables from coefficients to basis sets: table k maps
-    byte k of c to the XOR of the echelon rows it picks, in limbs.  A row
-    holds basis j at bit nb-1-j, as ``incidence_rows`` sets it, and is
-    turned here once to bit j, the order of every basis set the census
-    keeps.  An empty kernel gets one table, of the zero vector."""
+    byte k of c to the XOR of the echelon rows it picks, in limbs (bit j
+    = basis j, as ``incidence_rows`` sets it).  An empty kernel gets one
+    table, of the zero vector."""
     limbs = max(1, -(-nb // 64))
-    rows = _to_limbs([int(f"{row:0{nb}b}"[::-1], 2) for row in echelon], limbs)
+    rows = _to_limbs(echelon, limbs)
     tables = []
     for start in range(0, max(len(echelon), 1), 8):
         table = np.zeros((1, limbs), dtype=np.uint64)

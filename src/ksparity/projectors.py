@@ -15,7 +15,6 @@ from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
-from . import gf2
 from .pauli import PauliWord, multiply, to_dense
 from .systems import ContextSystem, anticommuting_pairs, commutation_violations
 
@@ -85,10 +84,18 @@ def _sign_patterns(
     negations: Iterable[int],
 ) -> Iterator[StabilizerProjector]:
     """The projector of each bitset of negated independent words, its
-    generators the group's reduced row echelon rows with their signs."""
+    generators the group's reduced row echelon rows with their signs.
+
+    Read as the bitset x << n | z, the reduced row with leading bit b is
+    the least group element with leading bit b: any other one adds rows
+    with lower leading bits, and the highest of those sets a bit that the
+    reduced row holds 0.  The rows come highest leading bit first.
+    """
     items = [(key, *group[key]) for key in sorted(group)]
-    rows, _ = gf2.rref([(x << n) | z for (x, z), _, _ in items], 2 * n)
-    canonical = [(row >> n, row & ((1 << n) - 1)) for row in rows]
+    least: Dict[int, Tuple[int, int]] = {}
+    for (x, z), _, _ in items:
+        least.setdefault(((x << n) | z).bit_length(), (x, z))
+    canonical = [least[b] for b in sorted(least, reverse=True) if b]
     for negated in negations:
         signs = {
             key: -sign if (factors & negated).bit_count() & 1 else sign

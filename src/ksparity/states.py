@@ -59,19 +59,20 @@ class UnderdeterminedEigenstateError(ValueError):
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DenseState:
     """A normalized, phase-canonical state of ``n`` qubits.
 
     ``amplitudes`` is the state's own copy of the vector and is read-only,
     so spectra kept for the state (see ``classify_residual``) stay valid.
+    ``==`` and ``hash`` go by identity; ``isclose`` compares values.
     """
 
     n: int
     amplitudes: np.ndarray
     # cut size -> sorted cut spectra, filled while the state is a reference
     _kept_spectra: Dict[int, Spectra] = field(
-        init=False, repr=False, compare=False, default_factory=dict
+        init=False, repr=False, default_factory=dict
     )
 
     def __post_init__(self):
@@ -145,25 +146,21 @@ def _support_start(words: List[PauliWord], eigenvalues: Sequence[int]) -> int:
     """Smallest basis index b in the joint eigenstate's support.
 
     A product of members whose X parts cancel is +-Z^z, so |z & b| is odd
-    iff its sign times their eigenvalues is -1.  b is fixed from its top
-    bit down, each bit 0 if these equations still have a solution.
+    iff its sign times their eigenvalues is -1.  One elimination of these
+    rows, each with its right-hand side at bit n, leaves every pivot at a
+    row's lowest bit, below the free bits it depends on; the least
+    solution sets every free bit to 0 and each pivot bit to its row's
+    right-hand side.
     """
     n = words[0].n
-    rows, rhs = [], []
+    rows = []
     for vec in gf2.left_nullspace([w.x for w in words], n):
-        chosen = gf2.row_bits(vec, len(words))
+        chosen = gf2.bits(vec)
         prod = product_of([words[i] for i in chosen])
-        rows.append(prod.z)
         sign = prod.sign * math.prod(eigenvalues[i] for i in chosen)
-        rhs.append(int(sign < 0))
-    start = 0
-    for bit in reversed(range(n)):
-        rows.append(1 << bit)
-        rhs.append(0)
-        if not gf2.solvable(rows, rhs):
-            rhs[-1] = 1
-            start |= 1 << bit
-    return start
+        rows.append(prod.z | int(sign < 0) << n)
+    echelon, pivots = gf2.rref(rows, n)
+    return sum((row >> n) << p for row, p in zip(echelon, pivots))
 
 
 def joint_eigenstate(

@@ -168,8 +168,8 @@ def _context_equations(
 ) -> Tuple[list, List[int], List[int]]:
     """GF(2) equations, one per context, member m standing for the product
     of ``variables[m]``.  Returns (names, rows, rhs): the members' variables
-    sorted, bit (len(names)-1-j) of a row flagging names[j], and rhs bit 1
-    for a -identity context."""
+    sorted, bit j of a row flagging names[j], and rhs bit 1 for a -identity
+    context."""
     names = sorted({v for c in contexts for m in c.members
                     for v in variables[m]})
     index = {v: i for i, v in enumerate(names)}
@@ -178,7 +178,7 @@ def _context_equations(
         row = 0
         for m in ctx.members:
             for v in variables[m]:
-                row ^= 1 << (len(names) - 1 - index[v])
+                row ^= 1 << index[v]
         rows.append(row)
         rhs.append(0 if ctx.sign == 1 else 1)
     return names, rows, rhs
@@ -245,7 +245,7 @@ def check_eigenvalue_dependencies(
     words = sys.context_words(ctx)
     rows = [(w.x << sys.n) | w.z for w in words]
     for vec in gf2.left_nullspace(rows, 2 * sys.n):
-        chosen = gf2.row_bits(vec, len(rows))
+        chosen = gf2.bits(vec)
         prod = product_of([words[i] for i in chosen])
         ev_product = math.prod(eigenvalues[i] for i in chosen)
         if prod.sigma % 2 or prod.sign != ev_product:
@@ -435,10 +435,9 @@ def find_proper_subproof(
     n = sys.n
     everyone = (1 << nrows) - 1
     whole = (1 << n) - 1
-    # row data by bit: bit k stands for row nrows-1-k, as gf2.left_nullspace
-    # numbers the rows
-    xs = [w.x for w in reversed(words)]
-    zs = [w.z for w in reversed(words)]
+    # row data by member: bit k of a row set stands for row k
+    xs = [w.x for w in words]
+    zs = [w.z for w in words]
     xzs = [x << n | z for x, z in zip(xs, zs)]
     # per column: its nonzero slot columns (the rows holding X, Y or Z
     # there), and for each row the rows whose letter there anticommutes
@@ -482,11 +481,11 @@ def find_proper_subproof(
         for vec in gf2.enumerate_span(canonical):
             if vec == 0 or (bits == whole and vec == everyone):
                 continue
-            chosen = [k for k in range(nrows) if vec >> k & 1]
+            chosen = gf2.bits(vec)
             if len({keys[k] for k in chosen}) != len(chosen):
                 continue
             if _commuting_minus_identity(vec, anti, rxs, rzs):
-                return cols, tuple(gf2.row_bits(vec, nrows))
+                return cols, tuple(chosen)
         return None
 
     def walk(limit: int, bits: int, cmask: int, kernel, anti):

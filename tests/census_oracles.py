@@ -51,19 +51,13 @@ def proof_symbol(
     return render_symbol(classes, sizes)
 
 
-def kernel_basis_ids(vec: int, nb: int) -> Tuple[int, ...]:
-    """Basis ids of a ``gf2`` kernel vector of ``incidence_rows``, which
-    holds basis j at bit nb-1-j."""
-    return tuple(j for j in range(nb) if vec >> (nb - 1 - j) & 1)
-
-
 def kernel_parity_sets(table: BasisTable) -> List[Tuple[int, ...]]:
     """Odd kernel vectors as basis-id tuples, one ``gf2.enumerate_span``
     step at a time."""
     nb = len(table.bases)
     kernel = gf2.nullspace(table.incidence_rows(), nb)
     return [
-        kernel_basis_ids(vec, nb)
+        tuple(gf2.bits(vec))
         for vec in gf2.enumerate_span(kernel)
         if vec.bit_count() % 2 == 1
     ]
@@ -98,11 +92,12 @@ def pauli_basis_images(table: BasisTable) -> Set[Tuple[int, ...]]:
 def subset_critical(vec: int, echelon: List[int]) -> bool:
     """No other odd-weight kernel vector has its support inside vec.
 
-    ``echelon`` is the kernel basis in reduced row echelon form.  Masking
-    vec's support out of it maps exactly the kernel vectors inside that
-    support to zero, vec among them, so the masked basis has rank kdim - 1
-    iff vec and 0 are the only ones.  Any third vector w would give an odd
-    one strictly inside vec: w itself if w is odd, w ^ vec if w is even.
+    ``echelon`` is the kernel basis in reduced row echelon form, each
+    row's pivot its lowest bit.  Masking vec's support out of it maps
+    exactly the kernel vectors inside that support to zero, vec among
+    them, so the masked basis has rank kdim - 1 iff vec and 0 are the
+    only ones.  Any third vector w would give an odd one strictly inside
+    vec: w itself if w is odd, w ^ vec if w is even.
     A row whose pivot lies outside vec keeps the only copy of that pivot
     after masking and always adds one to the rank, so only the rows with
     pivots inside vec are eliminated; they must lose exactly one.
@@ -111,7 +106,7 @@ def subset_critical(vec: int, echelon: List[int]) -> bool:
     reduced: List[int] = []
     dependent = False
     for row in echelon:
-        if not vec >> (row.bit_length() - 1) & 1:
+        if not vec & row & -row:
             continue
         row &= keep
         for r in reduced:
@@ -166,7 +161,7 @@ def enumerate_parity_proofs(table: BasisTable) -> ProofCensus:
         if vec.bit_count() % 2 == 0 or not subset_critical(vec, echelon):
             continue
         census.subset_critical_total += 1
-        basis_ids = kernel_basis_ids(vec, nb)
+        basis_ids = tuple(gf2.bits(vec))
         if not is_critical(basis_ids, table):
             continue
         sym_u, sym_a = proof_symbol(basis_ids, table)
@@ -218,11 +213,24 @@ def exact_covers(pool: ProjectorPool) -> List[Tuple[int, ...]]:
     return sorted(found)
 
 
+def msb_first_rref(rows: Sequence[int], width: int) -> List[int]:
+    """Reduced row echelon rows of width-bit rows with pivots taken from
+    the top bit down: ``gf2.rref`` of the bit-reversed rows, reversed
+    back."""
+
+    def turn(row: int) -> int:
+        return int(f"{row:0{width}b}"[::-1], 2)
+
+    echelon, _ = gf2.rref([turn(row) for row in rows], width)
+    return [turn(row) for row in echelon]
+
+
 def projectors_of(sys: ContextSystem) -> ProjectorPool:
     """The pool with each sign pattern's group built on its own: every
     element is the ``product_of`` a subset of the signed independent
-    members, and the generators are the ``gf2.rref`` rows of those
-    members, signed as the group signs them."""
+    members, and the generators are the reduced row echelon rows of
+    those members with pivots from the top bit down (``msb_first_rref``),
+    signed as the group signs them."""
     n, mask = sys.n, (1 << sys.n) - 1
     by_key: Dict[tuple, int] = {}
     projectors: List[StabilizerProjector] = []
@@ -242,7 +250,7 @@ def projectors_of(sys: ContextSystem) -> ProjectorPool:
                 for subset in itertools.combinations(signed, size):
                     prod = product_of(subset)
                     signs[(prod.x, prod.z)] = prod.sign
-            rows, _ = gf2.rref([(w.x << n) | w.z for w in signed], 2 * n)
+            rows = msb_first_rref([(w.x << n) | w.z for w in signed], 2 * n)
             generators = tuple(
                 PauliWord(n, r >> n, r & mask).with_sigma(
                     0 if signs[(r >> n, r & mask)] == 1 else 2)

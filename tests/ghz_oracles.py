@@ -87,7 +87,7 @@ def find_proper_subproof(
         for i in alive:
             row = 0
             for s in word_slots(restricted[i]):
-                row ^= 1 << (width - 1 - index[s])
+                row ^= 1 << index[s]
             rows_bits.append(row)
         kernel = gf2.left_nullspace(rows_bits, width)
         if not kernel:
@@ -95,7 +95,7 @@ def find_proper_subproof(
         for vec in gf2.enumerate_span(kernel):
             if vec == 0:
                 continue
-            chosen = [alive[i] for i in gf2.row_bits(vec, len(alive))]
+            chosen = [alive[i] for i in gf2.bits(vec)]
             if cols == full_cols and len(chosen) == nrows:
                 continue
             sub = [restricted[i] for i in chosen]

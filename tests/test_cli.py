@@ -772,6 +772,43 @@ class TestInputErrors:
             assert "context 0: every member is the identity" in result.stderr
 
 
+class TestExits:
+    @pytest.mark.parametrize("argv, code, stream, expected", [
+        (["ghz-check", "{star}", "--eigenvalues", "+,x,+,+,-"], 2, "stderr",
+         "bad eigenvalue 'x'"),
+        (["search-complete", "{star}", "--shape", "3,x"], 2, "stderr",
+         "bad shape '3,x'"),
+        (["--config", "{basis_cap=2}", "parity-census", "{square}"], 3,
+         "stdout", '"error": "basis table hit the cap"'),
+        (["--config", "{kernel_cap=9}", "parity-census", "{square}"], 3,
+         "stdout", '"kernel_dimension": 10'),
+        (["symbol", "{far_proof}", "--system", "{square}"], 2, "stderr",
+         "proof references a basis id outside the table"),
+        (["measure", "{state}", "--qubits", "1,1", "--outcome", "00"], 2,
+         "stderr", "measured qubits must be distinct"),
+    ])
+    def test_exit_code_and_message(
+        self, runner, tmp_path, square_file, argv, code, stream, expected
+    ):
+        star = write_star(tmp_path)
+        state = runner.invoke(main, ["state", star])
+        (tmp_path / "state.json").write_text(state.stdout)
+        # the square's table has 24 bases, ids 0 to 23
+        (tmp_path / "far.json").write_text(json.dumps({"bases": [0, 24]}))
+        names = {"{star}": star, "{square}": square_file,
+                 "{state}": str(tmp_path / "state.json"),
+                 "{far_proof}": str(tmp_path / "far.json")}
+        for setting in ("basis_cap=2", "kernel_cap=9"):
+            (tmp_path / f"{setting}.cfg").write_text(setting + "\n")
+            names["{" + setting + "}"] = str(tmp_path / f"{setting}.cfg")
+        for key, path in names.items():
+            argv = [a.replace(key, path) for a in argv]
+        result = runner.invoke(main, argv)
+        assert result.exit_code == code, result.output
+        assert expected in getattr(result, stream)
+        assert "Traceback" not in result.stderr
+
+
 class TestFuzz:
     @settings(max_examples=600, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])

@@ -4,9 +4,11 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, strategies as st
 
 import census_oracles
-from ksparity.pauli import parse_word
+from ksparity import projectors
+from ksparity.pauli import commutes, parse_word
 from ksparity.parity import BasisTable, enumerate_bases, is_saturated
 from ksparity.reproduce import (
     kite_completion,
@@ -73,6 +75,28 @@ class TestProjectorConstruction:
             [signed("XX"), signed("YY")]  # YY = -(XX)(ZZ)
         )
         assert a == b == c
+
+    @given(st.data())
+    def test_generators_are_the_top_bit_first_reduced_rows(self, data):
+        # the least group element per leading bit of x << n | z, highest
+        # bit first, against reduced row echelon form by elimination
+        n = data.draw(st.integers(1, 5), label="n")
+        words = []
+        for text in data.draw(st.lists(
+            st.text("IXYZ", min_size=n, max_size=n), max_size=6
+        ), label="words"):
+            word = parse_word(text)
+            if all(commutes(word, w) for w in words):
+                words.append(word)
+        assume(words)
+        group = projectors._signed_group(words)
+        negated = data.draw(st.integers(0, len(group) - 1), label="negated")
+        (proj,) = projectors._sign_patterns(n, group, [negated])
+        rows = census_oracles.msb_first_rref(
+            [(w.x << n) | w.z for w in words], 2 * n
+        )
+        assert [(g.x << n) | g.z for g in proj.generators] == rows
+        assert all(proj.signs[(g.x, g.z)] == g.sign for g in proj.generators)
 
 
 class TestProjectorsOf:

@@ -120,6 +120,17 @@ class TestDenseState:
         given[:] = [0, 1, 0, 0]
         assert psi.amplitudes.tolist() == [0.6, 0, 0, 0.8]
 
+    def test_equality_and_hash_by_identity(self):
+        # compared field by field, the ndarray made == raise ValueError and
+        # hash raise TypeError; isclose is the comparison by value
+        vec = np.array([0.6, 0.8], dtype=complex)
+        psi = DenseState(1, vec)
+        other = DenseState(1, vec.copy())
+        assert (psi == other) is False
+        assert psi.isclose(other)
+        assert psi == psi
+        assert psi in {psi}
+
 
 class TestApplyPauli:
     def test_matches_dense_matrix(self):
@@ -220,7 +231,9 @@ class TestStartVector:
         ev = [-1] * 12 + [1]
         with mock.patch.object(
             states, "apply_pauli", wraps=states.apply_pauli
-        ) as apply:
+        ) as apply, mock.patch.object(
+            gf2, "solvable", side_effect=AssertionError("no trial solves")
+        ):
             state = joint_eigenstate(sys, ev)
         assert apply.call_count == 2 * len(ev)
         assert np.flatnonzero(state.amplitudes).tolist() == [4095]
