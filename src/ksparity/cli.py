@@ -87,10 +87,16 @@ EXIT_USAGE = 2
 EXIT_CAP = 3
 
 # Largest table `multipartite` accepts.  find_proper_subproof walks the
-# 2^n column subsets: on a star table the search takes about 0.07 s at 12
-# qubits and 0.4 s at 14, growing about 5x per two qubits.  The library
-# function itself has no cap.
+# 2^n column subsets: on a star table the search takes about 0.04 s at 12
+# qubits and 0.2 s at 14, growing about 5x per two qubits.  On each subset
+# it walks the span of a quotient of the slot kernel, which doubles with
+# each member: on distinct random Z-type words it took 0.03 s at 20
+# members on 5 qubits (37 s at 31), and at 15 members 0.05 s on 10 qubits
+# and 0.8-1.1 s on 14 (1.5-2.8 s at 16), in process on a 2-core Xeon
+# host.  The member cap is the star table's member count at the qubit
+# cap.  The library function itself has no cap.
 MULTIPARTITE_QUBIT_CAP = 14
+MULTIPARTITE_MEMBER_CAP = 15
 
 # Largest N `gen star` accepts.  The table's time and JSON grow as N^2: at
 # N = 500 (1000 qubits) the command takes about 0.7 s in-process and
@@ -392,8 +398,10 @@ def ghz_check(run: Run, system_file, eigenvalues):
 
 @main.command(help=(
     "Search for a proper sub-table that is itself a proof.\n\n"
-    f"Tables on more than {MULTIPARTITE_QUBIT_CAP} qubits exit 3: the "
-    "search scans every subset of the qubit columns."
+    f"Tables on more than {MULTIPARTITE_QUBIT_CAP} qubits or with more "
+    f"than {MULTIPARTITE_MEMBER_CAP} members exit 3: the search scans "
+    "every subset of the qubit columns, and on each the span of the rows' "
+    "slot kernel."
 ))
 @click.argument("system_file", type=click.Path(exists=True))
 @output_option
@@ -403,6 +411,11 @@ def multipartite(run: Run, system_file):
     if sys.n > MULTIPARTITE_QUBIT_CAP:
         raise CapError(f"multipartite supports at most "
                        f"{MULTIPARTITE_QUBIT_CAP} qubits; the table has {sys.n}")
+    members = len(sys.contexts[0].members)
+    if members > MULTIPARTITE_MEMBER_CAP:
+        raise CapError(f"multipartite supports at most "
+                       f"{MULTIPARTITE_MEMBER_CAP} members; the table has "
+                       f"{members}")
     witness = find_proper_subproof(sys)
     payload: dict = {"genuinely_multipartite": witness is None}
     if witness is not None:

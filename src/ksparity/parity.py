@@ -85,6 +85,12 @@ class BasisTable:
                 rows[pid] |= 1 << j
         return rows
 
+    @cached_property
+    def _tally(self) -> "_ProofTally":
+        """The one symbol tally of this table, for ``proof_symbol`` and
+        the census alike."""
+        return _ProofTally(self)
+
 
 def enumerate_bases(
     pool: ProjectorPool, cap: int = BASIS_CAP_DEFAULT
@@ -261,8 +267,7 @@ def proof_symbol(
     counts = np.bincount(
         np.asarray(basis_ids, dtype=np.intp), minlength=len(table.bases)
     )
-    tally = _ProofTally(table, len(basis_ids))
-    symbols, _ = tally.tally(counts[None, :])
+    symbols, _ = table._tally.tally(counts[None, :], len(basis_ids))
     return symbols[0]
 
 
@@ -274,40 +279,51 @@ class _ProofTally:
     multiplicity m; the code rank_index * width + m of each projector,
     binned per row by one ``np.bincount`` over row offsets, gives the
     (rank, multiplicity) class counts, and one more product the
-    basis-size counts.  ``most`` bounds the multiplicities, so the code
-    width most + 1 is fixed and keys from different calls compare.  Each
-    distinct key is rendered once.
+    basis-size counts.  The code width is one more than the largest
+    multiplicity asked for so far, so keys from different calls compare;
+    a call that may reach a larger one widens the codes and forgets the
+    keys of the narrower width.  Each distinct key is rendered once.
     """
 
-    def __init__(self, table: BasisTable, most: int):
+    def __init__(self, table: BasisTable):
         bases = table.bases
         ranks = [p.rank for p in table.pool.projectors]
         sizes = [b.size for b in bases]
         self.ranks = sorted(set(ranks))
         self.sizes = sorted(set(sizes))
-        self.width = most + 1
-        self.per_row = len(self.ranks) * self.width
-        # multiplicities and size counts reach at most ``most``
-        self.dtype = np.min_scalar_type(most)
         nb = len(bases)
-        self.incidence = np.zeros((nb, len(ranks)), dtype=self.dtype)
+        self.incidence = np.zeros((nb, len(ranks)), dtype=np.uint8)
         self.incidence[
             [j for j, size in enumerate(sizes) for _ in range(size)],
             [p for b in bases for p in b.projector_ids],
         ] = 1
-        self.size_columns = np.zeros((nb, len(self.sizes)), dtype=self.dtype)
+        self.size_columns = np.zeros((nb, len(self.sizes)), dtype=np.uint8)
         size_index = {size: i for i, size in enumerate(self.sizes)}
         self.size_columns[range(nb), [size_index[s] for s in sizes]] = 1
         rank_index = {rank: i for i, rank in enumerate(self.ranks)}
-        self.rank_codes = np.array(
-            [rank_index[r] * self.width for r in ranks], dtype=np.intp
+        self.rank_positions = np.array(
+            [rank_index[r] for r in ranks], dtype=np.intp
         )
+        self.width = 0
+
+    def _fit(self, most: int) -> None:
+        """Make room for multiplicities and size counts up to ``most``."""
+        if most < self.width:
+            return
+        self.width = most + 1
+        self.per_row = len(self.ranks) * self.width
+        self.dtype = np.min_scalar_type(most)
+        self.incidence = self.incidence.astype(self.dtype)
+        self.size_columns = self.size_columns.astype(self.dtype)
+        self.rank_codes = self.rank_positions * self.width
         self.rendered: Dict[bytes, Tuple[str, str]] = {}
 
     def tally(
-        self, selections: np.ndarray
+        self, selections: np.ndarray, most: int
     ) -> Tuple[List[Tuple[str, str]], List[int]]:
-        """Each selection's (utf8, ascii) symbol and number of projectors."""
+        """Each selection's (utf8, ascii) symbol and number of projectors;
+        ``most`` bounds every selection's total."""
+        self._fit(most)
         rows = len(selections)
         selections = selections.astype(self.dtype, copy=False)
         mult = selections @ self.incidence
@@ -808,13 +824,13 @@ def enumerate_parity_proofs(
         census.partial = True
         return census
     limbs = max(1, -(-nb // 64))
-    # covers of the assignments found so far (also as limbs), the drops
-    # found unsatisfiable and their images, and each symbol key's
-    # rendering; all live for this census only
+    # covers of the assignments found so far (also as limbs), and the
+    # drops found unsatisfiable and their images; both live for this
+    # census only, while symbol renderings stay with the table's tally
     covers: List[int] = []
     cover_limbs = np.zeros((0, limbs), dtype=np.uint64)
     failed = _FailedDrops(lambda: _pauli_automorphisms(table))
-    tally = _ProofTally(table, nb)
+    tally = table._tally
     for coefs in _span_coefficients(kernel, echelon):
         # cheap filter first: a proof containing a smaller proof can never
         # survive the drop-one test
@@ -832,7 +848,7 @@ def enumerate_parity_proofs(
         ], dtype=bool)
         if critical.any():
             selections = _selections(survivors[critical], nb)
-            symbols, projectors = tally.tally(selections)
+            symbols, projectors = tally.tally(selections, nb)
             census.proofs += [
                 ParityProof(ids, sym_u, sym_a, count)
                 for ids, (sym_u, sym_a), count in zip(

@@ -348,56 +348,6 @@ def builtin_fixtures() -> Dict[str, ContextSystem]:
 # genuine multipartiteness
 
 
-def _restrict(basis: List[int], col: int) -> List[int]:
-    """Basis of the vectors v in span(basis) with |v & col| even."""
-    for j, pivot in enumerate(basis):
-        if (pivot & col).bit_count() & 1:
-            return basis[:j] + [
-                v ^ pivot if (v & col).bit_count() & 1 else v
-                for v in basis[j + 1:]
-            ]
-    return basis
-
-
-def _vanishing_on(basis: List[int], mask: int) -> List[int]:
-    """Basis of the vectors in span(basis) with no bit in mask."""
-    pivots: List[int] = []
-    out: List[int] = []
-    for v in basis:
-        for p in pivots:
-            if (v ^ p) & mask < v & mask:
-                v ^= p
-        (pivots if v & mask else out).append(v)
-    return out
-
-
-def _commuting_minus_identity(
-    vec: int, anti: List[int], xs: List[int], zs: List[int]
-) -> bool:
-    """The rows in vec pairwise commute and multiply to -identity.
-
-    Bit k of vec picks the row whose masks are xs[k], zs[k] and whose
-    anticommuting rows are the bits of anti[k].  The masks of the rows
-    must cancel.  Writing each word as i^|x&z| X^x Z^z, the product is
-    i^lam times the identity, where moving the Z part gathered so far past
-    each next X part adds 2|zacc & x| to lam; commuting rows may be
-    multiplied in any order.
-    """
-    lam = 0
-    zacc = 0
-    rest = vec
-    while rest:
-        low = rest & -rest
-        k = low.bit_length() - 1
-        if anti[k] & vec:
-            return False
-        x = xs[k]
-        lam += (x & zs[k]).bit_count() + 2 * (zacc & x).bit_count()
-        zacc ^= zs[k]
-        rest ^= low
-    return lam % 4 == 2
-
-
 def find_proper_subproof(
     sys: ContextSystem,
 ) -> Optional[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
@@ -412,22 +362,39 @@ def find_proper_subproof(
     witness gives the answer, in two steps.
 
     The existence step walks the subsets depth first, adding columns below
-    the lowest one taken so far, which visits them in ascending order.  It
-    carries the left null space of the slot columns over all rows (even
-    slot counts) and each row's anticommuting rows, and updates both per
-    added column.  On a subset it keeps one row per distinct non-identity
-    restricted word and drops the others from the null space.  That
-    quotient is exact: a witness never takes an identity row or two equal
-    words, and swapping a row for an equal one changes neither the slot
-    counts nor the product of commuting words.  So a subset holds a witness
-    iff the rest of the null space has a vector whose rows commute and
-    multiply to -identity.
+    the lowest one taken so far, which visits them in ascending order.  Per
+    added column it updates what it carries down: the left null space of
+    the slot columns over all rows (even slot counts), two row-pair
+    matrices (which rows anticommute, and the sign of their product; see
+    below), the idle rows (identity on every column taken), and the
+    classes of alive rows with equal restricted words, each class split by
+    the new column's letters, with the rows that become alive there
+    opening new classes (the classes of one row are kept as one mask).
+    Each class is represented by its lowest row, and the other rows are
+    dropped from the null space.  That quotient is exact: a witness never
+    takes an idle row or two equal words, and swapping a row for an equal
+    one changes neither the slot counts nor the product of commuting
+    words.  So a subset holds a witness iff the rest of the null space has
+    a vector whose rows commute and multiply to -identity.
 
-    The witness step runs on that subset alone.  It walks the span of the
-    reduced ``gf2.nullspace`` basis of the slot columns, without the rows
-    idle there, in Gray-code order, and returns the first vector other
-    than the whole table whose restricted words are distinct, commute and
-    multiply to -identity.
+    The witness step runs once, on the first subset whose quotient holds a
+    witness.  It walks the span of the reduced ``gf2.nullspace`` basis of
+    that subset's slot columns, without the idle rows, in Gray-code order,
+    and returns the first vector other than the whole table whose
+    restricted words are distinct, commute and multiply to -identity.
+
+    Both steps test a vector with a few integer operations.  In a null
+    space vector every letter appears an even number of times on every
+    column, so its rows multiply to +-identity.  Sorting each column's
+    letters into the order X < Y < Z, one swap of two different letters at
+    a time, gives +identity and flips the sign per swap; so the product is
+    -identity iff the vector holds an odd number of pairs j < k whose
+    letters are out of that order on an odd number of columns.  ``anti``
+    and ``desc`` hold those pair relations, ``nrows + 1`` bits per row:
+    block k of anti holds the rows anticommuting with row k, block k of
+    desc the rows j < k out of order with it.  ``vec * (vec * spread &
+    diagonal)`` copies vec into the block of each of its rows, without
+    carries, and is masked with both.
     """
     ctx = _single_context(sys)
     words = sys.context_words(ctx)
@@ -435,77 +402,118 @@ def find_proper_subproof(
     n = sys.n
     everyone = (1 << nrows) - 1
     whole = (1 << n) - 1
-    # row data by member: bit k of a row set stands for row k
-    xs = [w.x for w in words]
-    zs = [w.z for w in words]
-    xzs = [x << n | z for x, z in zip(xs, zs)]
-    # per column: its nonzero slot columns (the rows holding X, Y or Z
-    # there), and for each row the rows whose letter there anticommutes
+    w = nrows + 1
+    spread = sum(1 << k * nrows for k in range(nrows))
+    diagonal = sum(1 << k * w for k in range(nrows))
+    # per column: the rows holding I, X, Y and Z there, its nonzero slot
+    # columns, and its anti and desc matrices
+    letter_rows: List[Tuple[int, int, int, int]] = []
     slot_columns: List[List[int]] = []
-    anti_columns: List[List[int]] = []
+    pair_columns: List[Tuple[int, int]] = []
     for p in range(n):
         bit = 1 << (n - 1 - p)
-        letter_rows = [0, 0, 0, 0]  # I, Z, X, Y by (x bit, z bit)
-        for k in range(nrows):
-            letter_rows[bool(xs[k] & bit) * 2 + bool(zs[k] & bit)] |= 1 << k
-        _, mz, mx, my = letter_rows
+        by_xz = [0, 0, 0, 0]  # I, Z, X, Y by (x bit, z bit)
+        for k, word in enumerate(words):
+            by_xz[bool(word.x & bit) * 2 + bool(word.z & bit)] |= 1 << k
+        mi, mz, mx, my = by_xz
+        letter_rows.append((mi, mx, my, mz))
         slot_columns.append([c for c in (mx, my, mz) if c])
-        anti_columns.append([
-            (my | mz) if mx >> k & 1 else (mx | mz) if my >> k & 1
-            else (mx | my) if mz >> k & 1 else 0
-            for k in range(nrows)
-        ])
+        anti = desc = 0
+        for k in range(nrows):
+            if mx >> k & 1:
+                anti |= (my | mz) << k * w
+                desc |= ((my | mz) & (1 << k) - 1) << k * w
+            elif my >> k & 1:
+                anti |= (mx | mz) << k * w
+                desc |= (mz & (1 << k) - 1) << k * w
+            elif mz >> k & 1:
+                anti |= (mx | my) << k * w
+        pair_columns.append((anti, desc))
 
-    def witness(bits: int, cmask: int, kernel: List[int], anti: List[int]):
-        keys = [xz & (cmask << n | cmask) for xz in xzs]
-        reps = dict(zip(keys, range(nrows)))  # one row per restricted word
-        reps.pop(0, None)
-        others = everyone ^ sum(1 << k for k in reps.values())
-        quotient = _vanishing_on(kernel, others)
-        if not quotient:
-            return None
-        rxs = [x & cmask for x in xs]
-        rzs = [z & cmask for z in zs]
-        if not any(
-            _commuting_minus_identity(vec, anti, rxs, rzs)
-            for vec in gf2.enumerate_span(quotient)
-            if vec and not (bits == whole and vec == everyone)
-        ):
-            return None
-        cols = tuple(p for p in range(n) if bits >> p & 1)
-        canonical = gf2.nullspace(
-            [c for p in cols for c in slot_columns[p]], nrows
-        )
-        alive = sum(1 << k for k, key in enumerate(keys) if key)
-        canonical = [v for v in canonical if not v & ~alive]
-        for vec in gf2.enumerate_span(canonical):
-            if vec == 0 or (bits == whole and vec == everyone):
+    def first_witness(basis, exclude, classes, anti, desc):
+        """The first vector of span(basis), in Gray-code order, other than
+        0 and exclude, that takes at most one row of each class and whose
+        rows commute and multiply to -identity; 0 if there is none."""
+        vec = 0
+        for g in range(1, 1 << len(basis)):
+            vec ^= basis[(g & -g).bit_length() - 1]
+            if vec == exclude or classes and any(
+                    vec & c & (vec & c) - 1 for c in classes):
                 continue
-            chosen = gf2.bits(vec)
-            if len({keys[k] for k in chosen}) != len(chosen):
-                continue
-            if _commuting_minus_identity(vec, anti, rxs, rzs):
-                return cols, tuple(chosen)
-        return None
+            pairs = vec * (vec * spread & diagonal)
+            if not anti & pairs and (desc & pairs).bit_count() & 1:
+                return vec
+        return 0
 
-    def walk(limit: int, bits: int, cmask: int, kernel, anti):
+    def walk(limit, bits, kernel, anti, desc, idle, single, classes):
         for q in range(limit):
-            sub_bits = bits | 1 << q
-            sub_cmask = cmask | 1 << (n - 1 - q)
             sub_kernel = kernel
-            for col in slot_columns[q]:
-                sub_kernel = _restrict(sub_kernel, col)
+            for col in slot_columns[q]:  # keep v with |v & col| even
+                pivot = 0
+                even = []
+                for v in sub_kernel:
+                    if not (v & col).bit_count() & 1:
+                        even.append(v)
+                    elif pivot:
+                        even.append(v ^ pivot)
+                    else:
+                        pivot = v
+                sub_kernel = even
             if not sub_kernel:
                 continue  # more columns only add constraints
-            sub_anti = [a ^ t for a, t in zip(anti, anti_columns[q])]
-            found = witness(sub_bits, sub_cmask, sub_kernel, sub_anti) or walk(
-                q, sub_bits, sub_cmask, sub_kernel, sub_anti
-            )
+            sub_bits = bits | 1 << q
+            anti_q, desc_q = pair_columns[q]
+            sub_anti, sub_desc = anti ^ anti_q, desc ^ desc_q
+            mi, mx, my, mz = letter_rows[q]
+            sub_idle = idle & mi
+            # split the classes by the letters at q; a class of one row
+            # stays one, so those rows are kept as the mask single
+            sub_single = single
+            sub_classes = []
+            for c in classes:
+                for m in (mi, mx, my, mz):
+                    part = c & m
+                    if part & (part - 1):
+                        sub_classes.append(part)
+                    else:
+                        sub_single |= part
+            for m in (mx, my, mz):
+                part = idle & m
+                if part & (part - 1):
+                    sub_classes.append(part)
+                else:
+                    sub_single |= part
+            others = everyone ^ sub_single
+            for c in sub_classes:
+                others ^= c & -c
+            # the quotient: the vectors of sub_kernel with no bit in others
+            pivots: List[int] = []
+            quotient: List[int] = []
+            for v in sub_kernel:
+                for p in pivots:
+                    if (v ^ p) & others < v & others:
+                        v ^= p
+                (pivots if v & others else quotient).append(v)
+            exclude = everyone if sub_bits == whole else 0
+            if quotient and first_witness(
+                quotient, exclude, (), sub_anti, sub_desc
+            ):
+                cols = tuple(p for p in range(n) if sub_bits >> p & 1)
+                canonical = gf2.nullspace(
+                    [c for p in cols for c in slot_columns[p]], nrows
+                )
+                vec = first_witness(
+                    [v for v in canonical if not v & sub_idle], exclude,
+                    sub_classes, sub_anti, sub_desc,
+                )
+                return cols, tuple(gf2.bits(vec))
+            found = q and walk(q, sub_bits, sub_kernel, sub_anti, sub_desc,
+                               sub_idle, sub_single, sub_classes)
             if found:
                 return found
         return None
 
-    return walk(n, 0, 0, [1 << k for k in range(nrows)], [0] * nrows)
+    return walk(n, 0, [1 << k for k in range(nrows)], 0, 0, everyone, 0, [])
 
 
 def is_genuinely_multipartite(sys: ContextSystem) -> bool:

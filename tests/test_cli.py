@@ -4,7 +4,9 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from ksparity.cli import POOL_CAP, SEARCH_BUDGET_CAP, STAR_N_CAP, main
+from ksparity.cli import (
+    MULTIPARTITE_MEMBER_CAP, POOL_CAP, SEARCH_BUDGET_CAP, STAR_N_CAP, main,
+)
 from ksparity.systems import build_star_table, builtin_fixtures
 
 
@@ -574,6 +576,31 @@ class TestMultipartiteCap:
         assert result.exit_code == 3
         doc = json.loads(result.output)
         assert doc["ok"] is False and "at most 14 qubits" in doc["error"]
+
+    def test_all_z_words_exit_at_once(self, runner, tmp_path, monkeypatch):
+        # the 31 Z-type words on 5 qubits form a valid +identity context,
+        # and at the whole table the quotient's span has 2^26 vectors
+        import ksparity.cli
+
+        def no_scan(sys):
+            raise AssertionError("column subsets scanned above the cap")
+
+        monkeypatch.setattr(ksparity.cli, "find_proper_subproof", no_scan)
+        words = [format(v, "05b").replace("0", "I").replace("1", "Z")
+                 for v in range(1, 32)]
+        path = tmp_path / "all_z.json"
+        path.write_text(json.dumps({
+            "n": 5, "observables": words,
+            "contexts": [{"members": list(range(31)), "sign": 1}],
+        }))
+        assert MULTIPARTITE_MEMBER_CAP >= len(build_star_table(7).observables)
+        result = runner.invoke(main, ["multipartite", str(path)])
+        assert result.exit_code == 3
+        assert json.loads(result.output) == {
+            "ok": False,
+            "error": f"multipartite supports at most "
+                     f"{MULTIPARTITE_MEMBER_CAP} members; the table has 31",
+        }
 
     def test_below_cap_runs(self, runner, tmp_path):
         result = runner.invoke(main, ["multipartite", write_star(tmp_path, 3)])

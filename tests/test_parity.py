@@ -858,6 +858,27 @@ class TestSymbols:
                     census_oracles.proof_symbol(ids, table)
                 )
 
+    def test_one_tally_across_id_list_lengths(self, kite_table, monkeypatch):
+        # a fresh table builds its tally at the first call and keeps it;
+        # a longer list widens the codes (past 255 the multiplicities
+        # need two bytes) and a shorter one after it still fits
+        built = []
+        init = parity._ProofTally.__init__
+
+        def counted(self, table):
+            built.append(table)
+            init(self, table)
+
+        monkeypatch.setattr(parity._ProofTally, "__init__", counted)
+        table = BasisTable(kite_table.pool, kite_table.bases)
+        nb = len(table.bases)
+        for ids in ([0], [0] * 3, list(range(nb)), [1, 2],
+                    [nb - 1] * (nb + 300), [0, 0], []):
+            assert proof_symbol(ids, table) == (
+                census_oracles.proof_symbol(ids, table)
+            )
+        assert built == [table]
+
     def test_square_smallest_symbol(self, square_table, square_census):
         utf8, ascii_form = proof_symbol(
             square_census.smallest().basis_ids, square_table

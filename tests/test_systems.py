@@ -92,6 +92,44 @@ def tables_holding_a_star(draw):
     return ContextSystem(n, obs, (Context(tuple(range(len(obs))), -1),))
 
 
+@st.composite
+def tables_with_coinciding_members(draw):
+    """Members whose restricted words coincide on many column subsets.
+
+    A core of rows (the four-qubit star table with the letters X, Y, Z
+    permuted per qubit, which keeps the slot counts and commutation and
+    may flip the product's sign, or up to three random words), up to two
+    near copies that differ from a core row in one letter, core columns
+    copied onto up to two extra qubits, at will an all-identity member and
+    up to two repeated members, in a random member order."""
+    if draw(st.booleans()):
+        names = [dict(zip("XYZI", draw(st.permutations("XYZ")) + ["I"]))
+                 for _ in range(4)]
+        rows = ["".join(names[p][c] for p, c in enumerate(str(ob)))
+                for ob in build_star_table(2).observables]
+    else:
+        base = draw(st.integers(1, 4))
+        rows = draw(st.lists(st.text("IXYZ", min_size=base, max_size=base),
+                             min_size=1, max_size=3))
+    base = len(rows[0])
+    for _ in range(draw(st.integers(0, 2))):
+        row = draw(st.sampled_from(rows))
+        p = draw(st.integers(0, base - 1))
+        rows.append(row[:p] + draw(st.sampled_from("IXYZ")) + row[p + 1:])
+    if draw(st.booleans()):
+        rows.append("I" * base)
+    copies = draw(st.lists(st.integers(0, base - 1), max_size=2))
+    rows = [r + "".join(r[c] for c in copies) for r in dict.fromkeys(rows)]
+    obs = tuple(parse_word(r) for r in rows)
+    members = list(range(len(obs)))
+    members += draw(st.lists(st.sampled_from(members), max_size=2))
+    members = draw(st.permutations(members))
+    sign = draw(st.sampled_from((1, -1)))
+    return ContextSystem(
+        base + len(copies), obs, (Context(tuple(members), sign),)
+    )
+
+
 class TestContextSystem:
     def test_json_roundtrip(self):
         sys = builtin_fixtures()["kite-quadruples"]
@@ -273,7 +311,8 @@ class TestGhzChecks:
 
 class TestMultipartite:
     def test_star_tables_are_genuine(self):
-        for N in (2, 3):
+        # up to 14 qubits, the CLI's qubit cap: the whole walk
+        for N in (2, 3, 6, 7):
             assert is_genuinely_multipartite(build_star_table(N))
 
     def test_padded_table_is_not_genuine(self):
@@ -325,6 +364,16 @@ class TestMultipartiteOracle:
         assert find_proper_subproof(sys) is not None
         self._same_witness(sys)
 
+    def test_repeated_member_in_the_canonical_span(self):
+        # words of one stabilizer group, ZIZ at rows 0 and 3: the first
+        # vector of the canonical span that commutes and multiplies to
+        # -identity holds both rows, so the witness step must pass it
+        # over for one with distinct words
+        obs = tuple(parse_word(w) for w in
+                    ("XYX", "ZIZ", "IZZ", "XXY", "ZZI", "YYY", "YXX"))
+        sys = ContextSystem(3, obs, (Context((1, 2, 6, 1, 0, 5, 3, 4), 1),))
+        self._same_witness(sys)
+
     def test_identity_observable(self):
         # an all-identity row is idle on every column subset
         star = build_star_table(2)
@@ -347,6 +396,11 @@ class TestMultipartiteOracle:
         tables_holding_a_star(),
     ))
     def test_random_tables(self, sys):
+        self._same_witness(sys)
+
+    @settings(max_examples=200, deadline=None)
+    @given(tables_with_coinciding_members())
+    def test_tables_with_coinciding_members(self, sys):
         self._same_witness(sys)
 
 
