@@ -43,11 +43,12 @@ from .systems import (
     InconsistentEigenvaluesError,
     build_star_table,
     builtin_fixtures,
+    check_eigenvalue_dependencies,
     commutation_violations,
     count_ghz_assignments,
     default_eigenvalues,
     find_proper_subproof,
-    ghz_infeasible,
+    json_integer,
     verify_system,
 )
 from .states import (
@@ -386,11 +387,11 @@ def ghz_check(run: Run, system_file, eigenvalues):
     sys = _load_system(run, system_file, single=True)
     ev = (_parse_eigenvalues(eigenvalues) if eigenvalues
           else default_eigenvalues(sys))
-    infeasible = ghz_infeasible(sys, ev)
+    check_eigenvalue_dependencies(sys, ev)
     satisfying, total = count_ghz_assignments(sys, ev)
     run.emit({
         "eigenvalues": ev,
-        "infeasible": infeasible,
+        "infeasible": satisfying == 0,
         "satisfying_assignments": satisfying,
         "total_assignments": total,
     })
@@ -629,6 +630,14 @@ def parity_census(run: Run, system_file, brute_force_check, catalog):
     run.emit(summary)
 
 
+def _proof_ids(text: str) -> List[int]:
+    """The basis ids of a proof file's {"bases": [ids]}."""
+    ids = json.loads(text)["bases"]
+    if not isinstance(ids, list):
+        raise ValueError(f"bases must be a list of basis ids, not {ids!r}")
+    return [json_integer(i, "a basis id") for i in ids]
+
+
 @main.command()
 @click.argument("proof_file", type=click.Path(exists=True))
 @click.option("--system", "system_file", required=True,
@@ -639,8 +648,7 @@ def parity_census(run: Run, system_file, brute_force_check, catalog):
 def symbol(run: Run, proof_file, system_file):
     """Rank/multiplicity symbol of a proof given as {"bases": [ids]}."""
     sys = _load_system(run, system_file)
-    ids = _read_input(run, proof_file, "proof",
-                      lambda text: [int(i) for i in json.loads(text)["bases"]])
+    ids = _read_input(run, proof_file, "proof", _proof_ids)
     pool, table = _build_table(run, sys)
     if any(not 0 <= i < len(table.bases) for i in ids):
         raise click.UsageError("proof references a basis id outside the table")
@@ -670,20 +678,17 @@ def export_graph(run: Run, system_file, name):
 
 
 @main.command("reproduce-paper")
-@click.option("--max-qubits", type=int, default=16,
-              help="skip checks needing more qubits than this")
 @output_option
 @click.pass_obj
-def reproduce_paper(run: Run, max_qubits):
+def reproduce_paper(run: Run):
     """Run every reproduction check and print a pass/fail table."""
     results = run_all(
-        max_qubits=max_qubits,
         basis_cap=run.cap("basis_cap", BASIS_CAP_DEFAULT),
         kernel_cap=run.cap("kernel_cap", KERNEL_CAP_DEFAULT),
     )
     for r in results:
         click.echo(
-            f"[{r.status.upper():7s}] check {r.number:2d} "
+            f"[{r.status.upper():4s}] check {r.number:2d} "
             f"({r.seconds:8.2f}s) {r.name}",
             err=True,
         )

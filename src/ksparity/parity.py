@@ -11,12 +11,13 @@ proof inside) is also computed and any divergence is reported.
 The census walks the kernel span in numpy blocks, filters each block by
 the subset test and by the assignments found so far, and searches only
 the drops left open.  It holds every set of bases as a bitset with bit
-j = basis j; the kernel rows, built the other way round, are turned once
-into its lookup tables.  Conjugating by a Pauli operator permutes the
-projectors and maps bases to bases, so a failed search also decides the
-drop sets of its images under the table's Pauli automorphisms, read off
-the group of the pool's own Pauli permutations.  The symbols, projector
-counts and basis ids of a block's proofs are tallied in numpy at once.
+j = basis j; the walk yields each block both as coefficients over the
+kernel's echelon basis, which the subset test reads, and as those basis
+sets.  Conjugating by a Pauli operator permutes the projectors and maps
+bases to bases, so a failed search also decides the drop sets of its
+images under the table's Pauli automorphisms, read off the group of the
+pool's own Pauli permutations.  The symbols, projector counts and basis
+ids of a block's proofs are tallied in numpy at once.
 """
 
 from __future__ import annotations
@@ -587,28 +588,27 @@ def kernel_parity_sets(table: BasisTable) -> List[Tuple[int, ...]]:
 
     These are the odd vectors of the GF(2) incidence kernel, in the
     Gray-code order of ``gf2.enumerate_span``, walked by the census's own
-    blocks of coefficient vectors.
+    blocks (``_span_blocks``).
     """
     nb = len(table.bases)
-    kernel, echelon, odd_rows, _, tables = _incidence_kernel(table)
+    kernel, echelon, odd_rows, _ = _incidence_kernel(table)
     sets: List[Tuple[int, ...]] = []
-    for coefs in _span_coefficients(kernel, echelon):
+    for coefs, vecs in _span_blocks(kernel, echelon, nb):
         odd = np.bitwise_count(coefs & np.uint64(odd_rows)) & 1 == 1
-        sets += _selection_ids(_selections(_basis_sets(coefs[odd], tables), nb))
+        sets += _selection_ids(_selections(vecs[odd], nb))
     return sets
 
 
 def _incidence_kernel(
     table: BasisTable,
-) -> Tuple[List[int], List[int], int, List[int], List[np.ndarray]]:
-    """(kernel, echelon, odd_rows, columns, tables): the table's GF(2)
-    incidence kernel in the bits of ``incidence_rows``, its reduced row
-    echelon form, and what the census reads off the echelon rows."""
+) -> Tuple[List[int], List[int], int, List[int]]:
+    """(kernel, echelon, odd_rows, columns): the table's GF(2) incidence
+    kernel in the bits of ``incidence_rows``, its reduced row echelon
+    form, and what the subset test reads off the echelon rows."""
     nb = len(table.bases)
     kernel = gf2.nullspace(table.incidence_rows(), nb)
     echelon, _ = gf2.rref(kernel, nb)
-    odd_rows, columns = _coefficient_columns(echelon, nb)
-    return kernel, echelon, odd_rows, columns, _coefficient_tables(echelon, nb)
+    return (kernel, echelon) + _coefficient_columns(echelon, nb)
 
 
 def _selections(rows: np.ndarray, nb: int) -> np.ndarray:
@@ -645,38 +645,44 @@ def _from_limbs(rows: np.ndarray) -> List[int]:
     return values
 
 
-def _span_coefficients(
-    kernel: List[int], echelon: List[int]
-) -> Iterator[np.ndarray]:
-    """The span of ``kernel`` in ``gf2.enumerate_span`` order, as
-    coefficient vectors over the ``echelon`` rows (bit i = row i), in
-    blocks of at most 2^_SPAN_BLOCK_BITS.
+def _span_blocks(
+    kernel: List[int], echelon: List[int], nb: int
+) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    """The span of ``kernel`` in ``gf2.enumerate_span`` order, in blocks
+    of at most 2^_SPAN_BLOCK_BITS vectors, each block twice: as
+    coefficient vectors over the ``echelon`` rows (bit i = row i) and as
+    rows of basis-set limbs (bit j = basis j).
 
     A kernel vector's coefficients are its bits at the echelon pivots,
-    each row's lowest bit.
-    Step g of the walk reaches the sum of the kernel vectors picked by
-    gray(g) = g ^ (g >> 1); with g = h * 2^s + l and l < 2^s that is
-    gray(l) ^ gray(h * 2^s), so every block is the first one XOR a
-    constant.
+    each row's lowest bit; the walk carries them in one limb after the
+    basis set, so that one XOR moves both.  Step g of the walk reaches
+    the sum of the kernel vectors picked by gray(g) = g ^ (g >> 1); with
+    g = h * 2^s + l and l < 2^s that is gray(l) ^ gray(h * 2^s), so every
+    block is the first one XOR a constant.  An empty kernel gives one
+    block, of the zero vector.
     """
+    limbs = max(1, -(-nb // 64))
     pivots = [row & -row for row in echelon]
-    coefs = [
-        sum(1 << i for i, p in enumerate(pivots) if vec & p)
+    rows = [
+        vec | sum(1 << i for i, p in enumerate(pivots) if vec & p) << 64 * limbs
         for vec in kernel
     ]
-    low_bits = min(len(coefs), _SPAN_BLOCK_BITS)
-    low = np.zeros(1, dtype=np.uint64)
-    for coef in coefs[:low_bits]:
+    low_bits = min(len(rows), _SPAN_BLOCK_BITS)
+    # one column per vector, so that a block's offset is XORed into each
+    # limb's whole row (numpy is slow over a short inner axis)
+    low = np.zeros((limbs + 1, 1), dtype=np.uint64)
+    for row in _to_limbs(rows[:low_bits], limbs + 1):
         # reflected Gray code: the walk so far, then back with one more vector
-        low = np.concatenate([low, low[::-1] ^ np.uint64(coef)])
-    for h in range(1 << (len(coefs) - low_bits)):
+        low = np.concatenate([low, low[:, ::-1] ^ row[:, None]], axis=1)
+    for h in range(1 << (len(rows) - low_bits)):
         g = h << low_bits
         picked = g ^ g >> 1
         offset = 0
-        for i, coef in enumerate(coefs):
+        for i, row in enumerate(rows):
             if picked >> i & 1:
-                offset ^= coef
-        yield low ^ np.uint64(offset)
+                offset ^= row
+        block = low ^ _to_limbs([offset], limbs + 1).T
+        yield block[limbs], block[:limbs].T
 
 
 def _coefficient_columns(echelon: List[int], nb: int) -> Tuple[int, List[int]]:
@@ -731,30 +737,6 @@ def _subset_survivors(
     return survives
 
 
-def _coefficient_tables(echelon: List[int], nb: int) -> List[np.ndarray]:
-    """Byte lookup tables from coefficients to basis sets: table k maps
-    byte k of c to the XOR of the echelon rows it picks, in limbs (bit j
-    = basis j, as ``incidence_rows`` sets it).  An empty kernel gets one
-    table, of the zero vector."""
-    limbs = max(1, -(-nb // 64))
-    rows = _to_limbs(echelon, limbs)
-    tables = []
-    for start in range(0, max(len(echelon), 1), 8):
-        table = np.zeros((1, limbs), dtype=np.uint64)
-        for row in rows[start:start + 8]:
-            table = np.concatenate([table, table ^ row])
-        tables.append(table)
-    return tables
-
-
-def _basis_sets(coefs: np.ndarray, tables: List[np.ndarray]) -> np.ndarray:
-    """The kernel vectors with these coefficients, as rows of limbs."""
-    sets = np.zeros((len(coefs), tables[0].shape[1]), dtype=np.uint64)
-    for k, table in enumerate(tables):
-        sets ^= table[coefs >> np.uint64(8 * k) & np.uint64(0xFF)]
-    return sets
-
-
 def _cover_undecided(vecs: np.ndarray, covers: np.ndarray) -> np.ndarray:
     """The drops of each vector that no cover decides, as rows of limbs.
 
@@ -791,16 +773,17 @@ def enumerate_parity_proofs(
     """Census of critical parity proofs via the GF(2) incidence kernel.
 
     The kernel span is walked in ``gf2.enumerate_span`` order a block at a
-    time, as coefficient vectors over its echelon basis: the subset filter
-    and the covers found before the block are applied to the whole block
-    in numpy, and only the drops they leave open are searched, vector by
-    vector.  A drop whose search failed, or the image of one under the
-    table's Pauli automorphisms (``_pauli_automorphisms``, built at the
-    first failed search), is answered from a set at the point where its
-    search would run, so the covers, the searches that succeed and their
-    order are those of a census without the group.  The block's critical
-    vectors then get their symbols, projector counts and basis ids in one
-    ``_ProofTally`` pass; proofs come in walk order.  ``census.searches`` and
+    time, as coefficient vectors over its echelon basis and as basis sets
+    (``_span_blocks``): the subset filter and the covers found before the
+    block are applied to the whole block in numpy, and only the drops they
+    leave open are searched, vector by vector.  A drop whose search
+    failed, or the image of one under the table's Pauli automorphisms
+    (``_pauli_automorphisms``, built at the first failed search), is
+    answered from a set at the point where its search would run, so the
+    covers, the searches that succeed and their order are those of a
+    census without the group.  The block's critical vectors then get
+    their symbols, projector counts and basis ids in one ``_ProofTally``
+    pass; proofs come in walk order.  ``census.searches`` and
     ``census.shared_failures`` count the searches run and the drops
     answered from the set.  ``kernel_cap`` runs from 0 to KERNEL_CAP_MAX; a
     larger kernel marks the census partial.
@@ -812,17 +795,9 @@ def enumerate_parity_proofs(
     if table.partial:
         raise ValueError("cannot take a census of a partial basis table")
     nb = len(table.bases)
-    kernel, echelon, odd_rows, columns, tables = _incidence_kernel(table)
-    census = ProofCensus(
-        total=0,
-        proofs=[],
-        symbol_counts={},
-        basis_count_histogram={},
-        kernel_dimension=len(kernel),
-    )
+    kernel, echelon, odd_rows, columns = _incidence_kernel(table)
     if len(kernel) > kernel_cap:
-        census.partial = True
-        return census
+        return ProofCensus(0, [], {}, {}, len(kernel), partial=True)
     limbs = max(1, -(-nb // 64))
     # covers of the assignments found so far (also as limbs), and the
     # drops found unsatisfiable and their images; both live for this
@@ -831,13 +806,13 @@ def enumerate_parity_proofs(
     cover_limbs = np.zeros((0, limbs), dtype=np.uint64)
     failed = _FailedDrops(lambda: _pauli_automorphisms(table))
     tally = table._tally
-    for coefs in _span_coefficients(kernel, echelon):
+    proofs: List[ParityProof] = []
+    subset_critical = 0
+    for coefs, vecs in _span_blocks(kernel, echelon, nb):
         # cheap filter first: a proof containing a smaller proof can never
         # survive the drop-one test
-        survivors = _basis_sets(
-            coefs[_subset_survivors(coefs, odd_rows, columns)], tables
-        )
-        census.subset_critical_total += len(survivors)
+        survivors = vecs[_subset_survivors(coefs, odd_rows, columns)]
+        subset_critical += len(survivors)
         start = len(covers)
         undecided = _cover_undecided(survivors, cover_limbs)
         critical = np.array([
@@ -849,7 +824,7 @@ def enumerate_parity_proofs(
         if critical.any():
             selections = _selections(survivors[critical], nb)
             symbols, projectors = tally.tally(selections, nb)
-            census.proofs += [
+            proofs += [
                 ParityProof(ids, sym_u, sym_a, count)
                 for ids, (sym_u, sym_a), count in zip(
                     _selection_ids(selections), symbols, projectors
@@ -858,12 +833,16 @@ def enumerate_parity_proofs(
         cover_limbs = np.concatenate(
             [cover_limbs, _to_limbs(covers[start:], limbs)]
         )
-    census.symbol_counts = Counter(p.symbol for p in census.proofs)
-    census.basis_count_histogram = Counter(p.num_bases for p in census.proofs)
-    census.total = len(census.proofs)
-    census.searches = failed.searches
-    census.shared_failures = failed.shared
-    return census
+    return ProofCensus(
+        total=len(proofs),
+        proofs=proofs,
+        symbol_counts=Counter(p.symbol for p in proofs),
+        basis_count_histogram=Counter(p.num_bases for p in proofs),
+        kernel_dimension=len(kernel),
+        subset_critical_total=subset_critical,
+        searches=failed.searches,
+        shared_failures=failed.shared,
+    )
 
 
 def _gray_walk(nb: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:

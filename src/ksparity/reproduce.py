@@ -26,6 +26,7 @@ from .systems import (
     anticommuting_pairs,
     build_star_table,
     builtin_fixtures,
+    check_eigenvalue_dependencies,
     count_ghz_assignments,
     default_eigenvalues,
     ghz_infeasible,
@@ -41,7 +42,7 @@ from .states import (
     joint_eigenstate,
     measure_computational,
 )
-from .projectors import ProjectorPool, projectors_of, orthogonal
+from .projectors import ProjectorPool, projectors_of
 from .parity import (
     BASIS_CAP_DEFAULT,
     KERNEL_CAP_DEFAULT,
@@ -58,13 +59,9 @@ from .search import BUDGET_DEFAULT, SearchResult, search_completions
 class CheckResult:
     number: int
     name: str
-    status: str  # "pass" | "fail" | "skipped"
+    status: str  # "pass" | "fail"
     seconds: float
     detail: dict = field(default_factory=dict)
-
-    @property
-    def ok(self) -> bool:
-        return self.status != "fail"
 
 
 def _check_four_qubit_table() -> Tuple[bool, dict]:
@@ -81,9 +78,10 @@ def _check_four_qubit_table() -> Tuple[bool, dict]:
 def _check_four_qubit_ghz() -> Tuple[bool, dict]:
     sys = builtin_fixtures()["table1-left"]
     ev = default_eigenvalues(sys)
+    check_eigenvalue_dependencies(sys, ev)
     satisfying, total = count_ghz_assignments(sys, ev)
-    infeasible = ghz_infeasible(sys, ev)
-    return satisfying == 0 and total == 256 and infeasible, {
+    infeasible = satisfying == 0
+    return infeasible and total == 256, {
         "eigenvalues": ev,
         "satisfying": satisfying,
         "total_assignments": total,
@@ -91,13 +89,10 @@ def _check_four_qubit_ghz() -> Tuple[bool, dict]:
     }
 
 
-def _check_star_family(max_qubits: int) -> Tuple[bool, dict]:
+def _check_star_family() -> Tuple[bool, dict]:
     detail: Dict[str, dict] = {}
     ok = True
     for N in range(2, 9):
-        if 2 * N > max_qubits:
-            detail[f"N={N}"] = {"skipped": f"needs {2 * N} qubits"}
-            continue
         sys = build_star_table(N)
         rows_ok = len(sys.observables) == 2 * N + 1
         rep = verify_system(sys)
@@ -120,13 +115,10 @@ def _check_star_family(max_qubits: int) -> Tuple[bool, dict]:
     return ok, detail
 
 
-def _check_multipartite(max_qubits: int) -> Tuple[bool, dict]:
+def _check_multipartite() -> Tuple[bool, dict]:
     detail: Dict[str, object] = {}
     ok = True
     for N in (2, 3, 4, 5):
-        if 2 * N > max_qubits:
-            detail[f"{2 * N}-qubit"] = "skipped"
-            continue
         genuine = is_genuinely_multipartite(build_star_table(N))
         detail[f"{2 * N}-qubit"] = genuine
         ok = ok and genuine
@@ -416,7 +408,8 @@ def _check_oracles(
         pairs.append((a, b))
     pair_cases = len(pairs)
     mismatches = _dense_pair_mismatches(pairs)
-    # projector orthogonality versus trace(PQ) = 0 on fixture pools, n <= 4
+    # the orthogonality graph the basis search reads, both bits of each
+    # pair, versus trace(PQ) = 0 on fixture pools, n <= 4
     orth_pairs = 0
     pools: List[ProjectorPool] = []
     for name, sys in builtin_fixtures().items():
@@ -425,11 +418,10 @@ def _check_oracles(
     pools.append(projectors_of(kite))
     for pool in pools:
         dense = [p.to_dense() for p in pool.projectors]
+        graph = pool.orthogonality
         for i, j in itertools.combinations(range(len(pool)), 2):
-            tr = abs(np.trace(dense[i] @ dense[j]))
-            if (tr < 1e-9) != orthogonal(
-                pool.projectors[i], pool.projectors[j]
-            ):
+            zero = abs(np.trace(dense[i] @ dense[j])) < 1e-9
+            if zero != graph[i] >> j & 1 or zero != graph[j] >> i & 1:
                 mismatches += 1
             orth_pairs += 1
     # kernel enumeration versus brute force on the square tables and the
@@ -502,7 +494,6 @@ def _check_two_power_h(basis_cap: int, kernel_cap: int) -> Tuple[bool, dict]:
 
 
 def run_all(
-    max_qubits: int = 16,
     basis_cap: int = BASIS_CAP_DEFAULT,
     kernel_cap: int = KERNEL_CAP_DEFAULT,
 ) -> List[CheckResult]:
@@ -514,9 +505,9 @@ def run_all(
         (1, "four-qubit table product is -identity", _check_four_qubit_table),
         (2, "four-qubit GHZ infeasibility (256 assignments)", _check_four_qubit_ghz),
         (3, "star family N=2..8 structure and infeasibility",
-         lambda: _check_star_family(max_qubits)),
+         _check_star_family),
         (4, "genuine multipartiteness at 4, 6, 8, 10 qubits",
-         lambda: _check_multipartite(max_qubits)),
+         _check_multipartite),
         (5, "four-qubit eigenstate Bell formula and residuals",
          _check_four_qubit_state),
         (6, "six-qubit eigenstate: both decompositions agree",
@@ -534,16 +525,8 @@ def run_all(
         (13, "2^H report for the reconstructed four-qubit table",
          lambda: _check_two_power_h(basis_cap, kernel_cap)),
     ]
-    skip_at = {1: 4, 2: 4, 3: 4, 4: 4, 5: 4, 6: 6, 7: 8, 8: 8,
-               9: 4, 10: 4, 11: 2, 12: 4, 13: 4}
     results: List[CheckResult] = []
     for number, name, fn in checks:
-        if max_qubits < skip_at.get(number, 2):
-            results.append(
-                CheckResult(number, name, "skipped", 0.0,
-                            {"reason": f"needs more than {max_qubits} qubits"})
-            )
-            continue
         start = time.perf_counter()
         try:
             ok, detail = fn()

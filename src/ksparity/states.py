@@ -25,6 +25,7 @@ from .systems import (
     _single_context,
     anticommuting_pairs,
     check_eigenvalue_dependencies,
+    json_integer,
 )
 
 DENSE_STATE_CAP = 14
@@ -110,7 +111,7 @@ class DenseState:
     def from_json(cls, text: str) -> "DenseState":
         doc = json.loads(text)
         vec = np.array([complex(re, im) for re, im in doc["amplitudes"]])
-        return cls(doc["n"], vec)
+        return cls(json_integer(doc["n"], "n"), vec)
 
 
 def _canonical_phase(vec: np.ndarray) -> np.ndarray:

@@ -18,6 +18,15 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 from . import gf2
 from .pauli import PauliWord, commutes, parse_word, product_of
 
+
+def json_integer(value, what: str) -> int:
+    """``value`` if JSON read it as an integer; ValueError for a float, a
+    bool or anything else, which indexing or a comparison might take."""
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, not {value!r}")
+    return value
+
+
 class InconsistentEigenvaluesError(ValueError):
     """Eigenvalue signature conflicts with the context's product sign."""
 
@@ -78,11 +87,20 @@ class ContextSystem:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "ContextSystem":
+        """The system of a parsed JSON document; ValueError unless n, the
+        members and the signs are integers and the observables strings."""
+        for s in doc["observables"]:
+            if not isinstance(s, str):
+                raise ValueError(f"observable {s!r} must be a string")
         obs = tuple(parse_word(s) for s in doc["observables"])
         ctxs = tuple(
-            Context(tuple(c["members"]), c["sign"]) for c in doc["contexts"]
+            Context(
+                tuple(json_integer(m, "a member") for m in c["members"]),
+                json_integer(c["sign"], "a context sign"),
+            )
+            for c in doc["contexts"]
         )
-        return cls(doc["n"], obs, ctxs)
+        return cls(json_integer(doc["n"], "n"), obs, ctxs)
 
     @classmethod
     def from_json(cls, text: str) -> "ContextSystem":

@@ -29,7 +29,7 @@ IDS = {
 
 @pytest.fixture(scope="session")
 def results(request):
-    res = {r.number: r for r in run_all(max_qubits=16)}
+    res = {r.number: r for r in run_all()}
     reporter = request.config.pluginmanager.get_plugin("terminalreporter")
     emit = reporter.write_line if reporter else print
     emit("")

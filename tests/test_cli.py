@@ -31,6 +31,22 @@ INVALID_SYSTEMS = {
 }
 
 
+# input files holding a JSON value of the wrong type; each was once read
+# as something else or ended in a traceback
+WRONG_TYPES = {
+    "float-members": {"n": 2, "observables": ["XX", "YY", "ZZ"],
+                      "contexts": [{"members": [0.0, 1.0, 2.0], "sign": -1}]},
+    "float-n": {"n": 2.0, "observables": ["XX", "YY", "ZZ"],
+                "contexts": [{"members": [0, 1, 2], "sign": -1}]},
+    "bool-sign": {"n": 1, "observables": ["X"],
+                  "contexts": [{"members": [0, 0], "sign": True}]},
+    "number-observable": {"n": 2, "observables": [5, "ZZ"], "contexts": []},
+    "float-proof": {"bases": [0.4, 1.9, True]},
+    "string-proof": {"bases": "012"},
+    "bool-n-state": {"n": True, "amplitudes": [[1, 0], [0, 0]]},
+}
+
+
 def write_fixture(tmp_path, name):
     path = tmp_path / f"{name}.json"
     path.write_text(builtin_fixtures()[name].to_json())
@@ -406,16 +422,30 @@ class TestParityPipeline:
 
 
 class TestReproduceAndManifest:
-    def test_reproduce_small(self, runner, tmp_path):
+    def test_reproduce_failing_check_exits_one(
+        self, runner, tmp_path, monkeypatch
+    ):
+        from ksparity.reproduce import CheckResult
+
+        def two_checks(**caps):
+            return [CheckResult(1, "passes", "pass", 0.5, {"a": 1}),
+                    CheckResult(2, "fails", "fail", 0.25, {"error": "boom"})]
+
+        monkeypatch.setattr("ksparity.cli.run_all", two_checks)
         out = str(tmp_path / "repro.json")
-        result = runner.invoke(
-            main, ["reproduce-paper", "--max-qubits", "2", "-o", out]
-        )
-        assert result.exit_code == 0
-        doc = json.loads(open(out).read())
-        ran = [c["number"] for c in doc["checks"] if c["status"] != "skipped"]
-        assert ran == [11]
-        assert doc["failures"] == []
+        result = runner.invoke(main, ["reproduce-paper", "-o", out])
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert json.loads(open(out).read()) == {
+            "checks": [
+                {"number": 1, "name": "passes", "status": "pass",
+                 "detail": {"a": 1}},
+                {"number": 2, "name": "fails", "status": "fail",
+                 "detail": {"error": "boom"}},
+            ],
+            "failures": [2],
+        }
+        assert "[FAIL] check  2" in result.stderr
 
     def test_manifest_written(self, runner, tmp_path):
         star = write_star(tmp_path)
@@ -674,6 +704,8 @@ def fuzz_files(tmp_path_factory):
         "unnormed.json": json.dumps({"n": 1, "amplitudes": [[1, 0], [1, 0]]}),
         "bad.cfg": "dense_cap = x\n",
         "unknown.cfg": "workers = 2\n",
+        **{f"{name}.json": json.dumps(doc)
+           for name, doc in WRONG_TYPES.items()},
     }
     good.update({f"{name}.json": json.dumps(doc)
                  for name, doc in INVALID_SYSTEMS.items()})
@@ -723,7 +755,7 @@ def fuzz_argv(draw, files):
     if verb == "reproduce-paper":
         # a valid call runs every reproduction check; only its refusals
         # are fast enough to fuzz
-        return argv + ["--max-qubits", draw(st.sampled_from(["x", "", "1.5"]))]
+        return argv + [draw(st.sampled_from(["--max-qubits", "-z", "extra"]))]
     for flag, kind in _FLAGS[verb]:
         # required arguments are left out one time in eight
         if flag in _REQUIRED:
@@ -764,6 +796,16 @@ class TestInputErrors:
         ["projectors", "{identity}"],
         ["bases", "{identity}"],
         ["parity-census", "{identity}"],
+        # JSON values of the wrong type
+        ["verify", "{float-members}"],
+        ["bases", "{float-members}"],
+        ["verify", "{float-n}"],
+        ["bases", "{float-n}"],
+        ["verify", "{bool-sign}"],
+        ["verify", "{number-observable}"],
+        ["symbol", "{float-proof}", "--system", "{kite}"],
+        ["symbol", "{string-proof}", "--system", "{kite}"],
+        ["measure", "{bool-n-state}", "--qubits", "1", "--outcome", "0"],
     ])
     def test_usage_error_without_traceback(self, runner, tmp_path, argv):
         # each of these once ended in an uncaught exception, or ran with
@@ -789,6 +831,9 @@ class TestInputErrors:
             "{identity}": str(tmp_path / "identity.json"),
             "{dir}": str(tmp_path),
         }
+        for name, doc in WRONG_TYPES.items():
+            names["{" + name + "}"] = str(tmp_path / f"{name}.json")
+            (tmp_path / f"{name}.json").write_text(json.dumps(doc))
         identity = "{identity}" in argv
         for key, path in names.items():
             argv = [a.replace(key, path) for a in argv]

@@ -23,12 +23,10 @@ from ksparity.parity import (
     Basis,
     KERNEL_CAP_MAX,
     BasisTable,
-    _basis_sets,
     _coefficient_columns,
-    _coefficient_tables,
     _cover_undecided,
     _from_limbs,
-    _span_coefficients,
+    _span_blocks,
     _subset_survivors,
     _to_limbs,
     assignment_satisfiable,
@@ -409,11 +407,9 @@ def _batched_survivors(kernel, echelon, nb):
     """The census's subset filter over the span of ``kernel``, block by
     block, as basis sets (bit j = basis j) in walk order."""
     odd_rows, columns = _coefficient_columns(echelon, nb)
-    tables = _coefficient_tables(echelon, nb)
     found = []
-    for coefs in _span_coefficients(kernel, echelon):
-        kept = coefs[_subset_survivors(coefs, odd_rows, columns)]
-        found += _from_limbs(_basis_sets(kept, tables))
+    for coefs, vecs in _span_blocks(kernel, echelon, nb):
+        found += _from_limbs(vecs[_subset_survivors(coefs, odd_rows, columns)])
     return found
 
 
@@ -609,13 +605,23 @@ class TestBatchedFilters:
     def test_span_blocks_follow_enumerate_span(self, data):
         kernel, nb = data.draw(gf2_kernels())
         echelon, _ = gf2.rref(kernel, nb)
-        tables = _coefficient_tables(echelon, nb)
         bits = data.draw(st.integers(0, 13), label="block bits")
         with mock.patch.object(parity, "_SPAN_BLOCK_BITS", bits):
-            blocks = list(_span_coefficients(kernel, echelon))
-        assert all(len(b) == 1 << min(bits, len(kernel)) for b in blocks)
-        walked = [v for b in blocks for v in _from_limbs(_basis_sets(b, tables))]
-        assert walked == list(gf2.enumerate_span(kernel))
+            blocks = list(_span_blocks(kernel, echelon, nb))
+        size = 1 << min(bits, len(kernel))
+        assert all(len(c) == len(v) == size for c, v in blocks)
+        span = list(gf2.enumerate_span(kernel))
+        assert [v for _, vecs in blocks for v in _from_limbs(vecs)] == span
+        # each coefficient vector picks the echelon rows summing to its set
+        decoded = []
+        for coefs, _ in blocks:
+            for c in coefs.tolist():
+                vec = 0
+                for i, row in enumerate(echelon):
+                    if c >> i & 1:
+                        vec ^= row
+                decoded.append(vec)
+        assert decoded == span
 
     @settings(max_examples=100, deadline=None)
     @given(st.data())
