@@ -104,9 +104,13 @@ MULTIPARTITE_MEMBER_CAP = 15
 # prints 2.3 MB, at N = 1000 about 2 s and 4 MB, on a 2-core Xeon host.
 STAR_N_CAP = 500
 
-# Largest node budget `search-complete` accepts.  The search visits about
-# 0.8 million nodes a second on a 2-core Xeon host, so a run stays under
-# about a minute; the default budget is BUDGET_DEFAULT (5 million).
+# Largest node budget `search-complete` accepts.  A node is a candidate
+# triple the search counts, whether or not it calls into it.  On a 2-core
+# Xeon host the search counts about 1.4 million nodes a second where it
+# calls into nearly every one (an empty 2-qubit seed, shape 12), and about
+# 0.25 million where it accepts completions all along (an empty 3-qubit
+# seed, shape 20), so a run at the cap takes from under a minute to about
+# four minutes.  The default budget is BUDGET_DEFAULT (5 million).
 SEARCH_BUDGET_CAP = 50_000_000
 
 # Most projectors `projectors` and the basis-table verbs accept, checked on

@@ -16,6 +16,19 @@ canonical form permutes per-position letter strings by table lookup and
 takes each context sign once, since no relabeling changes it (see
 ``canonical_form``).
 
+A node of the search is one candidate triple counted for its parent,
+whether or not the search calls into it.  A child is live when its odd set
+(the observables on an odd number of contexts) has at most three members
+per context still to add, so a live leaf is closed; the parent tests this
+and calls only live children.  A triple through the pivot, with j of its
+other two members in the odd set, leaves |odd| + 1 - 2j members.  So once
+|odd| reaches three per context left after the child, only the triples
+{pivot, b, pivot ^ b} with b in the odd set can be live (a triple's
+indices XOR to zero).  Unless the pivot has no more candidates than the
+odd set has members, these triples are found by a lookup on their masks,
+and the dead candidates before each one are counted in one addition: its
+rank among the pivot's candidates, less the triples already chosen there.
+
 The triple table grows about 16x per qubit, so ``search_completions``
 refuses seeds above ``SEARCH_QUBIT_CAP`` qubits before building it.
 """
@@ -23,6 +36,7 @@ refuses seeds above ``SEARCH_QUBIT_CAP`` qubits before building it.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Dict, List, Sequence, Tuple
@@ -103,6 +117,13 @@ def search_completions(
     Only three-member context shapes are supported; the completed systems
     all pass verify_system and parity_witness.  Seeds on more than
     ``SEARCH_QUBIT_CAP`` qubits raise SearchCapError before any enumeration.
+
+    ``nodes`` counts the root and every candidate child, live or dead, in
+    depth-first order, and only live children are called (see the module
+    docstring).  A batch of dead children is one addition, capped at
+    ``budget + 1``, which marks the result incomplete.  The counts, the
+    budget's stopping point and the systems are those of a search that
+    calls into every counted node, as ``tests/search_oracles.py`` does.
     """
     if any(s != 3 for s in shape):
         raise NotImplementedError(
@@ -136,8 +157,9 @@ def search_completions(
             odd0 ^= 1 << ((ob.x << n) | ob.z)
     seed_neg = sum(1 for c in seed.contexts if c.sign == -1)
 
-    nodes = 0
-    exhausted = False
+    by_mask = {mask: idx for idx, mask in enumerate(masks)}
+    nodes = 1  # the root
+    exhausted = budget < 1
     accepted: Dict[str, ContextSystem] = {}
 
     def accept(chosen: Tuple[int, ...]) -> None:
@@ -150,34 +172,78 @@ def search_completions(
         key = canonical_form(system)
         accepted.setdefault(key, system)
 
-    def recurse(chosen: List[int], odd: int, remaining: int):
+    def count(total: int) -> bool:
+        # the node count becomes total, or budget + 1 if that is more
         nonlocal nodes, exhausted
-        if exhausted:
-            return
-        nodes += 1
-        if nodes > budget:
-            exhausted = True
-            return
-        if remaining == 0:
-            if not odd:
-                accept(tuple(sorted(chosen)))
-            return
-        if odd.bit_count() > 3 * remaining:
-            return
-        if odd:
-            # the lowest index is the smallest (x, z) pair
-            candidates = by_obs.get((odd & -odd).bit_length() - 1, [])
+        if total > budget:
+            nodes, exhausted = budget + 1, True
         else:
-            last = max(chosen) if chosen else -1
-            candidates = range(last + 1, len(triples))
-        for idx in candidates:
-            if idx in chosen:
-                continue
-            chosen.append(idx)
-            recurse(chosen, odd ^ masks[idx], remaining - 1)
-            chosen.pop()
+            nodes = total
+        return exhausted
 
-    recurse([], odd0, k)
+    def visit(chosen: List[int], odd: int, remaining: int) -> None:
+        nonlocal nodes, exhausted
+        # a live node: |odd| <= 3 * remaining, and odd == 0 at a leaf
+        if not remaining:
+            accept(tuple(sorted(chosen)))
+            return
+        rest = 3 * (remaining - 1)
+        low = odd & -odd
+        pivot = low.bit_length() - 1  # the smallest (x, z) pair in odd
+        if odd:
+            candidates = by_obs.get(pivot, [])
+        else:
+            candidates = range(max(chosen, default=-1) + 1, len(triples))
+        # below the bound every child is live; from it on, only the triples
+        # {pivot, b, pivot ^ b} with b in odd can be, looked up by their
+        # masks unless there are no more candidates than members of odd
+        size = odd.bit_count()
+        if size < rest or len(candidates) <= size:
+            for idx in candidates:
+                if idx in chosen:
+                    continue
+                nodes += 1
+                if nodes > budget:
+                    exhausted = True
+                    return
+                child = odd ^ masks[idx]
+                if child.bit_count() <= rest:
+                    chosen.append(idx)
+                    visit(chosen, child, remaining - 1)
+                    chosen.pop()
+                    if exhausted:
+                        return
+            return
+        found = set()
+        pairs = odd ^ low
+        while pairs:
+            bit = pairs & -pairs
+            pairs ^= bit
+            c = (bit.bit_length() - 1) ^ pivot
+            found.add(by_mask.get(low | bit | 1 << c))
+        found.discard(None)
+        taken = sorted([i for i in chosen if masks[i] & low])
+        base = nodes
+        for idx in sorted(found):
+            if idx in chosen or (odd ^ masks[idx]).bit_count() > rest:
+                continue
+            # the candidates before idx, less the chosen ones, are dead
+            rank = bisect_left(candidates, idx) - bisect_left(taken, idx)
+            if count(base + rank + 1):
+                return
+            chosen.append(idx)
+            visit(chosen, odd ^ masks[idx], remaining - 1)
+            chosen.pop()
+            if exhausted:
+                return
+            base = nodes - rank - 1
+        count(base + len(candidates) - len(taken))
+
+    if not exhausted and odd0.bit_count() <= 3 * k:
+        visit([], odd0, k)
+    # visit's closure holds visit itself: break that cycle so the tables
+    # are freed on return, not at some later garbage collection
+    del visit
     systems = [accepted[key] for key in sorted(accepted)]
     return SearchResult(systems, complete=not exhausted, nodes=nodes)
 

@@ -88,7 +88,11 @@ class ContextSystem:
     @classmethod
     def from_json_dict(cls, doc: dict) -> "ContextSystem":
         """The system of a parsed JSON document; ValueError unless n, the
-        members and the signs are integers and the observables strings."""
+        members and the signs are integers, n is not negative and the
+        observables are strings."""
+        n = json_integer(doc["n"], "n")
+        if n < 0:
+            raise ValueError(f"n must not be negative, not {n}")
         for s in doc["observables"]:
             if not isinstance(s, str):
                 raise ValueError(f"observable {s!r} must be a string")
@@ -100,7 +104,7 @@ class ContextSystem:
             )
             for c in doc["contexts"]
         )
-        return cls(json_integer(doc["n"], "n"), obs, ctxs)
+        return cls(n, obs, ctxs)
 
     @classmethod
     def from_json(cls, text: str) -> "ContextSystem":

@@ -31,9 +31,10 @@ INVALID_SYSTEMS = {
 }
 
 
-# input files holding a JSON value of the wrong type; each was once read
-# as something else or ended in a traceback
+# input files holding a JSON value of the wrong type or out of range; each
+# was once read as something else or ended in a traceback
 WRONG_TYPES = {
+    "negative-n": {"n": -1, "observables": [], "contexts": []},
     "float-members": {"n": 2, "observables": ["XX", "YY", "ZZ"],
                       "contexts": [{"members": [0.0, 1.0, 2.0], "sign": -1}]},
     "float-n": {"n": 2.0, "observables": ["XX", "YY", "ZZ"],
@@ -806,6 +807,16 @@ class TestInputErrors:
         ["symbol", "{float-proof}", "--system", "{kite}"],
         ["symbol", "{string-proof}", "--system", "{kite}"],
         ["measure", "{bool-n-state}", "--qubits", "1", "--outcome", "0"],
+        ["verify", "{negative-n}"],
+        ["ghz-check", "{negative-n}"],
+        ["state", "{negative-n}"],
+        ["multipartite", "{negative-n}"],
+        ["projectors", "{negative-n}"],
+        ["bases", "{negative-n}"],
+        ["parity-census", "{negative-n}"],
+        ["search-complete", "{negative-n}", "--shape", "3"],
+        ["export-graph", "{negative-n}"],
+        ["symbol", "{string-proof}", "--system", "{negative-n}"],
     ])
     def test_usage_error_without_traceback(self, runner, tmp_path, argv):
         # each of these once ended in an uncaught exception, or ran with
@@ -835,6 +846,7 @@ class TestInputErrors:
             names["{" + name + "}"] = str(tmp_path / f"{name}.json")
             (tmp_path / f"{name}.json").write_text(json.dumps(doc))
         identity = "{identity}" in argv
+        negative = "{negative-n}" in argv
         for key, path in names.items():
             argv = [a.replace(key, path) for a in argv]
         result = runner.invoke(main, argv)
@@ -842,6 +854,8 @@ class TestInputErrors:
         assert isinstance(result.exception, SystemExit)
         if identity:
             assert "context 0: every member is the identity" in result.stderr
+        if negative:
+            assert "n must not be negative, not -1" in result.stderr
 
 
 class TestExits:

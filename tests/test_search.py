@@ -88,6 +88,78 @@ class TestAgainstOracles:
             assert canonical_form(sys) == expected
 
 
+def seed_of(n, picks):
+    """The system of the triples ``picks`` of the n-qubit triple table."""
+    triples = [three_member_contexts(n)[i] for i in picks]
+    obs = sorted({key for t in triples for key in t.members})
+    index = {key: j for j, key in enumerate(obs)}
+    return ContextSystem(
+        n,
+        tuple(PauliWord(n, x, z).unsigned() for x, z in obs),
+        tuple(Context(tuple(index[key] for key in t.members), t.sign)
+              for t in triples),
+    )
+
+
+@st.composite
+def search_cases(draw):
+    """Seeds of 0-2 table triples on 1-3 qubits, with shapes of 0-4 triples."""
+    n = draw(st.integers(1, 3))
+    size = len(three_member_contexts(n))
+    picks = draw(st.lists(
+        st.integers(0, size - 1), max_size=min(2, size), unique=True,
+    )) if size else []
+    return seed_of(n, picks), [3] * draw(st.integers(0, 4))
+
+
+def _outcome(result):
+    return (result.nodes, result.complete,
+            [sys.to_json() for sys in result.systems])
+
+
+class TestSearchAgainstOracle:
+    # the library counts dead children in batches; the oracle visits each
+    @settings(max_examples=60, deadline=None)
+    @given(search_cases(), st.integers(0, 200_000))
+    def test_matches_node_for_node(self, case, budget):
+        seed, shape = case
+        expected = search_oracles.search_completions(seed, shape, budget)
+        assert _outcome(search_completions(seed, shape, budget)) == _outcome(
+            expected)
+        if expected.complete and expected.nodes <= 300:
+            # exhaustion at every node, inside runs of dead children too
+            for b in range(expected.nodes + 2):
+                assert _outcome(search_completions(seed, shape, b)) == (
+                    _outcome(search_oracles.search_completions(seed, shape, b))
+                ), b
+
+    @pytest.mark.parametrize("n, picks, size", [
+        # chosen triples through the pivot precede live children that
+        # are looked up by their masks
+        (3, [2, 77], 2),
+        (3, [314], 3),
+    ])
+    def test_every_budget(self, n, picks, size):
+        seed, shape = seed_of(n, picks), [3] * size
+        total = search_oracles.search_completions(seed, shape, 10 ** 6).nodes
+        for budget in range(total + 2):
+            assert _outcome(search_completions(seed, shape, budget)) == (
+                _outcome(search_oracles.search_completions(seed, shape, budget))
+            ), budget
+
+    # 3,339 ends on the leaf that accepts the first completion, after a
+    # chosen triple through its pivot: a rank that counts that triple
+    # stops before the leaf
+    @pytest.mark.parametrize(
+        "budget", [1_000, 3_339, 100_000, 291_900, 291_901]
+    )
+    def test_kite_budgets(self, budget):
+        seed = builtin_fixtures()["kite-quadruples"]
+        shape = [3, 3, 3, 3]
+        assert _outcome(search_completions(seed, shape, budget)) == _outcome(
+            search_oracles.search_completions(seed, shape, budget))
+
+
 class TestTripleEnumeration:
     def test_two_qubit_triples(self):
         triples = three_member_contexts(2)

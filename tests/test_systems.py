@@ -136,6 +136,13 @@ class TestContextSystem:
         again = ContextSystem.from_json(sys.to_json())
         assert again == sys
 
+    def test_qubit_count_not_negative(self):
+        doc = {"n": -1, "observables": [], "contexts": []}
+        with pytest.raises(ValueError, match="n must not be negative"):
+            ContextSystem.from_json_dict(doc)
+        # no qubits and no observables is a system, if an empty one
+        assert ContextSystem.from_json_dict({**doc, "n": 0}).n == 0
+
     def test_wire_format_shape(self):
         doc = json.loads(build_star_table(2).to_json())
         assert doc["n"] == 4
