@@ -59,7 +59,6 @@ from .parity import (
     BasisTable,
     ParityProof,
     ProofCensus,
-    brute_force_parity_proofs,
     compare_with_brute_force,
     enumerate_bases,
     enumerate_parity_proofs,

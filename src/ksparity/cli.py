@@ -474,7 +474,7 @@ def state(run: Run, system_file, eigenvalues):
     ev = (_parse_eigenvalues(eigenvalues) if eigenvalues
           else default_eigenvalues(sys))
     psi = joint_eigenstate(sys, ev, dense_cap=run.cap("dense_cap", DENSE_STATE_CAP))
-    run.emit(json.loads(psi.to_json()) | {"eigenvalues": ev})
+    run.emit(psi.to_json_dict() | {"eigenvalues": ev})
 
 
 @main.command(help=(
@@ -516,7 +516,7 @@ def measure(run: Run, state_file, qubits, outcome):
     prob, residual = measure_computational(psi, qs, outcome)
     payload: dict = {"probability": prob, "residual": None}
     if residual is not None:
-        payload["residual"] = json.loads(residual.to_json())
+        payload["residual"] = residual.to_json_dict()
     run.emit(payload)
 
 

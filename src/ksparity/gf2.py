@@ -85,12 +85,3 @@ def bits(vec: int) -> List[int]:
     rows a left-null-space vector picks."""
     return [i for i in range(vec.bit_length()) if vec >> i & 1]
 
-
-def enumerate_span(basis: List[int]):
-    """Yield every vector in the span of ``basis`` (Gray-code order)."""
-    k = len(basis)
-    vec = 0
-    yield vec
-    for g in range(1, 1 << k):
-        vec ^= basis[(g & -g).bit_length() - 1]
-        yield vec

@@ -191,10 +191,14 @@ class ParityProof:
 
 @dataclass
 class ProofCensus:
-    total: int
+    """The critical proofs in walk order, and what the walk counted.
+
+    ``total``, ``symbol_counts`` and ``basis_count_histogram`` are read off
+    ``proofs`` at first use; each counter's keys come in the order the
+    walk first met them.
+    """
+
     proofs: List[ParityProof]
-    symbol_counts: Dict[str, int]
-    basis_count_histogram: Dict[int, int]
     kernel_dimension: int
     partial: bool = False
     subset_critical_total: int = 0
@@ -203,6 +207,18 @@ class ProofCensus:
     # part of any payload
     searches: int = 0
     shared_failures: int = 0
+
+    @cached_property
+    def total(self) -> int:
+        return len(self.proofs)
+
+    @cached_property
+    def symbol_counts(self) -> Dict[str, int]:
+        return Counter(p.symbol for p in self.proofs)
+
+    @cached_property
+    def basis_count_histogram(self) -> Dict[int, int]:
+        return Counter(p.num_bases for p in self.proofs)
 
     def smallest(self) -> Optional[ParityProof]:
         if not self.proofs:
@@ -376,13 +392,6 @@ def satisfying_assignment(
     """
     bases = table.bases
     return _exact_one([bases[j].mask for j in basis_ids], 0, 0)
-
-
-def assignment_satisfiable(
-    basis_ids: Sequence[int], table: BasisTable
-) -> bool:
-    """Can every listed basis be given exactly one value-1 projector?"""
-    return satisfying_assignment(basis_ids, table) is not None
 
 
 def _exact_one(open_masks: List[int], zeros: int, ones: int) -> Optional[int]:
@@ -587,8 +596,8 @@ def kernel_parity_sets(table: BasisTable) -> List[Tuple[int, ...]]:
     """Every odd basis subset with even incidence, as basis-id tuples.
 
     These are the odd vectors of the GF(2) incidence kernel, in the
-    Gray-code order of ``gf2.enumerate_span``, walked by the census's own
-    blocks (``_span_blocks``).
+    census's Gray-code order (``_span_blocks``): step g reaches the sum of
+    the kernel basis vectors picked by gray(g) = g ^ (g >> 1).
     """
     nb = len(table.bases)
     kernel, echelon, odd_rows, _ = _incidence_kernel(table)
@@ -648,18 +657,19 @@ def _from_limbs(rows: np.ndarray) -> List[int]:
 def _span_blocks(
     kernel: List[int], echelon: List[int], nb: int
 ) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-    """The span of ``kernel`` in ``gf2.enumerate_span`` order, in blocks
-    of at most 2^_SPAN_BLOCK_BITS vectors, each block twice: as
-    coefficient vectors over the ``echelon`` rows (bit i = row i) and as
-    rows of basis-set limbs (bit j = basis j).
+    """The span of ``kernel`` in Gray-code order, in blocks of at most
+    2^_SPAN_BLOCK_BITS vectors, each block twice: as coefficient vectors
+    over the ``echelon`` rows (bit i = row i) and as rows of basis-set
+    limbs (bit j = basis j).
 
+    Step g of the walk, from 0, reaches the sum of the kernel vectors
+    picked by gray(g) = g ^ (g >> 1), so each step adds one kernel vector.
     A kernel vector's coefficients are its bits at the echelon pivots,
     each row's lowest bit; the walk carries them in one limb after the
-    basis set, so that one XOR moves both.  Step g of the walk reaches
-    the sum of the kernel vectors picked by gray(g) = g ^ (g >> 1); with
-    g = h * 2^s + l and l < 2^s that is gray(l) ^ gray(h * 2^s), so every
-    block is the first one XOR a constant.  An empty kernel gives one
-    block, of the zero vector.
+    basis set, so that one XOR moves both.  With g = h * 2^s + l and
+    l < 2^s, gray(g) is gray(l) ^ gray(h * 2^s), so every block is the
+    first one XOR a constant.  An empty kernel gives one block, of the
+    zero vector.
     """
     limbs = max(1, -(-nb // 64))
     pivots = [row & -row for row in echelon]
@@ -772,11 +782,12 @@ def enumerate_parity_proofs(
 ) -> ProofCensus:
     """Census of critical parity proofs via the GF(2) incidence kernel.
 
-    The kernel span is walked in ``gf2.enumerate_span`` order a block at a
-    time, as coefficient vectors over its echelon basis and as basis sets
-    (``_span_blocks``): the subset filter and the covers found before the
-    block are applied to the whole block in numpy, and only the drops they
-    leave open are searched, vector by vector.  A drop whose search
+    The kernel span is walked in Gray-code order a block at a time, step
+    g reaching the sum of the kernel vectors picked by gray(g) =
+    g ^ (g >> 1), as coefficient vectors over its echelon basis and as
+    basis sets (``_span_blocks``): the subset filter and the covers found
+    before the block are applied to the whole block in numpy, and only the
+    drops they leave open are searched, vector by vector.  A drop whose search
     failed, or the image of one under the table's Pauli automorphisms
     (``_pauli_automorphisms``, built at the first failed search), is
     answered from a set at the point where its search would run, so the
@@ -797,7 +808,7 @@ def enumerate_parity_proofs(
     nb = len(table.bases)
     kernel, echelon, odd_rows, columns = _incidence_kernel(table)
     if len(kernel) > kernel_cap:
-        return ProofCensus(0, [], {}, {}, len(kernel), partial=True)
+        return ProofCensus([], len(kernel), partial=True)
     limbs = max(1, -(-nb // 64))
     # covers of the assignments found so far (also as limbs), and the
     # drops found unsatisfiable and their images; both live for this
@@ -834,10 +845,7 @@ def enumerate_parity_proofs(
             [cover_limbs, _to_limbs(covers[start:], limbs)]
         )
     return ProofCensus(
-        total=len(proofs),
         proofs=proofs,
-        symbol_counts=Counter(p.symbol for p in proofs),
-        basis_count_histogram=Counter(p.num_bases for p in proofs),
         kernel_dimension=len(kernel),
         subset_critical_total=subset_critical,
         searches=failed.searches,
@@ -862,7 +870,13 @@ def _gray_walk(nb: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _scan_subsets(
     table: BasisTable, walk: Tuple[np.ndarray, np.ndarray, np.ndarray]
 ) -> List[Tuple[int, ...]]:
-    """Odd even-incidence subsets along the table's Gray-code ``walk``."""
+    """Odd even-incidence basis subsets along the table's Gray-code ``walk``.
+
+    The direct subset scan, without ``gf2``: a prefix XOR of the basis
+    masks, split into 64-bit limbs, along the walk's ruler sequence gives
+    every subset's incidence at once.  It is the kernel route's
+    independent oracle; criticality is not filtered here.
+    """
     ruler, gray, odd = walk
     nb = len(table.bases)
     limbs = max(1, -(-len(table.pool) // 64))
@@ -873,24 +887,6 @@ def _scan_subsets(
         tuple(j for j in range(nb) if subset >> j & 1)
         for subset in hits.tolist()
     ]
-
-
-def brute_force_parity_proofs(table: BasisTable) -> List[Tuple[int, ...]]:
-    """Direct subset scan for odd even-incidence basis subsets.
-
-    Walks every subset in Gray-code order, without ``gf2``: a prefix XOR of
-    the basis masks along the walk's ruler sequence gives every subset's
-    incidence at once.  The masks are split into 64-bit limbs.  This is
-    the independent oracle for the kernel route.  Criticality is not
-    filtered here.  Tables of more than ``BRUTE_FORCE_BASES`` bases raise
-    ValueError.
-    """
-    nb = len(table.bases)
-    if nb > BRUTE_FORCE_BASES:
-        raise ValueError(
-            f"subset scan takes at most {BRUTE_FORCE_BASES} bases, not {nb}"
-        )
-    return _scan_subsets(table, _gray_walk(nb))
 
 
 def compare_with_brute_force(table: BasisTable) -> Tuple[bool, bool]:

@@ -52,7 +52,10 @@ from .parity import (
     is_saturated,
     two_power_h_report,
 )
-from .search import BUDGET_DEFAULT, SearchResult, search_completions
+from .search import SearchResult, search_completions
+
+# seed of the random Pauli pairs that the oracle suite checks
+ORACLE_SEED = 20240817
 
 
 @dataclass
@@ -237,10 +240,10 @@ def _check_kite_quadruples() -> Tuple[bool, dict]:
     }
 
 
-def kite_completion(budget: int = BUDGET_DEFAULT) -> ContextSystem:
+def kite_completion() -> ContextSystem:
     """First search-derived completion of the kite quadruples."""
     seed = builtin_fixtures()["kite-quadruples"]
-    result = search_completions(seed, [3, 3, 3, 3], budget=budget)
+    result = search_completions(seed, [3, 3, 3, 3])
     if not result.systems:
         raise RuntimeError("kite completion search found no system")
     return result.systems[0]
@@ -295,10 +298,10 @@ def _check_kite_census(
     return structure_ok and census_ok and brute_ok, detail
 
 
-def mermin_square_search(budget: int = 2_000_000):
+def mermin_square_search() -> SearchResult:
     """Two-qubit systems of six three-member contexts with a parity witness."""
     seed = ContextSystem(2, (), ())
-    return search_completions(seed, [3] * 6, budget=budget)
+    return search_completions(seed, [3] * 6)
 
 
 def _check_mermin_square(
@@ -386,7 +389,7 @@ def _dense_pair_mismatches(pairs: List[Tuple[PauliWord, PauliWord]]) -> int:
 
 
 def _check_oracles(
-    kite: ContextSystem, square: SearchResult, rng_seed: int = 20240817
+    kite: ContextSystem, square: SearchResult
 ) -> Tuple[bool, dict]:
     # product/commutation versus dense matrices: every pair for n <= 2,
     # random pairs for n = 3, 4
@@ -396,7 +399,7 @@ def _check_oracles(
         for a in all_words(n)
         for b in all_words(n)
     ]
-    rng = random.Random(rng_seed)
+    rng = random.Random(ORACLE_SEED)
     for _ in range(10_000):
         n = rng.choice((3, 4))
         a = PauliWord(

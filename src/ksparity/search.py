@@ -42,7 +42,7 @@ from operator import itemgetter
 from typing import Dict, List, Sequence, Tuple
 
 from .pauli import PauliWord, product_of
-from .systems import Context, ContextSystem, parity_witness, verify_system
+from .systems import Context, ContextSystem, verify_system
 
 BUDGET_DEFAULT = 5_000_000
 # Largest seed the completion search accepts.  Its triple table grows about
@@ -115,8 +115,9 @@ def search_completions(
     """Add ``len(shape)`` three-member contexts making the parity witness hold.
 
     Only three-member context shapes are supported; the completed systems
-    all pass verify_system and parity_witness.  Seeds on more than
-    ``SEARCH_QUBIT_CAP`` qubits raise SearchCapError before any enumeration.
+    all pass verify_system and parity_witness by construction (see
+    ``accept``).  Seeds on more than ``SEARCH_QUBIT_CAP`` qubits raise
+    SearchCapError before any enumeration.
 
     ``nodes`` counts the root and every candidate child, live or dead, in
     depth-first order, and only live children are called (see the module
@@ -163,12 +164,13 @@ def search_completions(
     accepted: Dict[str, ContextSystem] = {}
 
     def accept(chosen: Tuple[int, ...]) -> None:
+        # verify_system holds: the seed is verified, and each triple
+        # commutes and carries its product's sign; parity_witness holds:
+        # odd == 0 at a leaf, and the count of -identity contexts is odd
         neg = seed_neg + sum(1 for i in chosen if triples[i].sign == -1)
         if neg % 2 == 0:
             return
         system = _assemble(seed, [triples[i] for i in chosen])
-        if not verify_system(system).ok or not parity_witness(system):
-            return
         key = canonical_form(system)
         accepted.setdefault(key, system)
 

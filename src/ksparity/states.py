@@ -33,6 +33,12 @@ DENSE_STATE_CAP = 14
 # most amplitudes one stacked gather or block of dense Bell rows holds
 _STACK_AMPLITUDES = 1 << 14
 
+# how far two reduced-spectrum values may differ and still match, and how
+# close to 1/2 a Bell pair's single-qubit spectrum must lie
+SPECTRUM_TOL = 1e-9
+# Bell coefficients of at most this magnitude are not terms of a state
+BELL_TOL = 1e-10
+
 # descending reduced spectra, one per qubit subset of a cut size
 Spectra = Tuple[Tuple[float, ...], ...]
 
@@ -52,7 +58,7 @@ class UnderdeterminedEigenstateError(ValueError):
     Carries the eigenspace dimension and the eigenvalues of the request.
     """
 
-    def __init__(self, dimension: int, eigenvalues: Sequence[int] = ()):
+    def __init__(self, dimension: int, eigenvalues: Sequence[int]):
         self.dimension = dimension
         self.eigenvalues = tuple(eigenvalues)
         super().__init__(
@@ -77,6 +83,8 @@ class DenseState:
     )
 
     def __post_init__(self):
+        if self.n < 0:
+            raise ValueError(f"n must not be negative, not {self.n}")
         vec = np.asarray(self.amplitudes, dtype=complex)
         if vec.shape != (1 << self.n,):
             raise ValueError("amplitude vector has wrong length")
@@ -103,9 +111,12 @@ class DenseState:
             np.allclose(self.amplitudes, other.amplitudes, atol=tol)
         )
 
-    def to_json(self) -> str:
+    def to_json_dict(self) -> dict:
         pairs = [[float(a.real), float(a.imag)] for a in self.amplitudes]
-        return json.dumps({"n": self.n, "amplitudes": pairs})
+        return {"n": self.n, "amplitudes": pairs}
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_json_dict())
 
     @classmethod
     def from_json(cls, text: str) -> "DenseState":
@@ -115,10 +126,7 @@ class DenseState:
 
 
 def _canonical_phase(vec: np.ndarray) -> np.ndarray:
-    idx = np.flatnonzero(np.abs(vec) > 1e-12)
-    if idx.size == 0:
-        return vec
-    lead = vec[idx[0]]
+    lead = vec[np.flatnonzero(np.abs(vec) > 1e-12)[0]]
     return vec * (abs(lead) / lead)
 
 
@@ -211,11 +219,11 @@ class BellDecomposition:
     pairing: Tuple[Tuple[int, int], ...]
     coefficients: Dict[Tuple[str, ...], complex]
 
-    def nonzero(self, tol: float = 1e-10) -> Dict[Tuple[str, ...], complex]:
+    def nonzero(self) -> Dict[Tuple[str, ...], complex]:
         return {
             labels: c
             for labels, c in self.coefficients.items()
-            if abs(c) > tol
+            if abs(c) > BELL_TOL
         }
 
     def reconstruct(self) -> DenseState:
@@ -316,12 +324,10 @@ def bell_decompose(
 
 
 def bell_support(
-    state: DenseState,
-    pairing: Sequence[Tuple[int, int]],
-    tol: float = 1e-10,
+    state: DenseState, pairing: Sequence[Tuple[int, int]]
 ) -> Tuple[int, List[float]]:
     """(term count, sorted magnitudes) of the nonzero Bell coefficients."""
-    nz = bell_decompose(state, pairing).nonzero(tol)
+    nz = bell_decompose(state, pairing).nonzero()
     return len(nz), sorted(abs(c) for c in nz.values())
 
 
@@ -468,27 +474,21 @@ def entanglement_profile(state: DenseState) -> Dict[int, Spectra]:
     }
 
 
-def _spectra_match(a: Spectra, b: Spectra, tol: float) -> bool:
-    """Equally many spectra, each as long as its match and within tol."""
+def _spectra_match(a: Spectra, b: Spectra) -> bool:
+    """Equal counts and lengths, and each value within SPECTRUM_TOL."""
     return len(a) == len(b) and all(
         len(sa) == len(sb)
-        and not any(abs(x - y) > tol for x, y in zip(sa, sb))
+        and not any(abs(x - y) > SPECTRUM_TOL for x, y in zip(sa, sb))
         for sa, sb in zip(a, b)
     )
 
 
-def profiles_match(
-    a: Dict[int, Spectra], b: Dict[int, Spectra], tol: float = 1e-9
-) -> bool:
-    return a.keys() == b.keys() and all(
-        _spectra_match(a[k], b[k], tol) for k in a
-    )
+def profiles_match(a: Dict[int, Spectra], b: Dict[int, Spectra]) -> bool:
+    return a.keys() == b.keys() and all(_spectra_match(a[k], b[k]) for k in a)
 
 
 def classify_residual(
-    residual: DenseState,
-    reference: Optional[DenseState] = None,
-    tol: float = 1e-9,
+    residual: DenseState, reference: Optional[DenseState] = None
 ) -> str:
     """Verdict: "bell-state", "profile-match" or "mismatch".
 
@@ -502,14 +502,13 @@ def classify_residual(
     own: Dict[int, Spectra] = {}
     if residual.n == 2:
         own[1] = _cut_spectra(residual, 1)
-        if all(abs(s[0] - 0.5) < tol and abs(s[1] - 0.5) < tol for s in own[1]):
+        if all(abs(v - 0.5) < SPECTRUM_TOL for s in own[1] for v in s):
             return "bell-state"
     if reference is not None and reference.n == residual.n:
         if all(
             _spectra_match(
                 own[k] if k in own else _cut_spectra(residual, k),
                 _reference_spectra(reference, k),
-                tol,
             )
             for k in range(1, residual.n // 2 + 1)
         ):

@@ -125,8 +125,11 @@ def system_from_rows(rows: Sequence[str], sign: int) -> ContextSystem:
 
 @dataclass
 class ValidationReport:
-    ok: bool
     violations: List[str] = field(default_factory=list)
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations
 
 
 def anticommuting_pairs(words: Sequence[PauliWord]) -> Iterator[tuple]:
@@ -159,7 +162,7 @@ def verify_system(sys: ContextSystem) -> ValidationReport:
                 f"context {ci}: product sign mismatch "
                 f"(declared {ctx.sign:+d}, actual {prod})"
             )
-    return ValidationReport(ok=not violations, violations=violations)
+    return ValidationReport(violations)
 
 
 def parity_witness(sys: ContextSystem) -> bool:

@@ -3,23 +3,24 @@
 Each function is the per-vector, dict-based version that the library
 replaced with shared assignment covers, batched filters over blocks of
 the kernel span, failed drops shared across Pauli images and symbols
-tallied per block, the plain loop it replaced with numpy, the exact
-cover search without its reachable-rank bound, the projector pool with
-one group built per sign pattern, or the pair-by-pair saturation test;
-the tests require the library to agree with it.
+tallied per block, the plain loop it replaced with numpy (the span
+walked one Gray-code step at a time among them), the exact cover search
+without its reachable-rank bound, the projector pool with one group
+built per sign pattern, or the pair-by-pair saturation test; the tests
+require the library to agree with it.
 """
 
 import itertools
-from typing import Dict, List, Sequence, Set, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, Iterator, List, Sequence, Set, Tuple
 
 from ksparity import gf2
 from ksparity.pauli import PauliWord, product_of
 from ksparity.parity import (
     BasisTable,
     ParityProof,
-    ProofCensus,
-    assignment_satisfiable,
     render_symbol,
+    satisfying_assignment,
 )
 from ksparity.projectors import ProjectorPool, StabilizerProjector, orthogonal
 from ksparity.systems import ContextSystem
@@ -51,14 +52,25 @@ def proof_symbol(
     return render_symbol(classes, sizes)
 
 
+def enumerate_span(basis: List[int]) -> Iterator[int]:
+    """Every vector in the span of ``basis``, one Gray-code step at a
+    time: step g reaches the sum of the vectors picked by
+    gray(g) = g ^ (g >> 1), one vector added per step."""
+    vec = 0
+    yield vec
+    for g in range(1, 1 << len(basis)):
+        vec ^= basis[(g & -g).bit_length() - 1]
+        yield vec
+
+
 def kernel_parity_sets(table: BasisTable) -> List[Tuple[int, ...]]:
-    """Odd kernel vectors as basis-id tuples, one ``gf2.enumerate_span``
-    step at a time."""
+    """Odd kernel vectors as basis-id tuples, one ``enumerate_span`` step
+    at a time."""
     nb = len(table.bases)
     kernel = gf2.nullspace(table.incidence_rows(), nb)
     return [
         tuple(gf2.bits(vec))
-        for vec in gf2.enumerate_span(kernel)
+        for vec in enumerate_span(kernel)
         if vec.bit_count() % 2 == 1
     ]
 
@@ -138,26 +150,33 @@ def is_critical(basis_ids: Sequence[int], table: BasisTable) -> bool:
     """One exact-one search per dropped basis."""
     ids = tuple(basis_ids)
     return all(
-        assignment_satisfiable(tuple(j for j in ids if j != drop), table)
+        satisfying_assignment([j for j in ids if j != drop], table) is not None
         for drop in ids
     )
 
 
-def enumerate_parity_proofs(table: BasisTable) -> ProofCensus:
-    """Census walking ``gf2.enumerate_span`` one vector at a time through
+@dataclass
+class Census:
+    """What ``enumerate_parity_proofs`` below counts, each count kept on
+    its own as the walk goes."""
+
+    kernel_dimension: int
+    total: int = 0
+    proofs: List[ParityProof] = field(default_factory=list)
+    symbol_counts: Dict[str, int] = field(default_factory=dict)
+    basis_count_histogram: Dict[int, int] = field(default_factory=dict)
+    subset_critical_total: int = 0
+
+
+def enumerate_parity_proofs(table: BasisTable) -> Census:
+    """Census walking ``enumerate_span`` one vector at a time through
     ``subset_critical``, ``is_critical`` and ``proof_symbol`` above, with
     no kernel cap."""
     nb = len(table.bases)
     kernel = gf2.nullspace(table.incidence_rows(), nb)
-    census = ProofCensus(
-        total=0,
-        proofs=[],
-        symbol_counts={},
-        basis_count_histogram={},
-        kernel_dimension=len(kernel),
-    )
+    census = Census(kernel_dimension=len(kernel))
     echelon, _ = gf2.rref(kernel, nb)
-    for vec in gf2.enumerate_span(kernel):
+    for vec in enumerate_span(kernel):
         if vec.bit_count() % 2 == 0 or not subset_critical(vec, echelon):
             continue
         census.subset_critical_total += 1
@@ -169,11 +188,11 @@ def enumerate_parity_proofs(table: BasisTable) -> ProofCensus:
         census.proofs.append(
             ParityProof(basis_ids, sym_u, sym_a, num_projectors)
         )
+        census.total += 1
         census.symbol_counts[sym_u] = census.symbol_counts.get(sym_u, 0) + 1
         census.basis_count_histogram[len(basis_ids)] = (
             census.basis_count_histogram.get(len(basis_ids), 0) + 1
         )
-    census.total = len(census.proofs)
     return census
 
 

@@ -9,6 +9,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
+from census_oracles import enumerate_span
 from ksparity import gf2
 from ksparity.pauli import commutes, product_of
 from ksparity.states import BELL_VECTORS
@@ -92,7 +93,7 @@ def find_proper_subproof(
         kernel = gf2.left_nullspace(rows_bits, width)
         if not kernel:
             continue
-        for vec in gf2.enumerate_span(kernel):
+        for vec in enumerate_span(kernel):
             if vec == 0:
                 continue
             chosen = [alive[i] for i in gf2.bits(vec)]

@@ -12,6 +12,7 @@ import numpy as np
 
 from ksparity.states import (
     BELL_LABELS,
+    SPECTRUM_TOL,
     DenseState,
     apply_pauli,
     bell_product_vector,
@@ -48,20 +49,19 @@ def entanglement_profile(
 
 
 def classify_residual(
-    residual: DenseState,
-    reference: Optional[DenseState] = None,
-    tol: float = 1e-9,
+    residual: DenseState, reference: Optional[DenseState] = None
 ) -> str:
     """Verdict from the two full profiles, with no early exit."""
     if residual.n == 2:
         spectra = [reduced_spectrum(residual, [q]) for q in (1, 2)]
+        tol = SPECTRUM_TOL
         if all(
             abs(s[0] - 0.5) < tol and abs(s[1] - 0.5) < tol for s in spectra
         ):
             return "bell-state"
     if reference is not None and reference.n == residual.n:
         if profiles_match(
-            entanglement_profile(residual), entanglement_profile(reference), tol
+            entanglement_profile(residual), entanglement_profile(reference)
         ):
             return "profile-match"
     return "mismatch"

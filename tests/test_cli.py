@@ -45,6 +45,7 @@ WRONG_TYPES = {
     "float-proof": {"bases": [0.4, 1.9, True]},
     "string-proof": {"bases": "012"},
     "bool-n-state": {"n": True, "amplitudes": [[1, 0], [0, 0]]},
+    "negative-n-state": {"n": -1, "amplitudes": [[1, 0]]},
 }
 
 
@@ -817,6 +818,8 @@ class TestInputErrors:
         ["search-complete", "{negative-n}", "--shape", "3"],
         ["export-graph", "{negative-n}"],
         ["symbol", "{string-proof}", "--system", "{negative-n}"],
+        ["measure", "{negative-n-state}", "--qubits", "1", "--outcome", "0"],
+        ["bell", "{negative-n-state}", "--pairing", "1,2"],
     ])
     def test_usage_error_without_traceback(self, runner, tmp_path, argv):
         # each of these once ended in an uncaught exception, or ran with
@@ -846,7 +849,8 @@ class TestInputErrors:
             names["{" + name + "}"] = str(tmp_path / f"{name}.json")
             (tmp_path / f"{name}.json").write_text(json.dumps(doc))
         identity = "{identity}" in argv
-        negative = "{negative-n}" in argv
+        negative = any(a in ("{negative-n}", "{negative-n-state}")
+                       for a in argv)
         for key, path in names.items():
             argv = [a.replace(key, path) for a in argv]
         result = runner.invoke(main, argv)

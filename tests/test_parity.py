@@ -26,11 +26,11 @@ from ksparity.parity import (
     _coefficient_columns,
     _cover_undecided,
     _from_limbs,
+    _gray_walk,
+    _scan_subsets,
     _span_blocks,
     _subset_survivors,
     _to_limbs,
-    assignment_satisfiable,
-    brute_force_parity_proofs,
     compare_with_brute_force,
     enumerate_bases,
     enumerate_parity_proofs,
@@ -284,7 +284,7 @@ class TestCensus:
         for proof in square_census.proofs[::101]:
             ids = proof.basis_ids
             # the proof itself admits no exactly-one assignment
-            assert not assignment_satisfiable(ids, square_table)
+            assert satisfying_assignment(ids, square_table) is None
             # dropping any one basis restores satisfiability
             assert is_critical(ids, square_table)
             # with one more basis, dropping that one leaves the proof
@@ -292,7 +292,7 @@ class TestCensus:
             assert not is_critical(ids + (extra,), square_table)
             for drop in ids:
                 rest = tuple(j for j in ids if j != drop)
-                assert assignment_satisfiable(rest, square_table)
+                assert satisfying_assignment(rest, square_table) is not None
             # no proper odd sub-collection is itself a parity proof
             for size in range(1, len(ids), 2):
                 if size > 5:
@@ -304,7 +304,7 @@ class TestCensus:
         assert compare_with_brute_force(square_table) == (True, True)
         # cut down to 20 bases so the full subset scan stays exact
         sub_table = BasisTable(square_table.pool, square_table.bases[:20])
-        brute = brute_force_parity_proofs(sub_table)
+        brute = _scan_subsets(sub_table, _gray_walk(20))
         assert brute
         assert set(kernel_parity_sets(sub_table)) == set(brute)
         assert compare_with_brute_force(sub_table) == (True, False)
@@ -361,14 +361,9 @@ class TestCensus:
             ids = tuple(p for p in range(size) if mask >> p & 1)
             bases.append(Basis(ids, "pure"))
         table = BasisTable(pool, tuple(bases))
-        assert brute_force_parity_proofs(table) == (
+        assert _scan_subsets(table, _gray_walk(len(bases))) == (
             census_oracles.brute_force_parity_proofs(table)
         )
-
-    def test_brute_force_refuses_more_than_20_bases(self, square_table):
-        assert len(square_table.bases) == 24
-        with pytest.raises(ValueError, match="at most 20 bases"):
-            brute_force_parity_proofs(square_table)
 
     def test_symbol_totals_consistent(self, square_census):
         assert sum(square_census.symbol_counts.values()) == square_census.total
@@ -377,7 +372,10 @@ class TestCensus:
 def _odd_kernel_vectors(table):
     nb = len(table.bases)
     kernel = gf2.nullspace(table.incidence_rows(), nb)
-    odd = [v for v in gf2.enumerate_span(kernel) if v.bit_count() % 2 == 1]
+    odd = [
+        v for v in census_oracles.enumerate_span(kernel)
+        if v.bit_count() % 2 == 1
+    ]
     return gf2.rref(kernel, nb)[0], odd
 
 
@@ -489,7 +487,6 @@ class TestFilters:
                 assert (table.bases[j].mask & ones).bit_count() == 1
         else:
             assert ones is None
-        assert assignment_satisfiable(ids, table) == (ones is not None)
 
 
 def _assert_census_matches_oracle(table, census=None):
@@ -512,7 +509,7 @@ def _assert_census_matches_oracle(table, census=None):
     # every proof verifies and is drop-critical, and the tallies sum
     for proof in census.proofs:
         assert verify_proof(proof.basis_ids, table)
-        assert not assignment_satisfiable(proof.basis_ids, table)
+        assert satisfying_assignment(proof.basis_ids, table) is None
         assert is_critical(proof.basis_ids, table)
     assert census.total == len(census.proofs)
     assert sum(census.symbol_counts.values()) == census.total
@@ -610,7 +607,7 @@ class TestBatchedFilters:
             blocks = list(_span_blocks(kernel, echelon, nb))
         size = 1 << min(bits, len(kernel))
         assert all(len(c) == len(v) == size for c, v in blocks)
-        span = list(gf2.enumerate_span(kernel))
+        span = list(census_oracles.enumerate_span(kernel))
         assert [v for _, vecs in blocks for v in _from_limbs(vecs)] == span
         # each coefficient vector picks the echelon rows summing to its set
         decoded = []
@@ -629,7 +626,7 @@ class TestBatchedFilters:
         kernel, nb = data.draw(gf2_kernels())
         echelon, _ = gf2.rref(kernel, nb)
         expected = [
-            vec for vec in gf2.enumerate_span(kernel)
+            vec for vec in census_oracles.enumerate_span(kernel)
             if vec.bit_count() % 2 and census_oracles.subset_critical(vec, echelon)
         ]
         bits = data.draw(st.integers(0, 13), label="block bits")
@@ -810,9 +807,7 @@ class TestSharedFailures:
         # unsatisfiable (checked on a sample of at most 40)
         known = sorted(made[0].known)
         for rest in known[::max(1, len(known) // 40)]:
-            assert not assignment_satisfiable(
-                gf2.bits(rest), sub
-            )
+            assert satisfying_assignment(gf2.bits(rest), sub) is None
         _assert_census_matches_oracle(sub, census)
 
     @settings(max_examples=20, deadline=None)

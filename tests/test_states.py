@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import random
 from unittest import mock
@@ -105,6 +106,17 @@ class TestDenseState:
     def test_json_roundtrip(self, psi4):
         again = DenseState.from_json(psi4.to_json())
         assert again.isclose(psi4, tol=1e-15)
+        assert json.loads(psi4.to_json()) == psi4.to_json_dict()
+
+    def test_qubit_count_not_negative(self):
+        # once a "negative shift count" from the length check
+        with pytest.raises(ValueError, match="n must not be negative, not -1"):
+            DenseState(-1, np.array([1.0]))
+        with pytest.raises(ValueError, match="n must not be negative, not -1"):
+            DenseState.from_json('{"n": -1, "amplitudes": [[1, 0]]}')
+        # no qubits: the one amplitude 1
+        empty = DenseState.from_json('{"n": 0, "amplitudes": [[1, 0]]}')
+        assert empty.n == 0 and empty.amplitudes.tolist() == [1]
 
     @pytest.mark.parametrize("build", [
         lambda vec: DenseState(2, vec),
