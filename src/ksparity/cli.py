@@ -14,8 +14,9 @@ runs, and ``Run.emit`` writes the result and the manifest.  Exit codes:
 - 2: usage error: an unreadable file, a malformed flag, a multi-context
   table given to a single-context verb, and any other ``ValueError`` or
   ``NotImplementedError`` from the library, with the verb's usage line.
-- 3: resource cap: ``DenseCapError``, ``SearchCapError`` and this
-  module's ``CapError`` give ``{"ok": false, "error": ...}``; a basis table
+- 3: resource cap: ``DenseCapError``, ``SearchCapError``, this module's
+  ``CapError`` and a ``MemoryError`` (an allocation beyond what a raised
+  ``dense_cap`` can get) give ``{"ok": false, "error": ...}``; a basis table
   or completion search cut short by its cap gives its partial result.
   ``CapError`` comes from this module's caps, among them ``POOL_CAP``,
   which ``projectors`` and the basis-table verbs check before they build
@@ -76,6 +77,7 @@ from .parity import (
 from .search import (
     BUDGET_DEFAULT,
     SEARCH_QUBIT_CAP,
+    SEARCH_SHAPE_CAP,
     SearchCapError,
     search_completions,
 )
@@ -226,7 +228,7 @@ class _Verb(click.Command):
                              "eigenvalues": list(exc.eigenvalues)}, EXIT_OK
         except InconsistentEigenvaluesError as exc:
             payload, code = {"ok": False, "error": str(exc)}, EXIT_VERIFY
-        except (DenseCapError, SearchCapError, CapError) as exc:
+        except (DenseCapError, SearchCapError, CapError, MemoryError) as exc:
             payload, code = {"ok": False, "error": str(exc)}, EXIT_CAP
         except (ValueError, NotImplementedError) as exc:
             raise click.UsageError(str(exc), ctx) from exc
@@ -245,7 +247,8 @@ def _read_input(run: Run, path: str, kind: str, parse: Callable):
     run.inputs.append(path)
     try:
         return parse(Path(path).read_text())
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
+        # RecursionError: JSON nested too deep for the decoder
         raise click.UsageError(f"cannot read {kind} file {path}: {exc}")
 
 
@@ -434,8 +437,9 @@ def multipartite(run: Run, system_file):
 
 @main.command("search-complete", help=(
     "Complete a seed into parity-witness systems, up to relabeling.\n\n"
-    f"Seeds on more than {SEARCH_QUBIT_CAP} qubits, and budgets above "
-    f"{SEARCH_BUDGET_CAP}, exit 3 before the search starts."
+    f"Seeds on more than {SEARCH_QUBIT_CAP} qubits, shapes of more than "
+    f"{SEARCH_SHAPE_CAP} contexts, and budgets above {SEARCH_BUDGET_CAP}, "
+    "exit 3 before the search starts."
 ))
 @click.argument("system_file", type=click.Path(exists=True))
 @click.option("--shape", required=True,

@@ -284,7 +284,7 @@ def proof_symbol(
     counts = np.bincount(
         np.asarray(basis_ids, dtype=np.intp), minlength=len(table.bases)
     )
-    symbols, _ = table._tally.tally(counts[None, :], len(basis_ids))
+    symbols, _ = table._tally.tally(counts[None, :])
     return symbols[0]
 
 
@@ -293,13 +293,13 @@ class _ProofTally:
 
     A selection is a row of how often each basis is picked.  Its product
     with the basis x projector incidence gives every projector's
-    multiplicity m; the code rank_index * width + m of each projector,
-    binned per row by one ``np.bincount`` over row offsets, gives the
-    (rank, multiplicity) class counts, and one more product the
-    basis-size counts.  The code width is one more than the largest
-    multiplicity asked for so far, so keys from different calls compare;
-    a call that may reach a larger one widens the codes and forgets the
-    keys of the narrower width.  Each distinct key is rendered once.
+    multiplicity m, and with it the projector's class code
+    m * len(ranks) + rank_index.  A selection's key is its row of codes,
+    sorted, then its basis-size counts, one more product.  The projectors
+    it misses have the codes below len(ranks) and form no class.  The
+    pool fixes how many projectors each rank has, so a key fixes the
+    (rank, multiplicity) class counts and they fix the key: keys from
+    any two calls compare, and each distinct key is rendered once.
     """
 
     def __init__(self, table: BasisTable):
@@ -309,55 +309,33 @@ class _ProofTally:
         self.ranks = sorted(set(ranks))
         self.sizes = sorted(set(sizes))
         nb = len(bases)
-        self.incidence = np.zeros((nb, len(ranks)), dtype=np.uint8)
+        self.incidence = np.zeros((nb, len(ranks)), dtype=np.intp)
         self.incidence[
             [j for j, size in enumerate(sizes) for _ in range(size)],
             [p for b in bases for p in b.projector_ids],
         ] = 1
-        self.size_columns = np.zeros((nb, len(self.sizes)), dtype=np.uint8)
+        self.size_columns = np.zeros((nb, len(self.sizes)), dtype=np.intp)
         size_index = {size: i for i, size in enumerate(self.sizes)}
         self.size_columns[range(nb), [size_index[s] for s in sizes]] = 1
         rank_index = {rank: i for i, rank in enumerate(self.ranks)}
-        self.rank_positions = np.array(
+        self.rank_codes = np.array(
             [rank_index[r] for r in ranks], dtype=np.intp
         )
-        self.width = 0
-
-    def _fit(self, most: int) -> None:
-        """Make room for multiplicities and size counts up to ``most``."""
-        if most < self.width:
-            return
-        self.width = most + 1
-        self.per_row = len(self.ranks) * self.width
-        self.dtype = np.min_scalar_type(most)
-        self.incidence = self.incidence.astype(self.dtype)
-        self.size_columns = self.size_columns.astype(self.dtype)
-        self.rank_codes = self.rank_positions * self.width
         self.rendered: Dict[bytes, Tuple[str, str]] = {}
 
     def tally(
-        self, selections: np.ndarray, most: int
+        self, selections: np.ndarray
     ) -> Tuple[List[Tuple[str, str]], List[int]]:
-        """Each selection's (utf8, ascii) symbol and number of projectors;
-        ``most`` bounds every selection's total."""
-        self._fit(most)
-        rows = len(selections)
-        selections = selections.astype(self.dtype, copy=False)
+        """Each selection's (utf8, ascii) symbol and number of projectors."""
+        selections = selections.astype(np.intp, copy=False)
         mult = selections @ self.incidence
-        codes = mult + self.rank_codes
-        codes += np.arange(rows, dtype=np.intp)[:, None] * self.per_row
-        classes = np.bincount(
-            codes.ravel(), minlength=rows * self.per_row
-        ).reshape(rows, self.per_row)
-        # the projectors a selection misses form no class
-        classes[:, ::self.width] = 0
-        keys = np.concatenate(
-            [classes, selections @ self.size_columns], axis=1, dtype=np.int64
-        )
+        codes = mult * len(self.ranks) + self.rank_codes
+        codes.sort(axis=1)
+        keys = np.concatenate([codes, selections @ self.size_columns], axis=1)
         raw = keys.tobytes()
-        step = keys.shape[1] * 8
+        step = keys.shape[1] * keys.itemsize
         symbols = []
-        for i in range(rows):
+        for i in range(len(keys)):
             key = raw[i * step:(i + 1) * step]
             rendered = self.rendered.get(key)
             if rendered is None:
@@ -366,12 +344,13 @@ class _ProofTally:
         return symbols, np.count_nonzero(mult, axis=1).tolist()
 
     def _render(self, key: np.ndarray) -> Tuple[str, str]:
-        classes, sizes = key[:self.per_row], key[self.per_row:]
+        width, count = len(self.ranks), len(self.rank_codes)
+        codes, sizes = key[:count], key[count:]
         return render_symbol(
-            {
-                (self.ranks[code // self.width], code % self.width): count
-                for code, count in enumerate(classes.tolist()) if count
-            },
+            Counter(
+                (self.ranks[code % width], code // width)
+                for code in codes.tolist() if code >= width
+            ),
             {
                 size: count
                 for size, count in zip(self.sizes, sizes.tolist()) if count
@@ -557,8 +536,7 @@ class _FailedDrops:
 
     ``group`` returns the automorphisms; it is called at the first
     ``add``, so a census whose searches all succeed never builds them.
-    An image is built by byte tables: table k of a permutation maps byte
-    k of a bitset to the image of the bases it holds.
+    An image maps each basis j of a drop set to perm[j].
     """
 
     def __init__(self, group: Callable[[], Sequence[Tuple[int, ...]]]):
@@ -568,28 +546,15 @@ class _FailedDrops:
         self._group = group
 
     @cached_property
-    def _tables(self) -> List[List[List[int]]]:
-        out = []
-        for perm in self._group():
-            nb = len(perm)
-            if tuple(perm) == tuple(range(nb)):
-                continue
-            tables = []
-            for low in range(0, nb, 8):
-                byte_table = [0]
-                for j in range(low, min(low + 8, nb)):
-                    byte_table += [t | 1 << perm[j] for t in byte_table]
-                tables.append(byte_table)
-            out.append(tables)
-        return out
+    def _perms(self) -> Sequence[Tuple[int, ...]]:
+        return self._group()
 
     def add(self, rest: int) -> None:
         self.known.add(rest)
-        for tables in self._tables:
-            image = 0
-            for k, byte_table in enumerate(tables):
-                image |= byte_table[rest >> 8 * k & 0xFF]
-            self.known.add(image)
+        held = gf2.bits(rest)
+        self.known.update(
+            sum(1 << perm[j] for j in held) for perm in self._perms
+        )
 
 
 def kernel_parity_sets(table: BasisTable) -> List[Tuple[int, ...]]:
@@ -834,7 +799,7 @@ def enumerate_parity_proofs(
         ], dtype=bool)
         if critical.any():
             selections = _selections(survivors[critical], nb)
-            symbols, projectors = tally.tally(selections, nb)
+            symbols, projectors = tally.tally(selections)
             proofs += [
                 ParityProof(ids, sym_u, sym_a, count)
                 for ids, (sym_u, sym_a), count in zip(

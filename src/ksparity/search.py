@@ -50,12 +50,19 @@ BUDGET_DEFAULT = 5_000_000
 # 5, so about 5 s and 1.4 million triples at 6 and over 20 minutes at 8,
 # with memory to match.
 SEARCH_QUBIT_CAP = 5
+# Most contexts a completion may add.  The search recurses once per added
+# context, so the cap stays well under Python's default recursion limit of
+# 1,000, with room for the caller's frames.  An empty 4-qubit seed with
+# 200 contexts to add runs out a budget of 2,000,000 nodes in about 2.4 s
+# on a 2-core Xeon host.
+SEARCH_SHAPE_CAP = 200
 
 ObsKey = Tuple[int, int]  # (xmask, zmask)
 
 
 class SearchCapError(RuntimeError):
-    """Raised when a seed has more qubits than SEARCH_QUBIT_CAP."""
+    """Raised when a seed has more qubits than SEARCH_QUBIT_CAP, or a shape
+    more contexts than SEARCH_SHAPE_CAP."""
 
 
 @dataclass(frozen=True)
@@ -116,8 +123,9 @@ def search_completions(
 
     Only three-member context shapes are supported; the completed systems
     all pass verify_system and parity_witness by construction (see
-    ``accept``).  Seeds on more than ``SEARCH_QUBIT_CAP`` qubits raise
-    SearchCapError before any enumeration.
+    ``accept``).  Seeds on more than ``SEARCH_QUBIT_CAP`` qubits and shapes
+    of more than ``SEARCH_SHAPE_CAP`` contexts raise SearchCapError before
+    any enumeration.
 
     ``nodes`` counts the root and every candidate child, live or dead, in
     depth-first order, and only live children are called (see the module
@@ -134,6 +142,11 @@ def search_completions(
         raise SearchCapError(
             f"completion search supports at most {SEARCH_QUBIT_CAP} qubits; "
             f"the seed has {seed.n}"
+        )
+    if len(shape) > SEARCH_SHAPE_CAP:
+        raise SearchCapError(
+            f"completion search adds at most {SEARCH_SHAPE_CAP} contexts; "
+            f"the shape has {len(shape)}"
         )
     if not verify_system(seed).ok:
         return SearchResult([], complete=True, nodes=0)

@@ -7,6 +7,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from ksparity.cli import (
     MULTIPARTITE_MEMBER_CAP, POOL_CAP, SEARCH_BUDGET_CAP, STAR_N_CAP, main,
 )
+from ksparity.search import SEARCH_SHAPE_CAP
 from ksparity.systems import build_star_table, builtin_fixtures
 
 
@@ -47,6 +48,9 @@ WRONG_TYPES = {
     "bool-n-state": {"n": True, "amplitudes": [[1, 0], [0, 0]]},
     "negative-n-state": {"n": -1, "amplitudes": [[1, 0]]},
 }
+
+# JSON nested past the decoder's recursion limit
+NESTED_JSON = "[" * 100_000 + "]" * 100_000
 
 
 def write_fixture(tmp_path, name):
@@ -257,6 +261,21 @@ class TestStateCommands:
             main, ["--config", str(conf), "state", write_star(tmp_path)]
         )
         assert result.exit_code == 3
+
+    def test_raised_dense_cap_exits_on_failed_allocation(
+        self, runner, tmp_path
+    ):
+        # 56 qubits ask for 1 EiB, which no address space holds, so numpy
+        # refuses at once and allocates nothing
+        conf = tmp_path / "caps.conf"
+        conf.write_text("dense_cap = 56\n")
+        result = runner.invoke(
+            main, ["--config", str(conf), "state", write_star(tmp_path, N=28)]
+        )
+        assert result.exit_code == 3, result.output
+        doc = json.loads(result.output)
+        assert doc["ok"] is False
+        assert "Unable to allocate 1.00 EiB" in doc["error"]
 
     def test_bell_dense_cap_exits_before_decomposing(
         self, runner, tmp_path, monkeypatch
@@ -559,6 +578,34 @@ class TestSearchComplete:
         doc = json.loads(result.output)
         assert doc["ok"] is False and "at most 5 qubits" in doc["error"]
 
+    def test_shape_cap_exit(self, runner, tmp_path, monkeypatch):
+        # a shape of 1,000 once ended in RecursionError from the search
+        import ksparity.search
+
+        def no_enumeration(n):
+            raise AssertionError("triple table built above the cap")
+
+        monkeypatch.setattr(
+            ksparity.search, "three_member_contexts", no_enumeration
+        )
+        seed = tmp_path / "seed.json"
+        seed.write_text(json.dumps(
+            {"n": 4, "observables": [], "contexts": []}
+        ))
+        for size in (SEARCH_SHAPE_CAP + 1, 1000):
+            shape = ",".join(["3"] * size)
+            result = runner.invoke(
+                main, ["search-complete", str(seed), "--shape", shape]
+            )
+            assert result.exit_code == 3, result.output
+            doc = json.loads(result.output)
+            assert doc["ok"] is False
+            assert f"at most {SEARCH_SHAPE_CAP} contexts" in doc["error"]
+        result = runner.invoke(main, ["search-complete", "--help"])
+        assert f"shapes of more than {SEARCH_SHAPE_CAP} contexts" in (
+            " ".join(result.output.split())
+        )
+
     def test_unsupported_shape(self, runner, tmp_path):
         result = runner.invoke(
             main,
@@ -641,9 +688,10 @@ class TestMultipartiteCap:
 
 
 # Flag values for the fuzz below, by kind: well-formed tokens first, then
-# malformed ones.  `gen star --N` and `search-complete --budget` go past
-# their caps, which must exit 3 at once; their valid values stay small, so
-# a draw never runs a long search or prints a large table.
+# malformed ones.  `gen star --N`, `search-complete --budget` and
+# `--shape` go past their caps, which must exit 3 at once; their valid
+# values stay small, so a draw never runs a long search or prints a large
+# table.
 _GOOD = {
     "budget": ("0", "1", "2", "9", "50", str(SEARCH_BUDGET_CAP + 1),
                "1" + "0" * 30),
@@ -652,7 +700,8 @@ _GOOD = {
     "pairing": ("1,2;3,4", "1,3;2,4", "2,1;4,3", "1,2"),
     "qubits": ("1", "1,2", "2,4", "1,2,3,4"),
     "outcome": ("0", "01", "11", "0101"),
-    "shape": ("3,3", "3,3,3,3", "3"),
+    "shape": ("3,3", "3,3,3,3", "3",
+              ",".join(["3"] * (SEARCH_SHAPE_CAP + 1))),
     "name": ("g", "ks_system", "a b"),
     "fixture": ("list", "table1-left", "kite-quadruples"),
 }
@@ -700,6 +749,7 @@ def fuzz_files(tmp_path_factory):
     broken = {
         "badproof.json": json.dumps({"bases": ["a"]}),
         "garbage.json": "{not json",
+        "nested.json": NESTED_JSON,
         "empty.json": "",
         "list.json": "[1, 2]",
         "shape.json": json.dumps({"n": "x", "observables": 3}),
@@ -820,11 +870,16 @@ class TestInputErrors:
         ["symbol", "{string-proof}", "--system", "{negative-n}"],
         ["measure", "{negative-n-state}", "--qubits", "1", "--outcome", "0"],
         ["bell", "{negative-n-state}", "--pairing", "1,2"],
+        # JSON nested too deep for the decoder once ended in RecursionError
+        ["verify", "{nested}"],
+        ["measure", "{nested}", "--qubits", "1", "--outcome", "0"],
+        ["symbol", "{nested}", "--system", "{star}"],
     ])
     def test_usage_error_without_traceback(self, runner, tmp_path, argv):
         # each of these once ended in an uncaught exception, or ran with
         # a cap outside what the library can honour
         (tmp_path / "list.json").write_text("[1, 2]")
+        (tmp_path / "nested.json").write_text(NESTED_JSON)
         (tmp_path / "binary.cfg").write_bytes(b"\xff\xfe\x00")
         (tmp_path / "identity.json").write_text(json.dumps({
             "n": 2, "observables": ["II"],
@@ -842,6 +897,7 @@ class TestInputErrors:
             "{star}": write_star(tmp_path),
             "{kite}": write_fixture(tmp_path, "kite-quadruples"),
             "{list}": str(tmp_path / "list.json"),
+            "{nested}": str(tmp_path / "nested.json"),
             "{identity}": str(tmp_path / "identity.json"),
             "{dir}": str(tmp_path),
         }
@@ -851,6 +907,7 @@ class TestInputErrors:
         identity = "{identity}" in argv
         negative = any(a in ("{negative-n}", "{negative-n-state}")
                        for a in argv)
+        nested = "{nested}" in argv
         for key, path in names.items():
             argv = [a.replace(key, path) for a in argv]
         result = runner.invoke(main, argv)
@@ -860,6 +917,9 @@ class TestInputErrors:
             assert "context 0: every member is the identity" in result.stderr
         if negative:
             assert "n must not be negative, not -1" in result.stderr
+        if nested:
+            assert "cannot read" in result.stderr
+            assert "maximum recursion depth" in result.stderr
 
 
 class TestExits:

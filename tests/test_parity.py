@@ -760,7 +760,7 @@ class TestSharedFailures:
 
     @settings(max_examples=100, deadline=None)
     @given(st.data())
-    def test_images_by_byte_tables(self, data):
+    def test_images_map_each_basis(self, data):
         nb = data.draw(st.integers(1, 130), label="nb")
         perm = data.draw(st.permutations(range(nb)), label="perm")
         vec = data.draw(st.integers(0, (1 << nb) - 1), label="vec")
@@ -861,8 +861,8 @@ class TestSymbols:
 
     def test_one_tally_across_id_list_lengths(self, kite_table, monkeypatch):
         # a fresh table builds its tally at the first call and keeps it;
-        # a longer list widens the codes (past 255 the multiplicities
-        # need two bytes) and a shorter one after it still fits
+        # its keys compare across calls whatever the lists' lengths, so a
+        # list past 255 ids and a shorter one after it share its renderings
         built = []
         init = parity._ProofTally.__init__
 
@@ -879,6 +879,19 @@ class TestSymbols:
                 census_oracles.proof_symbol(ids, table)
             )
         assert built == [table]
+
+    def test_census_renders_each_symbol_once(self, kite_table):
+        # a key fixes its symbol and the reverse, so a fresh table's census
+        # renders one key per symbol type; a basis listed 300 times after
+        # it still gets its own symbol
+        table = BasisTable(kite_table.pool, kite_table.bases)
+        census = enumerate_parity_proofs(table)
+        assert len(census.symbol_counts) == 33
+        assert len(table._tally.rendered) == 33
+        ids = [len(table.bases) - 1] * 300
+        assert proof_symbol(ids, table) == census_oracles.proof_symbol(
+            ids, table
+        )
 
     def test_square_smallest_symbol(self, square_table, square_census):
         utf8, ascii_form = proof_symbol(

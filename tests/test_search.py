@@ -14,6 +14,7 @@ from ksparity.systems import (
 )
 from ksparity.search import (
     SEARCH_QUBIT_CAP,
+    SEARCH_SHAPE_CAP,
     SearchCapError,
     canonical_form,
     search_completions,
@@ -257,6 +258,26 @@ class TestApiEdges:
         seed = ContextSystem(SEARCH_QUBIT_CAP + 1, (), ())
         with pytest.raises(SearchCapError):
             search_completions(seed, [3])
+
+    def test_shape_cap(self, monkeypatch):
+        # the search recurses once per added context: a shape of 1,000
+        # once ended in RecursionError.  At the cap, 300 nodes on an
+        # empty 4-qubit seed already reach a depth of about 200
+        import ksparity.search
+
+        seed = ContextSystem(4, (), ())
+        result = search_completions(seed, [3] * SEARCH_SHAPE_CAP, budget=300)
+        assert (result.complete, result.nodes) == (False, 301)
+
+        def no_enumeration(n):
+            raise AssertionError("triple table built above the cap")
+
+        monkeypatch.setattr(
+            ksparity.search, "three_member_contexts", no_enumeration
+        )
+        for size in (SEARCH_SHAPE_CAP + 1, 1000):
+            with pytest.raises(SearchCapError, match=f"the shape has {size}"):
+                search_completions(seed, [3] * size)
 
 
 class TestCanonicalForm:
