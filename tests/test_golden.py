@@ -92,6 +92,8 @@ def _cases():
     cases.append(("symbol-square-ascii", ["--ascii"] + symbol))
     invalid = ["symbol", "{proof-square-invalid}", "--system", "{square}"]
     cases.append(("symbol-square-invalid", invalid))
+    cases.append(("export-graph-kite", ["export-graph", "{kite}"]))
+    cases.append(("reproduce-paper", ["reproduce-paper"]))
     return cases
 
 
@@ -103,6 +105,11 @@ EXIT_CODES = {
     "symbol-square-invalid": 1,
 }
 CATALOG_CASES = {c for c, argv in CASES if "{catalog}" in argv}
+DOT_CASES = {c for c, argv in CASES if argv[0] == "export-graph"}
+
+
+def _golden(case):
+    return GOLDEN / (f"{case}.dot" if case in DOT_CASES else f"{case}.json")
 
 
 def _run(case, argv, tmp_path):
@@ -130,14 +137,15 @@ def _run(case, argv, tmp_path):
 @pytest.mark.parametrize("case,argv", CASES, ids=[c for c, _ in CASES])
 def test_payload_is_byte_identical(case, argv, tmp_path):
     stdout, catalog = _run(case, argv, tmp_path)
-    assert stdout == (GOLDEN / f"{case}.json").read_bytes()
+    assert stdout == _golden(case).read_bytes()
     if catalog is not None:
         assert catalog == (GOLDEN / f"{case}.catalog.jsonl").read_bytes()
 
 
 def test_golden_files_are_exactly_the_cases():
     recorded = {p.stem for p in GOLDEN.glob("*.json")}
-    assert recorded == {c for c, _ in CASES}
+    assert recorded == {c for c, _ in CASES} - DOT_CASES
+    assert {p.stem for p in GOLDEN.glob("*.dot")} == DOT_CASES
     for p in GOLDEN.glob("*.json"):
         json.loads(p.read_text(encoding="utf-8"))
     catalogs = {p.name for p in GOLDEN.glob("*.jsonl")}
@@ -155,7 +163,7 @@ if __name__ == "__main__":
         # state cases first: the bell cases read them
         for case, argv in sorted(CASES, key=lambda c: not c[0].startswith("state-")):
             out, catalog = _run(case, argv, Path(tmp))
-            (GOLDEN / f"{case}.json").write_bytes(out)
+            _golden(case).write_bytes(out)
             if catalog is not None:
                 (GOLDEN / f"{case}.catalog.jsonl").write_bytes(catalog)
             print(case)
