@@ -7,11 +7,18 @@ Observables become circle nodes; each context is drawn as a clique, bold
 from __future__ import annotations
 
 import itertools
+import re
 
 from .systems import ContextSystem
 
+_IDENTIFIER = re.compile(r"[A-Za-z_]\w*", re.ASCII)
+_KEYWORDS = {"graph", "digraph", "subgraph", "node", "edge", "strict"}
+
 
 def export_dot(sys: ContextSystem, name: str = "ks_system") -> str:
+    """The DOT text; ``name`` must be a plain DOT identifier, not a keyword."""
+    if not _IDENTIFIER.fullmatch(name) or name.lower() in _KEYWORDS:
+        raise ValueError(f"graph name {name!r} is not a DOT identifier")
     if not sys.contexts:
         raise ValueError("no contexts to export")
     lines = [f"graph {name} {{", "  node [shape=circle];"]

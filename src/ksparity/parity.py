@@ -12,8 +12,8 @@ The census walks the kernel span in numpy blocks, filters each block by
 the subset test and by the assignments found so far, and searches only
 the drops left open.  It holds every set of bases as a bitset with bit
 j = basis j; the walk yields each block both as coefficients over the
-kernel's echelon basis, which the subset test reads, and as those basis
-sets.  Conjugating by a Pauli operator permutes the projectors and maps
+kernel basis, which the subset test reads, and as those basis sets.
+Conjugating by a Pauli operator permutes the projectors and maps
 bases to bases, so a failed search also decides the drop sets of its
 images under the table's Pauli automorphisms, read off the group of the
 pool's own Pauli permutations.  The symbols, projector counts and basis
@@ -565,24 +565,21 @@ def kernel_parity_sets(table: BasisTable) -> List[Tuple[int, ...]]:
     the kernel basis vectors picked by gray(g) = g ^ (g >> 1).
     """
     nb = len(table.bases)
-    kernel, echelon, odd_rows, _ = _incidence_kernel(table)
+    kernel, odd_rows, _ = _incidence_kernel(table)
     sets: List[Tuple[int, ...]] = []
-    for coefs, vecs in _span_blocks(kernel, echelon, nb):
+    for coefs, vecs in _span_blocks(kernel, nb):
         odd = np.bitwise_count(coefs & np.uint64(odd_rows)) & 1 == 1
         sets += _selection_ids(_selections(vecs[odd], nb))
     return sets
 
 
-def _incidence_kernel(
-    table: BasisTable,
-) -> Tuple[List[int], List[int], int, List[int]]:
-    """(kernel, echelon, odd_rows, columns): the table's GF(2) incidence
-    kernel in the bits of ``incidence_rows``, its reduced row echelon
-    form, and what the subset test reads off the echelon rows."""
+def _incidence_kernel(table: BasisTable) -> Tuple[List[int], int, List[int]]:
+    """(kernel, odd_rows, columns): the table's GF(2) incidence kernel in
+    the bits of ``incidence_rows``, and what the subset test reads off its
+    rows."""
     nb = len(table.bases)
     kernel = gf2.nullspace(table.incidence_rows(), nb)
-    echelon, _ = gf2.rref(kernel, nb)
-    return (kernel, echelon) + _coefficient_columns(echelon, nb)
+    return (kernel,) + _coefficient_columns(kernel, nb)
 
 
 def _selections(rows: np.ndarray, nb: int) -> np.ndarray:
@@ -620,61 +617,57 @@ def _from_limbs(rows: np.ndarray) -> List[int]:
 
 
 def _span_blocks(
-    kernel: List[int], echelon: List[int], nb: int
+    kernel: List[int], nb: int
 ) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
     """The span of ``kernel`` in Gray-code order, in blocks of at most
     2^_SPAN_BLOCK_BITS vectors, each block twice: as coefficient vectors
-    over the ``echelon`` rows (bit i = row i) and as rows of basis-set
+    over the ``kernel`` rows (bit i = row i) and as rows of basis-set
     limbs (bit j = basis j).
 
     Step g of the walk, from 0, reaches the sum of the kernel vectors
-    picked by gray(g) = g ^ (g >> 1), so each step adds one kernel vector.
-    A kernel vector's coefficients are its bits at the echelon pivots,
-    each row's lowest bit; the walk carries them in one limb after the
-    basis set, so that one XOR moves both.  With g = h * 2^s + l and
+    picked by gray(g) = g ^ (g >> 1), so each step adds one kernel vector
+    and gray(g) is its coefficient vector.  With g = h * 2^s + l and
     l < 2^s, gray(g) is gray(l) ^ gray(h * 2^s), so every block is the
     first one XOR a constant.  An empty kernel gives one block, of the
     zero vector.
     """
     limbs = max(1, -(-nb // 64))
-    pivots = [row & -row for row in echelon]
-    rows = [
-        vec | sum(1 << i for i, p in enumerate(pivots) if vec & p) << 64 * limbs
-        for vec in kernel
-    ]
-    low_bits = min(len(rows), _SPAN_BLOCK_BITS)
+    low_bits = min(len(kernel), _SPAN_BLOCK_BITS)
+    steps = np.arange(1 << low_bits, dtype=np.uint64)
+    low_gray = steps ^ steps >> np.uint64(1)
     # one column per vector, so that a block's offset is XORed into each
     # limb's whole row (numpy is slow over a short inner axis)
-    low = np.zeros((limbs + 1, 1), dtype=np.uint64)
-    for row in _to_limbs(rows[:low_bits], limbs + 1):
+    low = np.zeros((limbs, 1), dtype=np.uint64)
+    for row in _to_limbs(kernel[:low_bits], limbs):
         # reflected Gray code: the walk so far, then back with one more vector
         low = np.concatenate([low, low[:, ::-1] ^ row[:, None]], axis=1)
-    for h in range(1 << (len(rows) - low_bits)):
+    for h in range(1 << (len(kernel) - low_bits)):
         g = h << low_bits
         picked = g ^ g >> 1
         offset = 0
-        for i, row in enumerate(rows):
+        for i, row in enumerate(kernel):
             if picked >> i & 1:
                 offset ^= row
-        block = low ^ _to_limbs([offset], limbs + 1).T
-        yield block[limbs], block[:limbs].T
+        block = low ^ _to_limbs([offset], limbs).T
+        yield low_gray ^ np.uint64(picked), block.T
 
 
-def _coefficient_columns(echelon: List[int], nb: int) -> Tuple[int, List[int]]:
-    """(odd_rows, columns) of a kernel basis in reduced row echelon form.
+def _coefficient_columns(kernel: List[int], nb: int) -> Tuple[int, List[int]]:
+    """(odd_rows, columns) of a kernel basis as ``gf2.nullspace`` returns it.
 
     For a kernel vector with coefficients c over the rows (bit i = row
     i), basis j is in the vector iff col_j & c has odd weight, col_j being
     the rows that hold basis j.  ``odd_rows`` is the rows of odd weight,
-    so the vector is odd iff c & odd_rows is.  ``columns`` is col_j of
-    every non-pivot column (no row's lowest bit) that some row holds.
+    so the vector is odd iff c & odd_rows is.  Each row's highest bit is
+    its free column, which no other row holds.  ``columns`` is col_j of
+    every other column that some row holds.
     """
-    pivots = sum(row & -row for row in echelon)
-    odd_rows = sum(1 << i for i, row in enumerate(echelon) if row.bit_count() % 2)
+    free = sum(1 << (row.bit_length() - 1) for row in kernel)
+    odd_rows = sum(1 << i for i, row in enumerate(kernel) if row.bit_count() % 2)
     columns = []
     for bit in range(nb):
-        col = sum(1 << i for i, row in enumerate(echelon) if row >> bit & 1)
-        if col and not pivots >> bit & 1:
+        col = sum(1 << i for i, row in enumerate(kernel) if row >> bit & 1)
+        if col and not free >> bit & 1:
             columns.append(col)
     return odd_rows, columns
 
@@ -685,12 +678,13 @@ def _subset_survivors(
     """Mask of the kernel vectors, given by coefficients, that are odd and
     hold no other odd kernel vector.
 
-    Masking vec's support out of the echelon rows maps exactly the kernel
+    Masking vec's support out of the kernel rows maps exactly the kernel
     vectors inside vec to zero, so vec survives iff its popcount(c) rows,
     masked, have rank popcount(c) - 1 (they sum to zero, so never more).
-    The masked rows are zero on every pivot column, so their rank is that
-    of the columns col_j & c for the non-pivot j outside vec, which are
-    the ones of even weight.  All lanes reduce their columns at once:
+    Each of those rows holds its own free column, which vec holds too, so
+    the masked rows are zero on every free column and their rank is that
+    of the columns col_j & c for the other j outside vec, which are the
+    ones of even weight.  All lanes reduce their columns at once:
     min(m, m ^ b) clears b's leading bit from m where m has it, and a zero
     b changes nothing.
     """
@@ -749,7 +743,7 @@ def enumerate_parity_proofs(
 
     The kernel span is walked in Gray-code order a block at a time, step
     g reaching the sum of the kernel vectors picked by gray(g) =
-    g ^ (g >> 1), as coefficient vectors over its echelon basis and as
+    g ^ (g >> 1), as coefficient vectors over the kernel basis and as
     basis sets (``_span_blocks``): the subset filter and the covers found
     before the block are applied to the whole block in numpy, and only the
     drops they leave open are searched, vector by vector.  A drop whose search
@@ -771,7 +765,7 @@ def enumerate_parity_proofs(
     if table.partial:
         raise ValueError("cannot take a census of a partial basis table")
     nb = len(table.bases)
-    kernel, echelon, odd_rows, columns = _incidence_kernel(table)
+    kernel, odd_rows, columns = _incidence_kernel(table)
     if len(kernel) > kernel_cap:
         return ProofCensus([], len(kernel), partial=True)
     limbs = max(1, -(-nb // 64))
@@ -784,7 +778,7 @@ def enumerate_parity_proofs(
     tally = table._tally
     proofs: List[ParityProof] = []
     subset_critical = 0
-    for coefs, vecs in _span_blocks(kernel, echelon, nb):
+    for coefs, vecs in _span_blocks(kernel, nb):
         # cheap filter first: a proof containing a smaller proof can never
         # survive the drop-one test
         survivors = vecs[_subset_survivors(coefs, odd_rows, columns)]

@@ -227,15 +227,15 @@ class BellDecomposition:
         }
 
     def reconstruct(self) -> DenseState:
+        """Sum of coefficient x Bell product; a missing label tuple is 0."""
+        k = len(self.pairing)
+        labels, index, amp = _bell_terms(self.n, self.pairing, [BELL_LABELS] * k)
+        coeffs = np.array(
+            [self.coefficients.get(key, 0) for key in labels], dtype=complex
+        )
+        terms = np.flatnonzero(coeffs)
         vec = np.zeros(1 << self.n, dtype=complex)
-        for labels, coeff in self.coefficients.items():
-            if coeff == 0:
-                continue
-            factors = [
-                (q1, q2, label)
-                for (q1, q2), label in zip(self.pairing, labels)
-            ]
-            vec += coeff * bell_product_vector(self.n, factors)
+        np.add.at(vec, index[terms], coeffs[terms, None] * amp[terms])
         return DenseState.from_vector(vec)
 
     def to_json_dict(self) -> dict:
@@ -249,6 +249,31 @@ class BellDecomposition:
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), ensure_ascii=False)
+
+
+def _bell_terms(
+    n: int,
+    pairing: Sequence[Tuple[int, int]],
+    choices: Sequence[Sequence[str]],
+) -> Tuple[List[Tuple[str, ...]], np.ndarray, np.ndarray]:
+    """(labels, index, amp) of the Bell products over the 1-based qubit
+    ``pairing``, labels being ``itertools.product(*choices)``: row r holds
+    the offsets and amplitudes of labels[r]'s nonzero terms, amplitudes
+    multiplied left to right, which fixes the rounding."""
+    index = np.zeros((1, 1), dtype=np.int64)
+    amp = np.ones((1, 1))
+    for (qa, qb), labels in zip(pairing, choices):
+        bells = np.array([BELL_VECTORS[label].real for label in labels])
+        offsets = np.array([np.flatnonzero(b) for b in bells])
+        values = np.take_along_axis(bells, offsets, axis=1)
+        shifts = ((offsets >> 1) << (n - qa)) | ((offsets & 1) << (n - qb))
+        index = (index[:, None, :, None] | shifts[None, :, None, :]).reshape(
+            len(index) * len(labels), -1
+        )
+        amp = (amp[:, None, :, None] * values[None, :, None, :]).reshape(
+            len(amp) * len(labels), -1
+        )
+    return list(itertools.product(*choices)), index, amp
 
 
 def bell_product_vector(
@@ -265,58 +290,33 @@ def bell_product_vector(
     covered += [q for q, _ in computational]
     if sorted(covered) != list(range(1, n + 1)):
         raise ValueError("factors must cover every qubit exactly once")
-    # one entry per nonzero term, pair k's offsets on the k-th axis of the
-    # outer OR; amplitudes multiply left to right, which fixes the rounding
-    index = np.zeros(1, dtype=np.int64)
-    amp = np.ones(1)
-    for qa, qb, label in bell_factors:
-        bell = BELL_VECTORS[label].real
-        offsets = np.flatnonzero(bell)
-        shifts = ((offsets >> 1) << (n - qa)) | ((offsets & 1) << (n - qb))
-        index = (index[:, None] | shifts[None, :]).ravel()
-        amp = (amp[:, None] * bell[offsets][None, :]).ravel()
-    for q, b in computational:
-        index |= b << (n - q)
+    pairs = [f[:2] for f in bell_factors]
+    _, index, amp = _bell_terms(n, pairs, [f[2:] for f in bell_factors])
+    index = index[0] | sum(b << (n - q) for q, b in computational)
     vec = np.zeros(1 << n, dtype=complex)
-    vec.real[index] = amp
+    vec.real[index] = amp[0]
     return vec
 
 
 def bell_decompose(
     state: DenseState, pairing: Sequence[Tuple[int, int]]
 ) -> BellDecomposition:
-    """Coefficients of the state in the tensor-product Bell basis."""
+    """Coefficients of the state in the tensor-product Bell basis: one
+    ``np.vdot`` per label tuple with its dense row."""
     n = state.n
     if sorted(q for pair in pairing for q in pair) != list(range(1, n + 1)):
         raise ValueError(f"pairing {pairing} does not cover qubits 1..{n}")
     pairing = tuple((int(a), int(b)) for a, b in pairing)
-    bells = np.array([BELL_VECTORS[label].real for label in BELL_LABELS])
-    offsets = np.array([np.flatnonzero(b) for b in bells])
-    values = np.take_along_axis(bells, offsets, axis=1)
-    # row r holds the nonzero terms of the r-th label tuple in
-    # itertools.product order, with the offsets and left-to-right amplitude
-    # products of bell_product_vector, so each dense row is its vector
-    index = np.zeros((1, 1), dtype=np.int64)
-    amp = np.ones((1, 1))
-    for qa, qb in pairing:
-        shifts = ((offsets >> 1) << (n - qa)) | ((offsets & 1) << (n - qb))
-        index = (index[:, None, :, None] | shifts[None, :, None, :]).reshape(
-            4 * len(index), -1
-        )
-        amp = (amp[:, None, :, None] * values[None, :, None, :]).reshape(
-            4 * len(amp), -1
-        )
-    labels = list(itertools.product(BELL_LABELS, repeat=len(pairing)))
+    labels, index, amp = _bell_terms(n, pairing, [BELL_LABELS] * len(pairing))
     step = max(1, _STACK_AMPLITUDES >> n)
     coeffs: Dict[Tuple[str, ...], complex] = {}
     for start in range(0, len(labels), step):
-        stop = min(start + step, len(labels))
-        rows = np.zeros((stop - start, 1 << n), dtype=complex)
-        np.put_along_axis(
-            rows.real, index[start:stop], amp[start:stop], axis=1
-        )
-        for key, row in zip(labels[start:stop], rows):
+        block = slice(start, start + step)
+        rows = np.zeros((len(index[block]), 1 << n), dtype=complex)
+        np.put_along_axis(rows.real, index[block], amp[block], axis=1)
+        for key, row in zip(labels[block], rows):
             coeffs[key] = complex(np.vdot(row, state.amplitudes))
+    del index, amp, rows  # free the table; reconstruct builds its own
     decomp = BellDecomposition(state.n, pairing, coeffs)
     if not decomp.reconstruct().isclose(state, tol=1e-12):
         raise AssertionError("Bell reconstruction does not match the state")

@@ -106,6 +106,27 @@ class TestVerify:
         assert result.exit_code == 1
         assert json.loads(result.output)["ok"] is False
 
+    @pytest.mark.parametrize("system, code, violations", [
+        ("noncommuting", 1, ["context 0: members XI and ZI do not commute",
+                             "context 0: product -iYI is not proportional "
+                             "to identity"]),
+        ("wrong-sign", 1, ["context 0: product sign mismatch "
+                           "(declared +1, actual -II)"]),
+        (None, 0, []),
+    ])
+    def test_payload_bytes(self, runner, tmp_path, system, code, violations):
+        path = tmp_path / "system.json"
+        if system is None:
+            path = write_star(tmp_path)
+        else:
+            path.write_text(json.dumps(INVALID_SYSTEMS[system]))
+        result = runner.invoke(main, ["verify", str(path)])
+        assert result.exit_code == code
+        assert result.stdout == json.dumps(
+            {"ok": not violations, "violations": violations},
+            indent=2, sort_keys=True,
+        ) + "\n"
+
     def test_unreadable_file_is_usage_error(self, runner, tmp_path):
         path = tmp_path / "garbage.json"
         path.write_text("{not json")
@@ -337,6 +358,21 @@ class TestConfig:
         assert result.exit_code == 2
         assert "unknown key 'workers'" in result.output
 
+    @pytest.mark.parametrize("text", [
+        "basis_cap = 2\nbasis_cap = 100000\n",
+        "basis_cap = 100000\n# again\nbasis_cap = 2\n",
+    ])
+    def test_duplicate_key(self, runner, tmp_path, text):
+        conf = tmp_path / "caps.conf"
+        conf.write_text(text)
+        result = runner.invoke(main, [
+            "--config", str(conf), "bases",
+            write_fixture(tmp_path, "kite-quadruples"),
+        ])
+        assert result.exit_code == 2
+        line = text.count("\n")
+        assert f"{conf}:{line}: duplicate key basis_cap" in result.stderr
+
     def test_workers_option_is_gone(self, runner):
         result = runner.invoke(main, ["--workers", "2", "gen", "star", "--N", "2"])
         assert result.exit_code == 2
@@ -358,6 +394,23 @@ class TestGraphExport:
         ))
         result = runner.invoke(main, ["export-graph", str(path)])
         assert result.exit_code == 2
+
+    def test_plain_name(self, runner, tmp_path):
+        star = write_star(tmp_path)
+        result = runner.invoke(main, ["export-graph", star, "--name", "_g1"])
+        assert result.exit_code == 0
+        assert result.stdout.startswith("graph _g1 {\n")
+
+    @pytest.mark.parametrize("name", [
+        "two words", "graph", "Node", "STRICT", 'a" -> b; "x', "9a", "",
+        "é",
+    ])
+    def test_name_must_be_an_identifier(self, runner, tmp_path, name):
+        star = write_star(tmp_path)
+        result = runner.invoke(main, ["export-graph", star, "--name", name])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert "is not a DOT identifier" in result.stderr
 
 
 @pytest.fixture(scope="module")
@@ -702,11 +755,12 @@ _GOOD = {
     "outcome": ("0", "01", "11", "0101"),
     "shape": ("3,3", "3,3,3,3", "3",
               ",".join(["3"] * (SEARCH_SHAPE_CAP + 1))),
-    "name": ("g", "ks_system", "a b"),
+    "name": ("g", "ks_system", "_x1"),
     "fixture": ("list", "table1-left", "kite-quadruples"),
 }
 _BAD = ("", " ", "x", "-1", "1.5", "1e3", "0x10", "+2", "٣", "nan", "1,x;3,4",
-        ",", ";", "1;2", "1,2;2,3", "1,2,3", "0,9", "a,b", "2", "-", "4,4")
+        ",", ";", "1;2", "1,2;2,3", "1,2,3", "0,9", "a,b", "2", "-", "4,4",
+        "a b")
 _FLAGS = {
     "gen star": (("--N", "star"), ("-o", "out")),
     "gen fixture": ((None, "fixture"), ("-o", "out")),
@@ -831,6 +885,9 @@ class TestInputErrors:
         ["multipartite", "{kite}"],
         ["ghz-check", "{star}", "--eigenvalues", "+,-"],
         ["state", "{star}", "--eigenvalues", "+,-"],
+        # an empty list once read as the default signature
+        ["ghz-check", "{star}", "--eigenvalues", ""],
+        ["state", "{star}", "--eigenvalues", ""],
         ["verify", "{list}"],
         ["bell", "{list}", "--pairing", "1,2"],
         ["symbol", "{list}", "--system", "{star}"],
@@ -908,6 +965,7 @@ class TestInputErrors:
         negative = any(a in ("{negative-n}", "{negative-n-state}")
                        for a in argv)
         nested = "{nested}" in argv
+        empty = "" in argv
         for key, path in names.items():
             argv = [a.replace(key, path) for a in argv]
         result = runner.invoke(main, argv)
@@ -920,6 +978,8 @@ class TestInputErrors:
         if nested:
             assert "cannot read" in result.stderr
             assert "maximum recursion depth" in result.stderr
+        if empty:
+            assert "bad eigenvalue ''" in result.stderr
 
 
 class TestExits:

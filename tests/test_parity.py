@@ -401,12 +401,13 @@ def _choices_satisfiable(basis_ids, table):
     return bool(ok.any())
 
 
-def _batched_survivors(kernel, echelon, nb):
-    """The census's subset filter over the span of ``kernel``, block by
-    block, as basis sets (bit j = basis j) in walk order."""
-    odd_rows, columns = _coefficient_columns(echelon, nb)
+def _batched_survivors(kernel, nb):
+    """The census's subset filter over the span of ``kernel``, a basis in
+    the form ``gf2.nullspace`` returns, block by block, as basis sets
+    (bit j = basis j) in walk order."""
+    odd_rows, columns = _coefficient_columns(kernel, nb)
     found = []
-    for coefs, vecs in _span_blocks(kernel, echelon, nb):
+    for coefs, vecs in _span_blocks(kernel, nb):
         found += _from_limbs(vecs[_subset_survivors(coefs, odd_rows, columns)])
     return found
 
@@ -424,7 +425,9 @@ class TestFilters:
                 expected.append(vec)
         nb = len(table.bases)
         kernel = gf2.nullspace(table.incidence_rows(), nb)
-        assert _batched_survivors(kernel, echelon, nb) == expected
+        # the nullspace rows are the echelon form with pivots from the top
+        assert census_oracles.msb_first_rref(kernel, nb) == kernel[::-1]
+        assert _batched_survivors(kernel, nb) == expected
         return outcomes
 
     def test_subset_filter_on_square_tables(self, square_tables):
@@ -601,20 +604,19 @@ class TestBatchedFilters:
     @given(st.data())
     def test_span_blocks_follow_enumerate_span(self, data):
         kernel, nb = data.draw(gf2_kernels())
-        echelon, _ = gf2.rref(kernel, nb)
         bits = data.draw(st.integers(0, 13), label="block bits")
         with mock.patch.object(parity, "_SPAN_BLOCK_BITS", bits):
-            blocks = list(_span_blocks(kernel, echelon, nb))
+            blocks = list(_span_blocks(kernel, nb))
         size = 1 << min(bits, len(kernel))
         assert all(len(c) == len(v) == size for c, v in blocks)
         span = list(census_oracles.enumerate_span(kernel))
         assert [v for _, vecs in blocks for v in _from_limbs(vecs)] == span
-        # each coefficient vector picks the echelon rows summing to its set
+        # each coefficient vector picks the kernel rows summing to its set
         decoded = []
         for coefs, _ in blocks:
             for c in coefs.tolist():
                 vec = 0
-                for i, row in enumerate(echelon):
+                for i, row in enumerate(kernel):
                     if c >> i & 1:
                         vec ^= row
                 decoded.append(vec)
@@ -624,14 +626,16 @@ class TestBatchedFilters:
     @given(st.data())
     def test_subset_survivors_match_oracle(self, data):
         kernel, nb = data.draw(gf2_kernels())
+        # the oracle reads its own echelon form, the filter the nullspace form
         echelon, _ = gf2.rref(kernel, nb)
+        basis = census_oracles.msb_first_rref(kernel, nb)
         expected = [
-            vec for vec in census_oracles.enumerate_span(kernel)
+            vec for vec in census_oracles.enumerate_span(basis)
             if vec.bit_count() % 2 and census_oracles.subset_critical(vec, echelon)
         ]
         bits = data.draw(st.integers(0, 13), label="block bits")
         with mock.patch.object(parity, "_SPAN_BLOCK_BITS", bits):
-            assert _batched_survivors(kernel, echelon, nb) == expected
+            assert _batched_survivors(basis, nb) == expected
 
     @settings(max_examples=100, deadline=None)
     @given(st.data())

@@ -26,6 +26,7 @@ from ksparity.systems import (
 from ksparity.states import (
     BELL_LABELS,
     BELL_VECTORS,
+    BellDecomposition,
     DenseState,
     UnderdeterminedEigenstateError,
     apply_pauli,
@@ -298,6 +299,28 @@ class TestBellDecomposition:
     def test_reconstruction(self, psi6):
         decomp = bell_decompose(psi6, [(1, 4), (2, 5), (3, 6)])
         assert decomp.reconstruct().isclose(psi6, tol=1e-12)
+
+    def test_reconstruct_one_term(self):
+        # a zero coefficient and the 14 label tuples left out add nothing
+        pairing = ((1, 3), (2, 4))
+        decomp = BellDecomposition(
+            4, pairing, {("Ψ-", "Φ+"): 0.6 - 0.8j, ("Φ+", "Φ+"): 0j}
+        )
+        expected = ghz_oracles.bell_product_vector(
+            4, [(1, 3, "Ψ-"), (2, 4, "Φ+")]
+        )
+        assert np.allclose(
+            decomp.reconstruct().amplitudes,
+            DenseState.from_vector(expected).amplitudes,
+            atol=1e-15,
+        )
+
+    def test_support_builds_no_dense_product_vectors(self, psi6):
+        with mock.patch.object(
+            states, "bell_product_vector", wraps=bell_product_vector
+        ) as spy:
+            assert bell_support(psi6, [(1, 2), (3, 4), (5, 6)])[0] == 4
+        assert spy.call_count == 0
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
