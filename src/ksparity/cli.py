@@ -115,11 +115,11 @@ STAR_N_CAP = 500
 SEARCH_BUDGET_CAP = 50_000_000
 
 # Most projectors `projectors` and the basis-table verbs accept, checked on
-# the bound sum(2^rank) over the contexts before the pool is built.  The
-# orthogonality graph tests every pair of projectors, so its time grows as
-# the square of the pool: on a 2-core Xeon host `gen star --N 4` (256
-# projectors) builds its pool and bases in about 0.2 s, and `--N 5` (1024),
-# above the cap, in about 2.4 s.
+# the bound sum(2^rank) over the contexts before the pool is built.  Every
+# projector records each element of its group, so a single context's pool
+# grows as the square of its size: in process on a 2-core Xeon host
+# `gen star --N 4` (256 projectors) builds its pool, graph and bases in
+# about 0.05 s, and `--N 5` (1024), above the cap, in about 0.4 s.
 POOL_CAP = 512
 
 
@@ -637,10 +637,11 @@ def parity_census(run: Run, system_file, brute_force_check, catalog):
 
 def _proof_ids(text: str) -> List[int]:
     """The basis ids of a proof file's {"bases": [ids]}."""
-    ids = json.loads(text)["bases"]
-    if not isinstance(ids, list):
-        raise ValueError(f"bases must be a list of basis ids, not {ids!r}")
-    return [json_integer(i, "a basis id") for i in ids]
+    doc = json.loads(text)
+    if not isinstance(doc, dict) or not isinstance(doc.get("bases"), list):
+        raise ValueError('a proof file must hold a JSON object with a '
+                         '"bases" list of basis ids')
+    return [json_integer(i, "a basis id") for i in doc["bases"]]
 
 
 @main.command()

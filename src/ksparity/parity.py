@@ -45,6 +45,10 @@ BRUTE_FORCE_BASES = 20
 # time; together they keep its numpy temporaries to about a megabyte.
 _SPAN_BLOCK_BITS = 12
 _COVER_TILE = 1 << 13
+# The census applies the covers found so far to the survivors of a block
+# in numpy, _COVER_CHUNK survivors at a time, so that the covers one chunk
+# finds are applied in numpy to the next.
+_COVER_CHUNK = 128
 
 
 @dataclass(frozen=True)
@@ -98,62 +102,70 @@ def enumerate_bases(
 ) -> BasisTable:
     """All sets of mutually orthogonal projectors with rank-sum 2^n.
 
-    Exact-cover backtracking over the orthogonality graph in canonical
-    projector order, on an explicit stack, so that a basis may hold any
-    number of projectors; exceeding ``cap`` bases flags the table as
-    partial.  A branch stops as soon as the rank it could still add falls
-    short of 2^n.
+    Exact-cover search over the orthogonality graph.  A basis sums to the
+    identity, so for every projector q orthogonal to all the projectors
+    chosen so far, it holds an allowed projector that is not orthogonal
+    to q (q itself, if allowed, among them).  Each node takes the q with
+    the fewest such candidates, as Knuth's Dancing Links takes the item
+    with the fewest options, and ends the branch if that is none.
+    Otherwise it branches on each candidate, lowest id first, and bans it
+    from the branches after it, so each basis is found once.  The search
+    runs on an explicit stack, so that a basis may hold any number of
+    projectors; exceeding ``cap`` bases flags the table as partial, and
+    which ``cap`` bases a partial table keeps follows the search order.
     """
-    projs = pool.projectors
-    count = len(projs)
+    ranks = [p.rank for p in pool.projectors]
     target = 1 << pool.n
-    order = sorted(range(count), key=lambda i: projs[i].key)
-    # tails[pos][k]: the projectors of the k-th rank class at order
-    # positions pos.. as a bit mask, so that a branch can count the rank
-    # it may still reach with one popcount per class
-    ranks = sorted({p.rank for p in projs})
-    tails = [[0] * len(ranks) for _ in range(count + 1)]
-    for pos in range(count - 1, -1, -1):
-        i = order[pos]
-        tails[pos] = list(tails[pos + 1])
-        tails[pos][ranks.index(projs[i].rank)] |= 1 << i
     compat = pool.orthogonality
+    full = (1 << len(ranks)) - 1
+    # overlap[q]: the projectors not orthogonal to q, q itself among them
+    overlap = [full & ~row for row in compat]
     pure_families = {frozenset(fam) for fam in pool.context_families}
 
-    def branch(rank_sum: int, allowed: int, start: int) -> List[int]:
-        """A branch's frame: its rank sum, allowed projectors, next order
-        position and the rank sum plus the rank of every allowed projector
-        from that position on."""
-        return [rank_sum, allowed, start, rank_sum + sum(
-            r * (allowed & tail).bit_count()
-            for r, tail in zip(ranks, tails[start])
-        )]
+    def candidates(allowed: int, unmet: int) -> int:
+        """The allowed projectors that overlap q, for the q of ``unmet``
+        that the fewest of them overlap (the lowest such q)."""
+        best, fewest = 0, None
+        while unmet:
+            low = unmet & -unmet
+            unmet ^= low
+            live = allowed & overlap[low.bit_length() - 1]
+            count = live.bit_count()
+            if fewest is None or count < fewest:
+                best, fewest = live, count
+                if count <= 1:
+                    break
+        return best
 
     found: List[Tuple[int, ...]] = []
     partial = False
     chosen: List[int] = []
-    frames = [branch(0, (1 << count) - 1, 0)]
+    # a frame: the rank sum chosen, the allowed projectors, the projectors
+    # orthogonal to all chosen (each one a basis must still overlap), and
+    # the candidates not yet branched on
+    frames = [[0, full, full, candidates(full, full)]]
     while frames:
         frame = frames[-1]
-        rank_sum, allowed, pos, reach = frame
-        while pos < count and not (allowed >> order[pos]) & 1:
-            pos += 1
-        if pos == count or reach < target:
+        rank_sum, allowed, unmet, todo = frame
+        if not todo:
             frames.pop()
             if chosen:  # the root frame chose nothing
                 chosen.pop()
             continue
-        i = order[pos]
-        r = projs[i].rank
-        frame[2:] = pos + 1, reach - r
-        if rank_sum + r < target:
-            chosen.append(i)
-            frames.append(branch(rank_sum + r, allowed & compat[i], pos + 1))
-        elif rank_sum + r == target:
+        low = todo & -todo
+        i = low.bit_length() - 1
+        frame[1], frame[3] = allowed ^ low, todo ^ low
+        total = rank_sum + ranks[i]
+        if total == target:
             if len(found) >= cap:
                 partial = True
                 break
             found.append(tuple(sorted(chosen + [i])))
+            continue
+        allowed &= compat[i]
+        unmet &= compat[i]
+        chosen.append(i)
+        frames.append([total, allowed, unmet, candidates(allowed, unmet)])
     bases = tuple(
         Basis(ids, "pure" if frozenset(ids) in pure_families else "hybrid")
         for ids in sorted(found)
@@ -744,9 +756,10 @@ def enumerate_parity_proofs(
     The kernel span is walked in Gray-code order a block at a time, step
     g reaching the sum of the kernel vectors picked by gray(g) =
     g ^ (g >> 1), as coefficient vectors over the kernel basis and as
-    basis sets (``_span_blocks``): the subset filter and the covers found
-    before the block are applied to the whole block in numpy, and only the
-    drops they leave open are searched, vector by vector.  A drop whose search
+    basis sets (``_span_blocks``): the subset filter is applied to the
+    whole block in numpy, and the covers found so far to each chunk of
+    _COVER_CHUNK of its survivors, and only the drops they leave open are
+    searched, vector by vector.  A drop whose search
     failed, or the image of one under the table's Pauli automorphisms
     (``_pauli_automorphisms``, built at the first failed search), is
     answered from a set at the point where its search would run, so the
@@ -783,14 +796,21 @@ def enumerate_parity_proofs(
         # survive the drop-one test
         survivors = vecs[_subset_survivors(coefs, odd_rows, columns)]
         subset_critical += len(survivors)
-        start = len(covers)
-        undecided = _cover_undecided(survivors, cover_limbs)
-        critical = np.array([
-            _drops_satisfiable(vec, open_drops, table, covers, start, failed)
-            for vec, open_drops in zip(
-                _from_limbs(survivors), _from_limbs(undecided)
+        critical = np.zeros(len(survivors), dtype=bool)
+        for c0 in range(0, len(survivors), _COVER_CHUNK):
+            chunk = survivors[c0:c0 + _COVER_CHUNK]
+            start = len(covers)
+            undecided = _cover_undecided(chunk, cover_limbs)
+            critical[c0:c0 + _COVER_CHUNK] = [
+                _drops_satisfiable(vec, open_drops, table, covers, start,
+                                   failed)
+                for vec, open_drops in zip(
+                    _from_limbs(chunk), _from_limbs(undecided)
+                )
+            ]
+            cover_limbs = np.concatenate(
+                [cover_limbs, _to_limbs(covers[start:], limbs)]
             )
-        ], dtype=bool)
         if critical.any():
             selections = _selections(survivors[critical], nb)
             symbols, projectors = tally.tally(selections)
@@ -800,9 +820,6 @@ def enumerate_parity_proofs(
                     _selection_ids(selections), symbols, projectors
                 )
             ]
-        cover_limbs = np.concatenate(
-            [cover_limbs, _to_limbs(covers[start:], limbs)]
-        )
     return ProofCensus(
         proofs=proofs,
         kernel_dimension=len(kernel),

@@ -8,9 +8,9 @@ matrices exist only as test oracles.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 import numpy as np
@@ -141,14 +141,99 @@ class ProjectorPool:
 
     @cached_property
     def orthogonality(self) -> Tuple[int, ...]:
-        """Bit j of entry i is set iff projectors i and j are orthogonal."""
+        """Bit j of entry i is set iff projectors i and j are orthogonal.
+
+        Two projectors are orthogonal iff some element common to their
+        groups has opposite signs in them (``orthogonal``).  The product
+        of their two signs is multiplicative on the intersection of the
+        groups, so it is -1 somewhere iff it is -1 on a basis of the
+        intersection.  So the projectors are grouped by their unsigned
+        group, read off their own elements, and for each pair of groups
+        each side is bucketed by its signs on such a basis: a projector
+        is orthogonal to exactly the other side's projectors outside its
+        bucket.  Within one group that leaves every other projector.
+        """
+        groups: Dict[Tuple[Tuple[int, int], ...], int] = {}
+        for i, p in enumerate(self.projectors):
+            keys = tuple(map(itemgetter(0), p.elements))
+            groups[keys] = groups.get(keys, 0) | 1 << i
+        # each group as its elements' positions and its projectors
+        sides = [
+            ({key: pos for pos, key in enumerate(keys)}, members)
+            for keys, members in groups.items()
+        ]
         rows = [0] * len(self.projectors)
-        pairs = itertools.combinations(enumerate(self.projectors), 2)
-        for (a, p), (b, q) in pairs:
-            if orthogonal(p, q):
-                rows[a] |= 1 << b
-                rows[b] |= 1 << a
+        for a, (g_at, g_members) in enumerate(sides):
+            for b in range(a, len(sides)):
+                h_at, h_members = sides[b]
+                basis = _independent(g_at.keys() & h_at.keys(), self.n)
+                if not basis:
+                    # only the identity is shared, and it has sign +1
+                    continue
+                g_buckets = _buckets(self.projectors, g_at, g_members, basis)
+                h_buckets = (
+                    g_buckets if b == a
+                    else _buckets(self.projectors, h_at, h_members, basis)
+                )
+                _join(rows, g_buckets, h_members, h_buckets)
+                if b != a:
+                    _join(rows, h_buckets, g_members, g_buckets)
         return tuple(rows)
+
+
+def _buckets(
+    projectors: Sequence[StabilizerProjector],
+    at: Dict[Tuple[int, int], int],
+    members: int,
+    basis: List[Tuple[int, int]],
+) -> Dict[int, int]:
+    """The projectors of ``members``, whose elements sit at the positions
+    ``at`` gives, as bitsets by their signature: bit k set iff the element
+    basis[k] has sign -1."""
+    where = [at[key] for key in basis]
+    buckets: Dict[int, int] = {}
+    while members:
+        low = members & -members
+        members ^= low
+        elements = projectors[low.bit_length() - 1].elements
+        signature = sum(
+            1 << k for k, pos in enumerate(where) if elements[pos][1] < 0
+        )
+        buckets[signature] = buckets.get(signature, 0) | low
+    return buckets
+
+
+def _join(
+    rows: List[int],
+    buckets: Dict[int, int],
+    across: int,
+    across_buckets: Dict[int, int],
+) -> None:
+    """Mark each projector of ``buckets`` orthogonal to the projectors of
+    ``across`` outside the bucket of its own signature there."""
+    for signature, members in buckets.items():
+        far = across & ~across_buckets.get(signature, 0)
+        while members:
+            low = members & -members
+            members ^= low
+            rows[low.bit_length() - 1] |= far
+
+
+def _independent(
+    keys: Iterable[Tuple[int, int]], n: int
+) -> List[Tuple[int, int]]:
+    """A basis of the group whose elements are ``keys``, as a list of its
+    elements: each, in sorted order, that is independent of those before."""
+    leads: Dict[int, int] = {}
+    basis = []
+    for x, z in sorted(keys):
+        row = x << n | z
+        while row and row.bit_length() in leads:
+            row ^= leads[row.bit_length()]
+        if row:
+            leads[row.bit_length()] = row
+            basis.append((x, z))
+    return basis
 
 
 def projectors_of(sys: ContextSystem) -> ProjectorPool:

@@ -5,7 +5,7 @@ replaced with shared assignment covers, batched filters over blocks of
 the kernel span, failed drops shared across Pauli images and symbols
 tallied per block, the plain loop it replaced with numpy (the span
 walked one Gray-code step at a time among them), the exact cover search
-without its reachable-rank bound, the projector pool with one group
+that tries every projector in id order, the projector pool with one group
 built per sign pattern, or the pair-by-pair saturation test; the tests
 require the library to agree with it.
 """

@@ -996,6 +996,14 @@ class TestExits:
          "proof references a basis id outside the table"),
         (["measure", "{state}", "--qubits", "1,1", "--outcome", "00"], 2,
          "stderr", "measured qubits must be distinct"),
+        # a list once ended in "list indices must be integers or slices,
+        # not str", an object without "bases" in "'bases'"
+        (["symbol", "{list_proof}", "--system", "{square}"], 2, "stderr",
+         'must hold a JSON object with a "bases" list of basis ids'),
+        (["symbol", "{empty_proof}", "--system", "{square}"], 2, "stderr",
+         'must hold a JSON object with a "bases" list of basis ids'),
+        (["symbol", "{string_proof}", "--system", "{square}"], 2, "stderr",
+         'must hold a JSON object with a "bases" list of basis ids'),
     ])
     def test_exit_code_and_message(
         self, runner, tmp_path, square_file, argv, code, stream, expected
@@ -1008,6 +1016,10 @@ class TestExits:
         names = {"{star}": star, "{square}": square_file,
                  "{state}": str(tmp_path / "state.json"),
                  "{far_proof}": str(tmp_path / "far.json")}
+        for name, doc in (("list_proof", []), ("empty_proof", {}),
+                          ("string_proof", {"bases": "012"})):
+            (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+            names["{" + name + "}"] = str(tmp_path / f"{name}.json")
         for setting in ("basis_cap=2", "kernel_cap=9"):
             (tmp_path / f"{setting}.cfg").write_text(setting + "\n")
             names["{" + setting + "}"] = str(tmp_path / f"{setting}.cfg")

@@ -165,6 +165,15 @@ class TestBasisTable:
             sys.setrecursionlimit(limit)
         assert [b.size for b in table.bases] == [64]
 
+    def test_star5_basis_of_1024_projectors(self):
+        # one projector per level of the search: 1,024 levels, past the
+        # default recursion limit
+        pool = projectors_of(build_star_table(5))
+        table = enumerate_bases(pool)
+        assert [(b.kind, b.size) for b in table.bases] == [("pure", 1024)]
+        assert table.bases[0].projector_ids == tuple(range(1024))
+        assert not table.partial
+
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
     def test_bases_of_sub_pools_match_oracle(self, square_tables, kite_table,
@@ -190,6 +199,9 @@ class TestBasisTable:
         )
         cap = data.draw(st.integers(0, 6), label="cap")
         capped = enumerate_bases(sub, cap=cap)
+        # the search finds each basis once, whichever it stops at
+        for found in (table, capped):
+            assert len(set(found.bases)) == len(found.bases)
         assert set(capped.bases) <= set(table.bases)
         assert len(capped.bases) == min(cap, len(table.bases))
         assert capped.partial == (len(table.bases) > cap)

@@ -4,7 +4,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import census_oracles
 from ksparity import projectors
@@ -241,6 +241,30 @@ class TestAgainstPerPatternOracle:
             for j, q in enumerate(pool.projectors):
                 assert graph[i] >> j & 1 == graph[j] >> i & 1
                 assert bool(graph[i] >> j & 1) == orthogonal(p, q)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_orthogonality_graph_on_sub_pools(self, data):
+        # the graph comes from group signatures, never from the families,
+        # so a pool may mix groups freely and carry no families at all
+        name = data.draw(st.sampled_from(ORACLE_SYSTEMS), label="system")
+        pool = projectors_of(oracle_system(name))
+        keep = data.draw(st.lists(
+            st.integers(0, len(pool) - 1), min_size=1, max_size=40,
+            unique=True,
+        ), label="keep")
+        families = data.draw(st.sampled_from(
+            [(), (tuple(range(len(keep))),)]
+        ), label="families")
+        sub = projectors.ProjectorPool(
+            pool.n, tuple(pool.projectors[i] for i in keep), families
+        )
+        graph = sub.orthogonality
+        for i, p in enumerate(sub.projectors):
+            assert graph[i] == sum(
+                1 << j for j, q in enumerate(sub.projectors)
+                if orthogonal(p, q)
+            )
 
     @pytest.mark.parametrize(
         "name", ["kite", "square0", "square1", "square2"]
