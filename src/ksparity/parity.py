@@ -495,35 +495,29 @@ def _pauli_automorphisms(table: BasisTable) -> List[Tuple[int, ...]]:
     identity first; perm[j] is the image of basis j.
 
     Conjugating by X^px Z^pz flips the sign of every stabilizer element it
-    anticommutes with, which permutes the pool's projectors and maps
-    bases to bases.  The permutations of the 2n single-qubit X and Z
-    operators commute and are their own inverses, so the group they
-    generate grows by doubling: each generator not in it yet composed with
-    every element so far.  An element is kept if it maps every basis of
-    this table onto a basis of this table (on a sub-table, its
-    stabilizer).  An assignment for a set of bases maps to one for its
-    image, so the image of an unsatisfiable set is unsatisfiable.  If a
-    generator maps some projector out of the pool, or the group passes
-    _AUTOMORPHISM_CAP, only the identity is returned.
+    anticommutes with (``StabilizerProjector.conjugated``), which permutes
+    the pool's projectors and maps bases to bases.  The permutations of
+    the 2n single-qubit X and Z operators commute and are their own
+    inverses, so the group they generate grows by doubling: each
+    generator not in it yet composed with every element so far.  An
+    element is kept if it maps every basis of this table onto a basis of
+    this table (on a sub-table, its stabilizer).  An assignment for a set
+    of bases maps to one for its image, so the image of an unsatisfiable
+    set is unsatisfiable.  If a generator maps some projector out of the
+    pool, or the group passes _AUTOMORPHISM_CAP, only the identity is
+    returned.
     """
     nb = len(table.bases)
     identity = [tuple(range(nb))]
     projs = table.pool.projectors
-    index = {p.key: i for i, p in enumerate(projs)}
+    index = {p: i for i, p in enumerate(projs)}
     where = {frozenset(b.projector_ids): j for j, b in enumerate(table.bases)}
     if len(index) != len(projs) or len(where) != nb:
         return identity
     group = {tuple(range(len(projs)))}
     for q in range(table.n):
         for px, pz in ((1 << q, 0), (0, 1 << q)):
-            image = tuple(
-                index.get(tuple(
-                    ((x, z), -sign if ((x & pz) ^ (z & px)).bit_count() & 1
-                     else sign)
-                    for (x, z), sign in p.elements
-                ))
-                for p in projs
-            )
+            image = tuple(index.get(p.conjugated(px, pz)) for p in projs)
             if None in image:
                 return identity
             if image in group:

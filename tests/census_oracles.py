@@ -244,46 +244,64 @@ def msb_first_rref(rows: Sequence[int], width: int) -> List[int]:
     return [turn(row) for row in echelon]
 
 
-def projectors_of(sys: ContextSystem) -> ProjectorPool:
-    """The pool with each sign pattern's group built on its own: every
-    element is the ``product_of`` a subset of the signed independent
-    members, and the generators are the reduced row echelon rows of
-    those members with pivots from the top bit down (``msb_first_rref``),
-    signed as the group signs them."""
+def independent_words(words: Sequence[PauliWord]) -> List[PauliWord]:
+    """Each word, in order, that is independent of those kept before."""
+    independent: List[PauliWord] = []
+    for w in words:
+        rows = [(v.x << w.n) | v.z for v in independent + [w]]
+        if gf2.rank(rows) > len(independent):
+            independent.append(w)
+    return independent
+
+
+def group_signs(signed: Sequence[PauliWord]) -> Dict[Tuple[int, int], int]:
+    """(x, z) -> sign of every element of the group that independent
+    commuting signed words generate, each the ``product_of`` a subset."""
+    signs = {(0, 0): 1}
+    for size in range(1, len(signed) + 1):
+        for subset in itertools.combinations(signed, size):
+            prod = product_of(subset)
+            signs[(prod.x, prod.z)] = prod.sign
+    return signs
+
+
+def projectors_of(
+    sys: ContextSystem,
+) -> Tuple[ProjectorPool, List[Tuple[Tuple[Tuple[int, int], int], ...]]]:
+    """The pool with each sign pattern's group built on its own, and each
+    projector's element table, ((x, z), sign) by mask: every element is
+    the ``product_of`` a subset of the signed independent members
+    (``group_signs``), the patterns are deduplicated by that table, and
+    the rows are the reduced row echelon rows of those members with
+    pivots from the top bit down (``msb_first_rref``), signed as the
+    group signs them."""
     n, mask = sys.n, (1 << sys.n) - 1
-    by_key: Dict[tuple, int] = {}
+    by_table: Dict[tuple, int] = {}
     projectors: List[StabilizerProjector] = []
+    tables: List[tuple] = []
     families: List[Tuple[int, ...]] = []
     for ctx in sys.contexts:
-        independent: List[PauliWord] = []
-        for w in sys.context_words(ctx):
-            rows = [(v.x << n) | v.z for v in independent + [w]]
-            if gf2.rank(rows) > len(independent):
-                independent.append(w)
+        independent = independent_words(sys.context_words(ctx))
         family = set()
         for pattern in itertools.product((1, -1), repeat=len(independent)):
-            signed = [w if s == 1 else w.negate()
-                      for w, s in zip(independent, pattern)]
-            signs = {(0, 0): 1}
-            for size in range(1, len(signed) + 1):
-                for subset in itertools.combinations(signed, size):
-                    prod = product_of(subset)
-                    signs[(prod.x, prod.z)] = prod.sign
-            rows = msb_first_rref([(w.x << n) | w.z for w in signed], 2 * n)
-            generators = tuple(
-                PauliWord(n, r >> n, r & mask).with_sigma(
-                    0 if signs[(r >> n, r & mask)] == 1 else 2)
-                for r in rows
-            )
-            proj = StabilizerProjector(
-                n, generators, tuple(sorted(signs.items()))
-            )
-            if proj.key not in by_key:
-                by_key[proj.key] = len(projectors)
-                projectors.append(proj)
-            family.add(by_key[proj.key])
+            signs = group_signs([w if s == 1 else w.negate()
+                                 for w, s in zip(independent, pattern)])
+            table = tuple(sorted(signs.items()))
+            if table not in by_table:
+                rows = [(r >> n, r & mask) for r in msb_first_rref(
+                    [(w.x << n) | w.z for w in independent], 2 * n
+                )]
+                negated = sum(
+                    1 << i for i, row in enumerate(rows) if signs[row] < 0
+                )
+                by_table[table] = len(projectors)
+                projectors.append(
+                    StabilizerProjector(n, tuple(rows), negated)
+                )
+                tables.append(table)
+            family.add(by_table[table])
         families.append(tuple(sorted(family)))
-    return ProjectorPool(n, tuple(projectors), tuple(families))
+    return ProjectorPool(n, tuple(projectors), tuple(families)), tables
 
 
 def is_saturated(table: BasisTable) -> bool:

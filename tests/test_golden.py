@@ -15,7 +15,7 @@ import pytest
 from click.testing import CliRunner
 
 from ksparity.cli import main
-from ksparity.reproduce import mermin_square_search
+from ksparity.reproduce import kite_completion, mermin_square_search
 from ksparity.systems import (
     Context,
     ContextSystem,
@@ -40,6 +40,7 @@ def _systems():
     systems["kite"] = builtin_fixtures()["kite-quadruples"]
     systems["empty2"] = ContextSystem(2, (), ())
     systems["square"] = mermin_square_search().systems[0]
+    systems["kite-completion"] = kite_completion()
     return systems
 
 
@@ -86,7 +87,10 @@ def _cases():
                   ["parity-census", "{square}", "--brute-force-check",
                    "--catalog", "{catalog}"]))
     for verb in ("bases", "projectors"):
-        cases.append((f"{verb}-square", [verb, "{square}"]))
+        for name in ("square", "kite-completion"):
+            cases.append((f"{verb}-{name}", [verb, f"{{{name}}}"]))
+    # 256 projectors, their generators signed through Y letters
+    cases.append(("projectors-star4", ["projectors", "{star4}"]))
     symbol = ["symbol", "{proof-square}", "--system", "{square}"]
     cases.append(("symbol-square", symbol))
     cases.append(("symbol-square-ascii", ["--ascii"] + symbol))

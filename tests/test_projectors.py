@@ -1,6 +1,8 @@
+import ast
 import functools
 import itertools
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -79,7 +81,8 @@ class TestProjectorConstruction:
     @given(st.data())
     def test_generators_are_the_top_bit_first_reduced_rows(self, data):
         # the least group element per leading bit of x << n | z, highest
-        # bit first, against reduced row echelon form by elimination
+        # bit first, against reduced row echelon form by elimination, each
+        # signed as the product of the signed words that gives it
         n = data.draw(st.integers(1, 5), label="n")
         words = []
         for text in data.draw(st.lists(
@@ -89,14 +92,23 @@ class TestProjectorConstruction:
             if all(commutes(word, w) for w in words):
                 words.append(word)
         assume(words)
-        group = projectors._signed_group(words)
-        negated = data.draw(st.integers(0, len(group) - 1), label="negated")
-        (proj,) = projectors._sign_patterns(n, group, [negated])
+        independent = census_oracles.independent_words(words)
+        negated = data.draw(st.integers(0, (1 << len(independent)) - 1),
+                            label="negated")
+        signs = census_oracles.group_signs([
+            w.negate() if negated >> i & 1 else w
+            for i, w in enumerate(independent)
+        ])
+        # every word, dependent ones too, with the sign its group gives it
+        proj = projector_from_signed_words([
+            w.with_sigma(1 - signs[(w.x, w.z)]) for w in words
+        ])
         rows = census_oracles.msb_first_rref(
             [(w.x << n) | w.z for w in words], 2 * n
         )
         assert [(g.x << n) | g.z for g in proj.generators] == rows
-        assert all(proj.signs[(g.x, g.z)] == g.sign for g in proj.generators)
+        assert all(signs[(g.x, g.z)] == g.sign for g in proj.generators)
+        assert proj.elements == tuple(sorted(signs.items()))
 
 
 class TestProjectorsOf:
@@ -216,13 +228,14 @@ class TestAgainstPerPatternOracle:
     def test_pool_and_table_match_field_by_field(self, name):
         sys = oracle_system(name)
         pool = projectors_of(sys)
-        expected = census_oracles.projectors_of(sys)
+        expected, tables = census_oracles.projectors_of(sys)
         assert len(pool) == len(expected)
-        for p, q in zip(pool.projectors, expected.projectors):
+        for p, q, elements in zip(pool.projectors, expected.projectors,
+                                  tables):
             assert [(g.x, g.z, g.lam) for g in p.generators] == [
                 (g.x, g.z, g.lam) for g in q.generators
             ]
-            assert p.elements == q.elements
+            assert p.elements == elements
         assert pool.context_families == expected.context_families
         table = enumerate_bases(pool)
         oracle_table = enumerate_bases(expected)
@@ -286,3 +299,71 @@ class TestAgainstPerPatternOracle:
             assert verdict == census_oracles.is_saturated(sub)
             verdicts.add(verdict)
         assert verdicts == {True, False}
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_random_systems(self, data):
+        # contexts of commuting words on 1-3 qubits that share observables,
+        # so one pool mixes groups and deduplicates across contexts
+        n = data.draw(st.integers(1, 3), label="n")
+        texts = data.draw(st.lists(
+            st.text("IXYZ", min_size=n, max_size=n).filter(
+                lambda t: t != "I" * n
+            ), min_size=1, max_size=8, unique=True,
+        ), label="observables")
+        words = tuple(parse_word(t) for t in texts)
+        contexts = []
+        for _ in range(data.draw(st.integers(1, 4), label="contexts")):
+            members = []
+            for m in data.draw(st.lists(
+                st.integers(0, len(words) - 1), min_size=1, max_size=4
+            ), label="members"):
+                if all(commutes(words[m], words[k]) for k in members):
+                    members.append(m)
+            contexts.append(Context(tuple(members), 1))
+        system = ContextSystem(n, words, tuple(contexts))
+        pool = projectors_of(system)
+        expected, tables = census_oracles.projectors_of(system)
+        assert pool.projectors == expected.projectors
+        assert [p.generators for p in pool.projectors] == [
+            q.generators for q in expected.projectors
+        ]
+        assert [p.elements for p in pool.projectors] == tables
+        assert pool.context_families == expected.context_families
+        assert pool.orthogonality == tuple(
+            sum(1 << j for j, q in enumerate(pool.projectors)
+                if orthogonal(p, q))
+            for p in pool.projectors
+        )
+
+
+class TestConjugated:
+    @pytest.mark.parametrize("name", ["kite", "square0"])
+    def test_flips_the_anticommuting_elements(self, name):
+        # as bench/census.py:pauli_image flips them, and twice is no change
+        pool = projectors_of(oracle_system(name))
+        for px in range(1 << pool.n):
+            for pz in range(1 << pool.n):
+                for p in pool.projectors:
+                    q = p.conjugated(px, pz)
+                    assert q.elements == tuple(
+                        ((x, z), -s if ((x & pz).bit_count()
+                                        + (z & px).bit_count()) % 2 else s)
+                        for (x, z), s in p.elements
+                    )
+                    assert q.conjugated(px, pz) == p
+
+
+def test_only_projectors_reads_the_group_elements():
+    # the projector format is known to projectors.py alone: no other
+    # module of the package reads a projector's elements, key or signs
+    found = []
+    for path in sorted(Path(projectors.__file__).parent.glob("*.py")):
+        if path.name == "projectors.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr in (
+                "elements", "key", "signs"
+            ):
+                found.append(f"{path.name}:{node.lineno} .{node.attr}")
+    assert found == []
