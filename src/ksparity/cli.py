@@ -15,8 +15,9 @@ runs, and ``Run.emit`` writes the result and the manifest.  Exit codes:
   ``NotImplementedError`` from the library, with the verb's usage line.
 - 3: resource cap: ``DenseCapError``, ``SearchCapError``, this module's
   ``CapError`` and a ``MemoryError`` (an allocation beyond what a raised
-  ``dense_cap`` can get) give ``{"ok": false, "error": ...}``; a basis table
-  or completion search cut short by its cap gives its partial result.
+  ``dense_cap`` can get) give ``{"ok": false, "error": ...}``; ``bases``
+  and ``search-complete`` cut short by their caps give their partial
+  result, and ``parity-census`` and ``symbol`` refuse a capped table.
   ``CapError`` comes from this module's caps, among them ``POOL_CAP``,
   which ``projectors`` and the basis-table verbs check before they build
   a projector pool.
@@ -177,7 +178,8 @@ class Run:
         self.ascii_only = ascii_only
         self.manifest_path = manifest_path
         self.output: Optional[str] = None
-        self.inputs: List[str] = []
+        # each input path and the SHA-256 of the bytes read from it
+        self.inputs: Dict[str, str] = {}
         self.started = time.perf_counter()
 
     def cap(self, name: str, default: int) -> int:
@@ -202,10 +204,7 @@ class Run:
                     "python": _sys.version.split()[0],
                     "numpy": np.__version__,
                 },
-                "inputs": {
-                    p: hashlib.sha256(Path(p).read_bytes()).hexdigest()
-                    for p in self.inputs
-                },
+                "inputs": self.inputs,
                 "results": results,
                 "wall_seconds": round(time.perf_counter() - self.started, 6),
             }
@@ -243,10 +242,15 @@ class _Group(click.Group):
 
 
 def _read_input(run: Run, path: str, kind: str, parse: Callable):
-    """``parse`` of an input file's text; a usage error if that fails."""
-    run.inputs.append(path)
+    """``parse`` of an input file's text; a usage error if that fails.
+
+    The file is read once, and the SHA-256 of the bytes parsed is what the
+    manifest records, even if the run then overwrites the file.
+    """
     try:
-        return parse(Path(path).read_text())
+        data = Path(path).read_bytes()
+        run.inputs[path] = hashlib.sha256(data).hexdigest()
+        return parse(data.decode())
     except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
         # RecursionError: JSON nested too deep for the decoder
         raise click.UsageError(f"cannot read {kind} file {path}: {exc}")
@@ -655,6 +659,8 @@ def symbol(run: Run, proof_file, system_file):
     sys = _load_system(run, system_file)
     ids = _read_input(run, proof_file, "proof", _proof_ids)
     pool, table = _build_table(run, sys)
+    if table.partial:
+        raise CapError("basis table hit the cap")
     if any(not 0 <= i < len(table.bases) for i in ids):
         raise click.UsageError("proof references a basis id outside the table")
     valid = verify_proof(ids, table)

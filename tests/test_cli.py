@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -422,6 +423,15 @@ def square_file(tmp_path_factory):
     return str(path)
 
 
+@pytest.fixture(scope="module")
+def kite_completion_file(tmp_path_factory):
+    from ksparity.reproduce import kite_completion
+
+    path = tmp_path_factory.mktemp("kite") / "kite-completion.json"
+    path.write_text(kite_completion().to_json())
+    return str(path)
+
+
 class TestParityPipeline:
     def test_projectors(self, runner, square_file):
         result = runner.invoke(main, ["projectors", square_file])
@@ -533,6 +543,16 @@ class TestReproduceAndManifest:
         assert star in doc["inputs"]
         assert doc["results"] == [out]
         assert "ksparity" in doc["versions"]
+        # an output over the input: the manifest keeps the digest of the
+        # bytes that were verified, not of what the run wrote there
+        verified = open(star, "rb").read()
+        result = runner.invoke(
+            main, ["--manifest", manifest, "verify", star, "-o", star]
+        )
+        assert result.exit_code == 0
+        assert open(star, "rb").read() != verified
+        doc = json.loads(open(manifest).read())
+        assert doc["inputs"] == {star: hashlib.sha256(verified).hexdigest()}
 
     def test_export_graph_writes_manifest(self, runner, tmp_path):
         star = write_star(tmp_path)
@@ -1004,9 +1024,15 @@ class TestExits:
          'must hold a JSON object with a "bases" list of basis ids'),
         (["symbol", "{string_proof}", "--system", "{square}"], 2, "stderr",
          'must hold a JSON object with a "bases" list of basis ids'),
+        # a capped table once answered with the symbol of whichever bases
+        # the capped search listed under the proof's ids
+        (["--config", "{basis_cap=20}", "symbol", "{kite_proof}", "--system",
+          "{kite_completion}"], 3, "stdout",
+         '"error": "basis table hit the cap"'),
     ])
     def test_exit_code_and_message(
-        self, runner, tmp_path, square_file, argv, code, stream, expected
+        self, runner, tmp_path, square_file, kite_completion_file, argv, code,
+        stream, expected
     ):
         star = write_star(tmp_path)
         state = runner.invoke(main, ["state", star])
@@ -1015,12 +1041,14 @@ class TestExits:
         (tmp_path / "far.json").write_text(json.dumps({"bases": [0, 24]}))
         names = {"{star}": star, "{square}": square_file,
                  "{state}": str(tmp_path / "state.json"),
-                 "{far_proof}": str(tmp_path / "far.json")}
+                 "{far_proof}": str(tmp_path / "far.json"),
+                 "{kite_completion}": kite_completion_file}
         for name, doc in (("list_proof", []), ("empty_proof", {}),
-                          ("string_proof", {"bases": "012"})):
+                          ("string_proof", {"bases": "012"}),
+                          ("kite_proof", {"bases": [15, 16, 17]})):
             (tmp_path / f"{name}.json").write_text(json.dumps(doc))
             names["{" + name + "}"] = str(tmp_path / f"{name}.json")
-        for setting in ("basis_cap=2", "kernel_cap=9"):
+        for setting in ("basis_cap=2", "kernel_cap=9", "basis_cap=20"):
             (tmp_path / f"{setting}.cfg").write_text(setting + "\n")
             names["{" + setting + "}"] = str(tmp_path / f"{setting}.cfg")
         for key, path in names.items():

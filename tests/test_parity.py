@@ -26,7 +26,6 @@ from ksparity.parity import (
     _coefficient_columns,
     _cover_undecided,
     _from_limbs,
-    _gray_walk,
     _scan_subsets,
     _span_blocks,
     _subset_survivors,
@@ -316,7 +315,7 @@ class TestCensus:
         assert compare_with_brute_force(square_table) == (True, True)
         # cut down to 20 bases so the full subset scan stays exact
         sub_table = BasisTable(square_table.pool, square_table.bases[:20])
-        brute = _scan_subsets(sub_table, _gray_walk(20))
+        brute = _scan_subsets(sub_table)
         assert brute
         assert set(kernel_parity_sets(sub_table)) == set(brute)
         assert compare_with_brute_force(sub_table) == (True, False)
@@ -373,9 +372,25 @@ class TestCensus:
             ids = tuple(p for p in range(size) if mask >> p & 1)
             bases.append(Basis(ids, "pure"))
         table = BasisTable(pool, tuple(bases))
-        assert _scan_subsets(table, _gray_walk(len(bases))) == (
-            census_oracles.brute_force_parity_proofs(table)
-        )
+        # small blocks make the scan cross block boundaries
+        bits = data.draw(st.integers(0, 13), label="block bits")
+        with mock.patch.object(parity, "_SPAN_BLOCK_BITS", bits):
+            assert _scan_subsets(table) == (
+                census_oracles.brute_force_parity_proofs(table)
+            )
+
+    def test_brute_force_catches_a_fault_in_the_shared_walk(
+        self, square_table
+    ):
+        # the kernel route and the scan walk their spans with one helper;
+        # a walk that loses its last block must still be caught
+        def short_walk(rows, width):
+            return list(span_blocks(rows, width))[:-1]
+
+        span_blocks = parity._span_blocks
+        with mock.patch.object(parity, "_span_blocks", short_walk):
+            agrees, _ = compare_with_brute_force(square_table)
+        assert not agrees
 
     def test_symbol_totals_consistent(self, square_census):
         assert sum(square_census.symbol_counts.values()) == square_census.total
