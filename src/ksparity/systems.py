@@ -298,9 +298,10 @@ def count_ghz_assignments(
         signed, [word_slots(o) for o in sys.observables]
     )
     total = 1 << len(slots)
-    if not gf2.solvable(rows, rhs):
+    rank = gf2.rank(rows)
+    if gf2.rank([r << 1 | b for r, b in zip(rows, rhs)]) > rank:
         return 0, total
-    return total >> gf2.rank(rows), total
+    return total >> rank, total
 
 
 def ghz_infeasible(sys: ContextSystem, eigenvalues: Sequence[int]) -> bool:
@@ -386,40 +387,40 @@ def find_proper_subproof(
     of their bitmask (bit p for column p), and the first one holding a
     witness gives the answer, in two steps.
 
+    Three row-pair matrices decide a vector of rows with a few integer
+    operations, ``nrows + 1`` bits per row: block k of ``anti`` holds the
+    rows anticommuting with row k, block k of ``desc`` the rows j < k out
+    of order with it (below), and block k of ``eq`` the rows j < k whose
+    restricted word equals row k's.  ``vec * (vec * spread & diagonal)``
+    copies vec into the block of each of its rows, without carries, so
+    vec's words are distinct and commute iff that misses ``anti | eq``.
+    In a null space vector every letter appears an even number of times on
+    every column, so its rows multiply to +-identity.  Sorting each
+    column's letters into the order X < Y < Z, one swap of two different
+    letters at a time, gives +identity and flips the sign per swap; so the
+    product is -identity iff the vector holds an odd number of pairs j < k
+    whose letters are out of that order on an odd number of columns, the
+    parity of its bits in ``desc``.
+
     The existence step walks the subsets depth first, adding columns below
     the lowest one taken so far, which visits them in ascending order.  Per
     added column it updates what it carries down: the left null space of
-    the slot columns over all rows (even slot counts), two row-pair
-    matrices (which rows anticommute, and the sign of their product; see
-    below), the idle rows (identity on every column taken), and the
-    classes of alive rows with equal restricted words, each class split by
-    the new column's letters, with the rows that become alive there
-    opening new classes (the classes of one row are kept as one mask).
-    Each class is represented by its lowest row, and the other rows are
-    dropped from the null space.  That quotient is exact: a witness never
-    takes an idle row or two equal words, and swapping a row for an equal
-    one changes neither the slot counts nor the product of commuting
-    words.  So a subset holds a witness iff the rest of the null space has
-    a vector whose rows commute and multiply to -identity.
+    the slot columns over all rows (even slot counts), ``anti`` and
+    ``desc`` (XOR with the column's own), ``eq`` (AND with the pairs of
+    rows sharing the column's letter; on no columns, every pair j < k is
+    equal) and the idle rows (identity on every column taken).  The idle
+    rows and every row with an equal lower row are dropped from the null
+    space.  That quotient is exact: a witness never takes an idle row or
+    two equal words, and swapping a row for an equal one changes neither
+    the slot counts nor the product of commuting words.  So a subset holds
+    a witness iff the rest of the null space has a vector whose rows
+    commute and multiply to -identity.
 
     The witness step runs once, on the first subset whose quotient holds a
     witness.  It walks the span of the reduced ``gf2.nullspace`` basis of
     that subset's slot columns, without the idle rows, in Gray-code order,
     and returns the first vector other than the whole table whose
     restricted words are distinct, commute and multiply to -identity.
-
-    Both steps test a vector with a few integer operations.  In a null
-    space vector every letter appears an even number of times on every
-    column, so its rows multiply to +-identity.  Sorting each column's
-    letters into the order X < Y < Z, one swap of two different letters at
-    a time, gives +identity and flips the sign per swap; so the product is
-    -identity iff the vector holds an odd number of pairs j < k whose
-    letters are out of that order on an odd number of columns.  ``anti``
-    and ``desc`` hold those pair relations, ``nrows + 1`` bits per row:
-    block k of anti holds the rows anticommuting with row k, block k of
-    desc the rows j < k out of order with it.  ``vec * (vec * spread &
-    diagonal)`` copies vec into the block of each of its rows, without
-    carries, and is masked with both.
     """
     ctx = _single_context(sys)
     words = sys.context_words(ctx)
@@ -430,47 +431,54 @@ def find_proper_subproof(
     w = nrows + 1
     spread = sum(1 << k * nrows for k in range(nrows))
     diagonal = sum(1 << k * w for k in range(nrows))
-    # per column: the rows holding I, X, Y and Z there, its nonzero slot
-    # columns, and its anti and desc matrices
-    letter_rows: List[Tuple[int, int, int, int]] = []
+    lower = sum((1 << k) - 1 << k * w for k in range(nrows))
+
+    def blocks(rows, held):
+        """The pair matrix whose block k is held for each row k in rows."""
+        return held * (rows * spread & diagonal)
+
+    def paired_rows(matrix):
+        """The rows whose block of matrix is not 0, as a mask.  Adding
+        nrows ones to each block carries into its top bit iff the block is
+        not 0; times spread, the top bit of block k lands at bit
+        (nrows - 1) * nrows + k, and no two bits of the product meet."""
+        tops = (matrix + everyone * diagonal) >> nrows & diagonal
+        return tops * spread >> (nrows - 1) * nrows & everyone
+
+    # per column: the rows holding I there, its nonzero slot columns, and
+    # its anti, desc and same-letter pair matrices
+    identity_rows: List[int] = []
     slot_columns: List[List[int]] = []
-    pair_columns: List[Tuple[int, int]] = []
+    pair_columns: List[Tuple[int, int, int]] = []
     for p in range(n):
         bit = 1 << (n - 1 - p)
         by_xz = [0, 0, 0, 0]  # I, Z, X, Y by (x bit, z bit)
         for k, word in enumerate(words):
             by_xz[bool(word.x & bit) * 2 + bool(word.z & bit)] |= 1 << k
         mi, mz, mx, my = by_xz
-        letter_rows.append((mi, mx, my, mz))
+        identity_rows.append(mi)
         slot_columns.append([c for c in (mx, my, mz) if c])
-        anti = desc = 0
-        for k in range(nrows):
-            if mx >> k & 1:
-                anti |= (my | mz) << k * w
-                desc |= ((my | mz) & (1 << k) - 1) << k * w
-            elif my >> k & 1:
-                anti |= (mx | mz) << k * w
-                desc |= (mz & (1 << k) - 1) << k * w
-            elif mz >> k & 1:
-                anti |= (mx | my) << k * w
-        pair_columns.append((anti, desc))
+        pair_columns.append((
+            blocks(mx, my | mz) | blocks(my, mx | mz) | blocks(mz, mx | my),
+            (blocks(mx, my | mz) | blocks(my, mz)) & lower,
+            sum(blocks(m, m) for m in by_xz),
+        ))
 
-    def first_witness(basis, exclude, classes, anti, desc):
+    def first_witness(basis, exclude, clash, desc):
         """The first vector of span(basis), in Gray-code order, other than
-        0 and exclude, that takes at most one row of each class and whose
-        rows commute and multiply to -identity; 0 if there is none."""
+        0 and exclude, with no pair in clash and an odd number in desc; 0
+        if there is none."""
         vec = 0
         for g in range(1, 1 << len(basis)):
             vec ^= basis[(g & -g).bit_length() - 1]
-            if vec == exclude or classes and any(
-                    vec & c & (vec & c) - 1 for c in classes):
+            if vec == exclude:
                 continue
             pairs = vec * (vec * spread & diagonal)
-            if not anti & pairs and (desc & pairs).bit_count() & 1:
+            if not clash & pairs and (desc & pairs).bit_count() & 1:
                 return vec
         return 0
 
-    def walk(limit, bits, kernel, anti, desc, idle, single, classes):
+    def walk(limit, bits, kernel, anti, desc, eq, idle):
         for q in range(limit):
             sub_kernel = kernel
             for col in slot_columns[q]:  # keep v with |v & col| even
@@ -487,30 +495,11 @@ def find_proper_subproof(
             if not sub_kernel:
                 continue  # more columns only add constraints
             sub_bits = bits | 1 << q
-            anti_q, desc_q = pair_columns[q]
+            anti_q, desc_q, same_q = pair_columns[q]
             sub_anti, sub_desc = anti ^ anti_q, desc ^ desc_q
-            mi, mx, my, mz = letter_rows[q]
-            sub_idle = idle & mi
-            # split the classes by the letters at q; a class of one row
-            # stays one, so those rows are kept as the mask single
-            sub_single = single
-            sub_classes = []
-            for c in classes:
-                for m in (mi, mx, my, mz):
-                    part = c & m
-                    if part & (part - 1):
-                        sub_classes.append(part)
-                    else:
-                        sub_single |= part
-            for m in (mx, my, mz):
-                part = idle & m
-                if part & (part - 1):
-                    sub_classes.append(part)
-                else:
-                    sub_single |= part
-            others = everyone ^ sub_single
-            for c in sub_classes:
-                others ^= c & -c
+            sub_eq = eq & same_q
+            sub_idle = idle & identity_rows[q]
+            others = sub_idle | paired_rows(sub_eq)
             # the quotient: the vectors of sub_kernel with no bit in others
             pivots: List[int] = []
             quotient: List[int] = []
@@ -520,25 +509,24 @@ def find_proper_subproof(
                         v ^= p
                 (pivots if v & others else quotient).append(v)
             exclude = everyone if sub_bits == whole else 0
-            if quotient and first_witness(
-                quotient, exclude, (), sub_anti, sub_desc
-            ):
+            clash = sub_anti | sub_eq
+            if quotient and first_witness(quotient, exclude, clash, sub_desc):
                 cols = tuple(p for p in range(n) if sub_bits >> p & 1)
                 canonical = gf2.nullspace(
                     [c for p in cols for c in slot_columns[p]], nrows
                 )
                 vec = first_witness(
                     [v for v in canonical if not v & sub_idle], exclude,
-                    sub_classes, sub_anti, sub_desc,
+                    clash, sub_desc,
                 )
                 return cols, tuple(gf2.bits(vec))
             found = q and walk(q, sub_bits, sub_kernel, sub_anti, sub_desc,
-                               sub_idle, sub_single, sub_classes)
+                               sub_eq, sub_idle)
             if found:
                 return found
         return None
 
-    return walk(n, 0, [1 << k for k in range(nrows)], 0, 0, everyone, 0, [])
+    return walk(n, 0, [1 << k for k in range(nrows)], 0, 0, lower, everyone)
 
 
 def is_genuinely_multipartite(sys: ContextSystem) -> bool:

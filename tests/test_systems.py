@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import ghz_oracles
+from ksparity.cli import MULTIPARTITE_MEMBER_CAP
 from ksparity.pauli import PauliWord, parse_word
 from ksparity.systems import (
     Context,
@@ -128,6 +129,31 @@ def tables_with_coinciding_members(draw):
     return ContextSystem(
         base + len(copies), obs, (Context(tuple(members), sign),)
     )
+
+
+@st.composite
+def star_products(draw):
+    """MULTIPARTITE_MEMBER_CAP members drawn, with repeats, from the
+    products of a star table's rows (N = 2 or 3), in one context of
+    either sign: they commute, and their restricted words coincide on
+    many column subsets."""
+    star = build_star_table(draw(st.integers(2, 3)))
+    rows = star.observables
+    picks = draw(st.lists(st.integers(1, (1 << len(rows)) - 1),
+                          min_size=MULTIPARTITE_MEMBER_CAP,
+                          max_size=MULTIPARTITE_MEMBER_CAP))
+    keys = []
+    for pick in picks:
+        x = z = 0
+        for i, row in enumerate(rows):
+            if pick >> i & 1:
+                x, z = x ^ row.x, z ^ row.z
+        keys.append((x, z))
+    index = {key: i for i, key in enumerate(dict.fromkeys(keys))}
+    obs = tuple(PauliWord(star.n, x, z).unsigned() for x, z in index)
+    members = tuple(index[key] for key in keys)
+    sign = draw(st.sampled_from((1, -1)))
+    return ContextSystem(star.n, obs, (Context(members, sign),))
 
 
 class TestContextSystem:
@@ -408,6 +434,14 @@ class TestMultipartiteOracle:
     @settings(max_examples=200, deadline=None)
     @given(tables_with_coinciding_members())
     def test_tables_with_coinciding_members(self, sys):
+        self._same_witness(sys)
+
+    @settings(max_examples=50, deadline=None)
+    @given(star_products())
+    def test_star_products_at_the_member_cap(self, sys):
+        # 15 commuting members: the widest pair-matrix blocks the CLI
+        # lets through, with many equal restricted words
+        assert not any(anticommuting_pairs(sys.context_words(sys.contexts[0])))
         self._same_witness(sys)
 
 
