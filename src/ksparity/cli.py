@@ -90,12 +90,12 @@ EXIT_USAGE = 2
 EXIT_CAP = 3
 
 # Largest table `multipartite` accepts.  find_proper_subproof walks the
-# 2^n column subsets: on a star table the search takes about 0.04 s at 12
-# qubits and 0.2 s at 14, growing about 5x per two qubits.  On each subset
+# 2^n column subsets: on a star table the search takes about 0.017 s at
+# 12 qubits and 0.08 s at 14, growing about 5x per two qubits.  On each subset
 # it walks the span of a quotient of the slot kernel, which doubles with
 # each member: on distinct random Z-type words it took 0.03 s at 20
 # members on 5 qubits (37 s at 31), and at 15 members 0.05 s on 10 qubits
-# and 0.8-1.1 s on 14 (1.5-2.8 s at 16), in process on a 2-core Xeon
+# and 0.5-0.75 s on 14 (1.5-2.8 s at 16), in process on a 2-core Xeon
 # host.  The member cap is the star table's member count at the qubit
 # cap.  The library function itself has no cap.
 MULTIPARTITE_QUBIT_CAP = 14
