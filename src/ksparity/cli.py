@@ -516,7 +516,10 @@ def bell(run: Run, state_file, pairing):
 def measure(run: Run, state_file, qubits, outcome):
     """Computational-basis measurement of selected qubits."""
     psi = _read_input(run, state_file, "state", DenseState.from_json)
-    qs = [int(q) for q in qubits.split(",") if q.strip()]
+    try:
+        qs = [int(q) for q in qubits.split(",")]
+    except ValueError:
+        raise click.UsageError(f"bad --qubits {qubits!r}; use e.g. '1,3'")
     prob, residual = measure_computational(psi, qs, outcome)
     payload: dict = {"probability": prob, "residual": None}
     if residual is not None:

@@ -9,17 +9,18 @@ one value-1 projector.  A weaker subset-based notion (no smaller parity
 proof inside) is also computed and any divergence is reported.
 
 The census walks the kernel span in numpy blocks, filters each block by
-the subset test and by the assignments found so far, and searches only
-the drops left open.  It holds every set of bases as a bitset with bit
-j = basis j; the walk yields each block both as coefficients over the
-kernel basis, which the subset test reads, and as those basis sets.
+the subset test, and searches only the drops of a survivor that no
+assignment found so far decides.  It holds every set of bases as a
+bitset with bit j = basis j; the walk yields each block both as
+coefficients over the kernel basis, which the subset test reads, and as
+those basis sets.
 The direct subset scan that checks the kernel walks a window's basis
 masks with the same blocks.  Conjugating by a Pauli operator permutes
 the projectors and maps bases to bases, so a failed search also decides
 the drop sets of its images under the table's Pauli automorphisms, read
-off the group of the pool's own Pauli permutations.  The symbols,
-projector counts and basis ids of a block's proofs are tallied in numpy
-at once.
+off the group of the pool's own Pauli permutations.  The basis ids of a
+block's survivors are read off in numpy once, and the symbols and
+projector counts of its proofs are tallied in numpy at once.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -42,15 +44,9 @@ KERNEL_CAP_DEFAULT = 26
 KERNEL_CAP_MAX = 63
 # Most bases the direct subset scan takes: it walks all 2^nb subsets.
 BRUTE_FORCE_BASES = 20
-# The census filters 2^_SPAN_BLOCK_BITS kernel vectors at a time, and its
-# cover prefilter tests at most _COVER_TILE survivor x cover limbs at a
-# time; together they keep its numpy temporaries to about a megabyte.
+# The census filters 2^_SPAN_BLOCK_BITS kernel vectors at a time, which
+# keeps its numpy temporaries to about a megabyte.
 _SPAN_BLOCK_BITS = 12
-_COVER_TILE = 1 << 13
-# The census applies the covers found so far to the survivors of a block
-# in numpy, _COVER_CHUNK survivors at a time, so that the covers one chunk
-# finds are applied in numpy to the next.
-_COVER_CHUNK = 128
 
 
 @dataclass(frozen=True)
@@ -430,60 +426,94 @@ def _exact_one(open_masks: List[int], zeros: int, ones: int) -> Optional[int]:
     return None
 
 
+class _CoverIndex:
+    """The covers found so far, by basis.
+
+    A cover is the set of the table's bases that one found assignment
+    holds exactly once.  Bit c of ``holders[j]`` is set iff the c-th cover
+    holds basis j, and ``found`` holds a bit for every cover.
+    """
+
+    def __init__(self, nb: int):
+        self.holders = [0] * nb
+        self.found = 0
+
+    def add(self, cover: int) -> None:
+        """Index the next cover, a bitset of basis ids."""
+        bit = self.found + 1
+        for j in gf2.bits(cover):
+            self.holders[j] |= bit
+        self.found |= bit
+
+    def undecided(self, ids: Sequence[int]) -> List[int]:
+        """The drops of ``ids`` that no cover decides, highest first.
+
+        A cover holding every basis of ids but one proves that drop
+        satisfiable, and one holding all of them proves every drop so.
+        Drop ids[t] is decided iff the AND of the holders of ids[:t] and
+        that of ids[t + 1:] share a cover; both start from ``found``, so
+        with no cover yet the one drop of a one-basis set stays open.
+        """
+        holders = self.holders
+        prefixes = []
+        held = self.found
+        for j in ids:
+            prefixes.append(held)
+            held &= holders[j]
+        open_drops = []
+        held = self.found
+        for j, prefix in zip(reversed(ids), reversed(prefixes)):
+            if not prefix & held:
+                open_drops.append(j)
+            held &= holders[j]
+        return open_drops
+
+
 def _drops_satisfiable(
-    vec: int,
-    undecided: int,
+    ids: Sequence[int],
     table: BasisTable,
-    covers: List[int],
-    start: int,
+    covers: _CoverIndex,
     failed: "_FailedDrops",
 ) -> bool:
-    """Does dropping any single basis of vec leave a satisfiable set?
+    """Does dropping any single basis of ``ids`` leave a satisfiable set?
 
-    vec is a bitset of basis ids.  A cover is the set of the table's bases
-    that one found assignment holds exactly once; a cover missing at most
-    one basis of vec proves that drop satisfiable.  ``undecided`` holds
-    the drops of vec that ``covers[:start]`` leave open (see
-    ``_cover_undecided``); the covers from ``start`` on are scanned here.
-    Only the drops no cover decides are searched, and each witness found
-    adds its cover to ``covers``, which must hold covers of real
-    assignments of this table only.  A drop that ``failed`` already holds is unsatisfiable without a
-    search; a search that fails adds its drop to ``failed``.  The drop of
-    the highest basis id is searched first.
+    ids are distinct basis ids, ascending.  Only the drops that no cover
+    in ``covers`` decides are searched, highest basis id first, and each
+    witness found adds its cover to ``covers``, which must hold covers of
+    real assignments of this table only.  The witness for a drop holds
+    every other basis once, so its cover decides that drop, or every drop
+    if it holds the dropped basis too.  A drop that ``failed`` already
+    holds is unsatisfiable without a search; a search that fails adds its
+    drop to ``failed``.
     """
     bases = table.bases
-    for cover in covers[start:]:
-        miss = vec & ~cover
-        if not miss & (miss - 1):
-            # a cover with no miss at all satisfies vec itself, and so
-            # every drop of it
-            undecided &= ~miss if miss else 0
-            if not undecided:
-                return True
-    while undecided:
-        drop = 1 << (undecided.bit_length() - 1)
-        rest = vec ^ drop
-        if rest in failed.known:
+    for drop in covers.undecided(ids):
+        rest = [j for j in ids if j != drop]
+        key = sum(1 << j for j in rest)
+        if key in failed.known:
             failed.shared += 1
             return False
         failed.searches += 1
-        ones = satisfying_assignment(gf2.bits(rest), table)
+        ones = satisfying_assignment(rest, table)
         if ones is None:
-            failed.add(rest)
+            failed.add(key)
             return False
         cover = sum(
             1 << j for j, basis in enumerate(bases)
             if (basis.mask & ones).bit_count() == 1
         )
-        covers.append(cover)
-        undecided &= ~drop if vec & ~cover else 0
+        covers.add(cover)
+        if cover >> drop & 1:
+            return True
     return True
 
 
 def is_critical(basis_ids: Sequence[int], table: BasisTable) -> bool:
     """Dropping any single basis must leave a satisfiable configuration."""
-    vec = sum(1 << j for j in set(basis_ids))
-    return _drops_satisfiable(vec, vec, table, [], 0, _FailedDrops(lambda: ()))
+    return _drops_satisfiable(
+        sorted(set(basis_ids)), table, _CoverIndex(len(table.bases)),
+        _FailedDrops(lambda: ()),
+    )
 
 
 # Most elements of the group of projector permutations that the census
@@ -615,15 +645,6 @@ def _to_limbs(values: Sequence[int], limbs: int) -> np.ndarray:
     ).reshape(len(values), limbs)
 
 
-def _from_limbs(rows: np.ndarray) -> List[int]:
-    """Rows of 64-bit limbs back to int bitsets."""
-    values = rows[:, 0].tolist()
-    for k in range(1, rows.shape[1]):
-        highs = rows[:, k].tolist()
-        values = [v | high << (64 * k) for v, high in zip(values, highs)]
-    return values
-
-
 def _span_blocks(
     rows: List[int], width: int
 ) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
@@ -716,35 +737,6 @@ def _subset_survivors(
     return survives
 
 
-def _cover_undecided(vecs: np.ndarray, covers: np.ndarray) -> np.ndarray:
-    """The drops of each vector that no cover decides, as rows of limbs.
-
-    As in ``_drops_satisfiable``: a cover missing one basis of a vector
-    decides that drop, and a cover missing none decides them all.  Each
-    numpy pass tests a tile of at most _COVER_TILE vector x cover limbs.
-    """
-    n, limbs = vecs.shape
-    undecided = vecs.copy()
-    if not len(covers):
-        return undecided
-    cover_step = max(1, min(len(covers), _COVER_TILE // limbs))
-    vec_step = max(1, _COVER_TILE // (cover_step * limbs))
-    for v0 in range(0, n, vec_step):
-        vec = vecs[v0:v0 + vec_step, None, :]
-        decided = np.zeros((len(vec), limbs), dtype=np.uint64)
-        full = np.zeros(len(vec), dtype=bool)
-        for c0 in range(0, len(covers), cover_step):
-            miss = vec & ~covers[None, c0:c0 + cover_step, :]
-            weight = np.bitwise_count(miss).sum(axis=2, dtype=np.uint16)
-            full |= (weight == 0).any(axis=1)
-            miss[weight != 1] = 0
-            decided |= np.bitwise_or.reduce(miss, axis=1)
-        block = undecided[v0:v0 + vec_step]
-        block &= ~decided
-        block[full] = 0
-    return undecided
-
-
 def enumerate_parity_proofs(
     table: BasisTable,
     kernel_cap: int = KERNEL_CAP_DEFAULT,
@@ -755,17 +747,17 @@ def enumerate_parity_proofs(
     g reaching the sum of the kernel vectors picked by gray(g) =
     g ^ (g >> 1), as coefficient vectors over the kernel basis and as
     basis sets (``_span_blocks``): the subset filter is applied to the
-    whole block in numpy, and the covers found so far to each chunk of
-    _COVER_CHUNK of its survivors, and only the drops they leave open are
-    searched, vector by vector.  A drop whose search
-    failed, or the image of one under the table's Pauli automorphisms
-    (``_pauli_automorphisms``, built at the first failed search), is
-    answered from a set at the point where its search would run, so the
-    covers, the searches that succeed and their order are those of a
-    census without the group.  The block's critical vectors then get
-    their symbols, projector counts and basis ids in one ``_ProofTally``
-    pass; proofs come in walk order.  ``census.searches`` and
-    ``census.shared_failures`` count the searches run and the drops
+    whole block in numpy, and its survivors' basis ids are read off once.
+    Each survivor in turn is tested against every cover found before it
+    (``_CoverIndex``), and only the drops they leave open are searched.
+    A drop whose search failed, or the image of one under the table's
+    Pauli automorphisms (``_pauli_automorphisms``, built at the first
+    failed search), is answered from a set at the point where its search
+    would run, so the covers, the searches that succeed and their order
+    are those of a census without the group.  The block's critical
+    vectors then get their symbols and projector counts in one
+    ``_ProofTally`` pass; proofs come in walk order.  ``census.searches``
+    and ``census.shared_failures`` count the searches run and the drops
     answered from the set.  ``kernel_cap`` runs from 0 to KERNEL_CAP_MAX; a
     larger kernel marks the census partial.
     """
@@ -779,12 +771,10 @@ def enumerate_parity_proofs(
     kernel, odd_rows, columns = _incidence_kernel(table)
     if len(kernel) > kernel_cap:
         return ProofCensus([], len(kernel), partial=True)
-    limbs = max(1, -(-nb // 64))
-    # covers of the assignments found so far (also as limbs), and the
-    # drops found unsatisfiable and their images; both live for this
-    # census only, while symbol renderings stay with the table's tally
-    covers: List[int] = []
-    cover_limbs = np.zeros((0, limbs), dtype=np.uint64)
+    # the covers of the assignments found so far, and the drops found
+    # unsatisfiable and their images; both live for this census only,
+    # while symbol renderings stay with the table's tally
+    covers = _CoverIndex(nb)
     failed = _FailedDrops(lambda: _pauli_automorphisms(table))
     tally = table._tally
     proofs: List[ParityProof] = []
@@ -792,30 +782,19 @@ def enumerate_parity_proofs(
     for coefs, vecs in _span_blocks(kernel, nb):
         # cheap filter first: a proof containing a smaller proof can never
         # survive the drop-one test
-        survivors = vecs[_subset_survivors(coefs, odd_rows, columns)]
-        subset_critical += len(survivors)
-        critical = np.zeros(len(survivors), dtype=bool)
-        for c0 in range(0, len(survivors), _COVER_CHUNK):
-            chunk = survivors[c0:c0 + _COVER_CHUNK]
-            start = len(covers)
-            undecided = _cover_undecided(chunk, cover_limbs)
-            critical[c0:c0 + _COVER_CHUNK] = [
-                _drops_satisfiable(vec, open_drops, table, covers, start,
-                                   failed)
-                for vec, open_drops in zip(
-                    _from_limbs(chunk), _from_limbs(undecided)
-                )
-            ]
-            cover_limbs = np.concatenate(
-                [cover_limbs, _to_limbs(covers[start:], limbs)]
-            )
-        if critical.any():
-            selections = _selections(survivors[critical], nb)
-            symbols, projectors = tally.tally(selections)
+        selections = _selections(
+            vecs[_subset_survivors(coefs, odd_rows, columns)], nb
+        )
+        subset_critical += len(selections)
+        survivors = _selection_ids(selections)
+        critical = [_drops_satisfiable(ids, table, covers, failed)
+                    for ids in survivors]
+        if any(critical):
+            symbols, projectors = tally.tally(selections[critical])
             proofs += [
                 ParityProof(ids, sym_u, sym_a, count)
                 for ids, (sym_u, sym_a), count in zip(
-                    _selection_ids(selections), symbols, projectors
+                    compress(survivors, critical), symbols, projectors
                 )
             ]
     return ProofCensus(

@@ -121,8 +121,19 @@ class DenseState:
     @classmethod
     def from_json(cls, text: str) -> "DenseState":
         doc = json.loads(text)
-        vec = np.array([complex(re, im) for re, im in doc["amplitudes"]])
+        vec = np.array([_json_amplitude(a) for a in doc["amplitudes"]])
         return cls(json_integer(doc["n"], "n"), vec)
+
+
+def _json_amplitude(pair) -> complex:
+    """A [re, im] pair of JSON numbers as a complex; ValueError for a
+    bool, which ``complex`` would read as 0 or 1, or anything else."""
+    if type(pair) is not list or len(pair) != 2 or any(
+        type(x) not in (int, float) for x in pair
+    ):
+        raise ValueError(f"an amplitude must be a pair [re, im] of numbers, "
+                         f"not {pair!r}")
+    return complex(*pair)
 
 
 def _canonical_phase(vec: np.ndarray) -> np.ndarray:

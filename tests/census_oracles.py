@@ -146,6 +146,14 @@ def cover_undecided(vec: int, covers: Sequence[int]) -> int:
     return undecided
 
 
+def from_limbs(rows) -> List[int]:
+    """Rows of 64-bit limbs, lowest limb first, as int bitsets."""
+    return [
+        sum(limb << (64 * k) for k, limb in enumerate(row))
+        for row in rows.tolist()
+    ]
+
+
 def is_critical(basis_ids: Sequence[int], table: BasisTable) -> bool:
     """One exact-one search per dropped basis."""
     ids = tuple(basis_ids)

@@ -16,7 +16,6 @@ from ksparity.states import (
     DenseState,
     apply_pauli,
     bell_product_vector,
-    profiles_match,
 )
 from ksparity.systems import ContextSystem
 
@@ -46,6 +45,27 @@ def entanglement_profile(
         ]
         profile[size] = tuple(sorted(spectra))
     return profile
+
+
+def profiles_match(
+    a: Dict[int, Tuple[Tuple[float, ...], ...]],
+    b: Dict[int, Tuple[Tuple[float, ...], ...]],
+) -> bool:
+    """The same cut sizes, and at each the same number of sorted spectra,
+    each as long as its counterpart, compared value by value within
+    SPECTRUM_TOL."""
+    if sorted(a) != sorted(b):
+        return False
+    for size in a:
+        if len(a[size]) != len(b[size]):
+            return False
+        for sa, sb in zip(a[size], b[size]):
+            if len(sa) != len(sb):
+                return False
+            for x, y in zip(sa, sb):
+                if abs(x - y) > SPECTRUM_TOL:
+                    return False
+    return True
 
 
 def classify_residual(

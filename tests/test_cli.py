@@ -48,6 +48,8 @@ WRONG_TYPES = {
     "string-proof": {"bases": "012"},
     "bool-n-state": {"n": True, "amplitudes": [[1, 0], [0, 0]]},
     "negative-n-state": {"n": -1, "amplitudes": [[1, 0]]},
+    "bool-amplitude-state": {"n": 1,
+                             "amplitudes": [[True, False], [False, False]]},
 }
 
 # JSON nested past the decoder's recursion limit
@@ -951,6 +953,9 @@ class TestInputErrors:
         ["verify", "{nested}"],
         ["measure", "{nested}", "--qubits", "1", "--outcome", "0"],
         ["symbol", "{nested}", "--system", "{star}"],
+        # true once read as the amplitude 1
+        ["measure", "{bool-amplitude-state}", "--qubits", "1", "--outcome",
+         "0"],
     ])
     def test_usage_error_without_traceback(self, runner, tmp_path, argv):
         # each of these once ended in an uncaught exception, or ran with
@@ -1029,6 +1034,9 @@ class TestExits:
         (["--config", "{basis_cap=20}", "symbol", "{kite_proof}", "--system",
           "{kite_completion}"], 3, "stdout",
          '"error": "basis table hit the cap"'),
+        # an empty token was once dropped, measuring qubits 1 and 2
+        (["measure", "{state}", "--qubits", "1,,2", "--outcome", "00"], 2,
+         "stderr", "bad --qubits '1,,2'"),
     ])
     def test_exit_code_and_message(
         self, runner, tmp_path, square_file, kite_completion_file, argv, code,

@@ -23,13 +23,11 @@ from ksparity.parity import (
     Basis,
     KERNEL_CAP_MAX,
     BasisTable,
+    _CoverIndex,
     _coefficient_columns,
-    _cover_undecided,
-    _from_limbs,
     _scan_subsets,
     _span_blocks,
     _subset_survivors,
-    _to_limbs,
     compare_with_brute_force,
     enumerate_bases,
     enumerate_parity_proofs,
@@ -311,6 +309,34 @@ class TestCensus:
                 for sub in itertools.combinations(ids, size):
                     assert not verify_proof(sub, square_table)
 
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_is_critical_matches_oracle(
+        self, square_table, square_census, kite_table, kite_sub_ids,
+        kite_sub_census, data
+    ):
+        # random lists (mostly satisfiable sets, whose first witness holds
+        # every listed basis), and proofs with ids repeated or one basis
+        # added; empty and one-basis lists, where no cover exists yet
+        table, proofs = data.draw(st.sampled_from([
+            (square_table, [p.basis_ids for p in square_census.proofs]),
+            (kite_table, [tuple(kite_sub_ids[j] for j in p.basis_ids)
+                          for p in kite_sub_census.proofs]),
+        ]), label="table")
+        basis = st.integers(0, len(table.bases) - 1)
+        ids = data.draw(
+            st.lists(basis, max_size=12)
+            | st.sampled_from(proofs).map(list),
+            label="ids",
+        )
+        ids += data.draw(st.lists(basis, max_size=1), label="extra")
+        if ids:
+            ids += data.draw(st.lists(st.sampled_from(ids), max_size=2),
+                             label="repeated")
+        assert is_critical(ids, table) == census_oracles.is_critical(
+            ids, table
+        )
+
     def test_kernel_equals_brute_force(self, square_table):
         assert compare_with_brute_force(square_table) == (True, True)
         # cut down to 20 bases so the full subset scan stays exact
@@ -435,7 +461,9 @@ def _batched_survivors(kernel, nb):
     odd_rows, columns = _coefficient_columns(kernel, nb)
     found = []
     for coefs, vecs in _span_blocks(kernel, nb):
-        found += _from_limbs(vecs[_subset_survivors(coefs, odd_rows, columns)])
+        found += census_oracles.from_limbs(
+            vecs[_subset_survivors(coefs, odd_rows, columns)]
+        )
     return found
 
 
@@ -637,7 +665,9 @@ class TestBatchedFilters:
         size = 1 << min(bits, len(kernel))
         assert all(len(c) == len(v) == size for c, v in blocks)
         span = list(census_oracles.enumerate_span(kernel))
-        assert [v for _, vecs in blocks for v in _from_limbs(vecs)] == span
+        assert [
+            v for _, vecs in blocks for v in census_oracles.from_limbs(vecs)
+        ] == span
         # each coefficient vector picks the kernel rows summing to its set
         decoded = []
         for coefs, _ in blocks:
@@ -672,7 +702,11 @@ class TestBatchedFilters:
         nb = data.draw(st.integers(1, 130), label="nb")
         bit = st.integers(0, nb - 1)
         vecs = data.draw(
-            st.lists(st.integers(0, (1 << nb) - 1), max_size=40), label="vecs"
+            st.lists(
+                st.integers(0, (1 << nb) - 1) | bit.map(lambda b: 1 << b),
+                max_size=40,
+            ),
+            label="vecs",
         )
         covers = []
         for _ in range(data.draw(st.integers(0, 40), label="covers")):
@@ -684,15 +718,15 @@ class TestBatchedFilters:
             for b in data.draw(st.lists(bit, max_size=3), label="set"):
                 cover |= 1 << b
             covers.append(cover)
-        limbs = max(1, -(-nb // 64))
-        tile = data.draw(st.sampled_from([1, 2, 3, 7, 64, 1 << 13]), label="tile")
-        with mock.patch.object(parity, "_COVER_TILE", tile):
-            undecided = _cover_undecided(
-                _to_limbs(vecs, limbs), _to_limbs(covers, limbs)
-            )
-        assert _from_limbs(undecided) == [
+        index = _CoverIndex(nb)
+        for cover in covers:
+            index.add(cover)
+        undecided = [index.undecided(gf2.bits(vec)) for vec in vecs]
+        assert [sum(1 << j for j in drops) for drops in undecided] == [
             census_oracles.cover_undecided(vec, covers) for vec in vecs
         ]
+        # the drops come highest first, the order they are searched in
+        assert all(drops == sorted(drops, reverse=True) for drops in undecided)
 
 
 def _identity_group(table):
@@ -702,16 +736,21 @@ def _identity_group(table):
 def _census_and_covers(table):
     """The census of the table and the cover list its drop-one test
     ended with."""
-    held = {"covers": []}
+    held = {"covers": _CoverIndex(0)}
     drops_satisfiable = parity._drops_satisfiable
 
-    def spy(vec, undecided, table, covers, start, failed):
+    def spy(ids, table, covers, failed):
         held["covers"] = covers
-        return drops_satisfiable(vec, undecided, table, covers, start, failed)
+        return drops_satisfiable(ids, table, covers, failed)
 
     with mock.patch.object(parity, "_drops_satisfiable", spy):
         census = enumerate_parity_proofs(table)
-    return census, held["covers"]
+    # cover c holds basis j iff bit c of holders[j] is set
+    index = held["covers"]
+    return census, [
+        sum(1 << j for j, h in enumerate(index.holders) if h >> c & 1)
+        for c in range(index.found.bit_length())
+    ]
 
 
 @pytest.fixture(scope="module")

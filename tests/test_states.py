@@ -491,6 +491,17 @@ class TestProfiles:
     def test_profiles_match_is_tolerant(self, psi4):
         a = entanglement_profile(psi4)
         assert profiles_match(a, a)
+        # the oracle's own comparator agrees, within and past the tolerance
+        tol = states.SPECTRUM_TOL
+        for shift in (tol / 2, 2 * tol):
+            b = {k: tuple(tuple(v + shift for v in s) for s in spectra)
+                 for k, spectra in a.items()}
+            assert profiles_match(a, b) == (shift < tol)
+            assert state_oracles.profiles_match(a, b) == (shift < tol)
+        fewer = {k: spectra[:-1] for k, spectra in a.items()}
+        for b in (fewer, {1: a[1]}):
+            assert not profiles_match(a, b)
+            assert not state_oracles.profiles_match(a, b)
 
     def test_residual_classification_against_reference(self, psi4, psi6):
         # residuals from measuring within qubits 3..6 match the four-qubit
