@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 import random
 import time
 from dataclasses import dataclass, field
@@ -31,6 +32,7 @@ from .systems import (
     default_eigenvalues,
     ghz_infeasible,
     is_genuinely_multipartite,
+    slot_bits,
     verify_system,
 )
 from .states import (
@@ -100,12 +102,10 @@ def _check_star_family() -> Tuple[bool, dict]:
         rows_ok = len(sys.observables) == 2 * N + 1
         rep = verify_system(sys)
         sign_ok = sys.contexts[0].sign == -1
-        col_ok = True
-        for pos in range(sys.n):
-            xs = sum(1 for ob in sys.observables if ob.letter(pos) == "X")
-            zs = sum(1 for ob in sys.observables if ob.letter(pos) == "Z")
-            if xs % 2 or zs % 2:
-                col_ok = False
+        # even X and Z counts per column: no X or Z band bit in the XOR
+        band = (1 << sys.n) - 1
+        odd = functools.reduce(operator.xor, map(slot_bits, sys.observables))
+        col_ok = not odd & (band | band << 2 * sys.n)
         infeasible = ghz_infeasible(sys, default_eigenvalues(sys))
         this = rows_ok and rep.ok and sign_ok and col_ok and infeasible
         ok = ok and this

@@ -9,9 +9,11 @@ single-qubit letters and value assignments live on (qubit, letter) slots.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -24,6 +26,14 @@ def json_integer(value, what: str) -> int:
     bool or anything else, which indexing or a comparison might take."""
     if type(value) is not int:
         raise ValueError(f"{what} must be an integer, not {value!r}")
+    return value
+
+
+def json_list(value, what: str) -> list:
+    """``value`` if JSON read it as a list; ValueError for a string, an
+    object or anything else, which iteration might take."""
+    if type(value) is not list:
+        raise ValueError(f"{what} must be a list, not {value!r}")
     return value
 
 
@@ -88,21 +98,23 @@ class ContextSystem:
     @classmethod
     def from_json_dict(cls, doc: dict) -> "ContextSystem":
         """The system of a parsed JSON document; ValueError unless n, the
-        members and the signs are integers, n is not negative and the
-        observables are strings."""
+        members and the signs are integers, n is not negative, the
+        observables, the contexts and each context's members are lists and
+        the observables are strings."""
         n = json_integer(doc["n"], "n")
         if n < 0:
             raise ValueError(f"n must not be negative, not {n}")
-        for s in doc["observables"]:
+        for s in json_list(doc["observables"], "observables"):
             if not isinstance(s, str):
                 raise ValueError(f"observable {s!r} must be a string")
         obs = tuple(parse_word(s) for s in doc["observables"])
         ctxs = tuple(
             Context(
-                tuple(json_integer(m, "a member") for m in c["members"]),
+                tuple(json_integer(m, "a member")
+                      for m in json_list(c["members"], "members")),
                 json_integer(c["sign"], "a context sign"),
             )
-            for c in doc["contexts"]
+            for c in json_list(doc["contexts"], "contexts")
         )
         return cls(n, obs, ctxs)
 
@@ -114,9 +126,8 @@ class ContextSystem:
 def system_from_rows(rows: Sequence[str], sign: int) -> ContextSystem:
     """Single-context system from table rows given as Pauli strings."""
     obs = tuple(parse_word(r) for r in rows)
-    n = obs[0].n
     ctx = Context(tuple(range(len(obs))), sign)
-    return ContextSystem(n, obs, (ctx,))
+    return ContextSystem(obs[0].n, obs, (ctx,))
 
 
 # ---------------------------------------------------------------------------
@@ -166,64 +177,44 @@ def verify_system(sys: ContextSystem) -> ValidationReport:
 
 
 def parity_witness(sys: ContextSystem) -> bool:
-    """Odd number of -identity contexts and even incidence per observable."""
+    """Odd number of -identity contexts and even incidence per observable:
+    the XOR of ``1 << m`` over every membership is 0."""
     negative = sum(1 for c in sys.contexts if c.sign == -1)
-    if negative % 2 == 0:
-        return False
-    incidence = [0] * len(sys.observables)
-    for ctx in sys.contexts:
-        for m in ctx.members:
-            incidence[m] += 1
-    return all(count % 2 == 0 for count in incidence)
+    members = [1 << m for c in sys.contexts for m in c.members]
+    return negative % 2 == 1 and not functools.reduce(operator.xor, members, 0)
 
 
 # ---------------------------------------------------------------------------
-# single-qubit slot machinery
-
-Slot = Tuple[int, str]  # (0-based qubit position, letter)
+# single-qubit slots as bitsets
 
 
-def word_slots(word: PauliWord) -> List[Slot]:
-    """Non-identity (position, letter) slots of a word."""
-    return [(pos, c) for pos, c in enumerate(word.letters()) if c != "I"]
-
-
-def _context_equations(
-    contexts: Sequence[Context], variables: Sequence[Sequence]
-) -> Tuple[list, List[int], List[int]]:
-    """GF(2) equations, one per context, member m standing for the product
-    of ``variables[m]``.  Returns (names, rows, rhs): the members' variables
-    sorted, bit j of a row flagging names[j], and rhs bit 1 for a -identity
-    context."""
-    names = sorted({v for c in contexts for m in c.members
-                    for v in variables[m]})
-    index = {v: i for i, v in enumerate(names)}
-    rows, rhs = [], []
-    for ctx in contexts:
-        row = 0
-        for m in ctx.members:
-            for v in variables[m]:
-                row ^= 1 << index[v]
-        rows.append(row)
-        rhs.append(0 if ctx.sign == 1 else 1)
-    return names, rows, rhs
+def slot_bits(word: PauliWord) -> int:
+    """The (qubit, letter) slots of a word as one bitset in three n-bit
+    bands: X letters in bits 0..n-1, Y in n..2n-1 and Z in 2n..3n-1, at the
+    word's own mask bit for the qubit."""
+    x, z, n = word.x, word.z, word.n
+    return (x & ~z) | (x & z) << n | (z & ~x) << 2 * n
 
 
 def gf2_infeasible(sys: ContextSystem, granularity: str = "single-qubit") -> bool:
     """True iff no +-1 value assignment satisfies every context equation.
 
     At "single-qubit" granularity each multiqubit observable's value is the
-    product of its single-qubit letter values; at "observable" granularity
-    the observables themselves are the variables.
+    product of its single-qubit letter values, so its variables are its
+    ``slot_bits``; at "observable" granularity the observables themselves
+    are the variables, observable m at bit m.  A context's row is the XOR
+    of its members' variables, so a repeated member cancels, and its
+    target bit is 1 for a -identity context.
     """
     if granularity == "single-qubit":
-        variables = [word_slots(ob) for ob in sys.observables]
+        variables = [slot_bits(ob) for ob in sys.observables]
     elif granularity == "observable":
-        variables = [[m] for m in range(len(sys.observables))]
+        variables = [1 << m for m in range(len(sys.observables))]
     else:
         raise ValueError(f"unknown granularity {granularity!r}")
-    _, rows, rhs = _context_equations(sys.contexts, variables)
-    return not gf2.solvable(rows, rhs)
+    rows = [functools.reduce(operator.xor, [variables[m] for m in c.members])
+            for c in sys.contexts]
+    return not gf2.solvable(rows, [c.sign < 0 for c in sys.contexts])
 
 
 def _single_context(sys: ContextSystem) -> Context:
@@ -287,21 +278,18 @@ def count_ghz_assignments(
 ) -> Tuple[int, int]:
     """(satisfying, total) over all +-1 assignments to the letter slots.
 
-    The slot equations have one row per member, its eigenvalue as target.
-    The satisfying assignments are their solutions: none if they are
-    inconsistent, else 2^(slots - rank).
+    Each member occurrence is one equation: its ``slot_bits`` as the row,
+    its eigenvalue as the target.  The slots are the bits any row holds.
+    The satisfying assignments are the solutions: none if the equations
+    are inconsistent, else 2^(slots - rank).
     """
     ctx = _single_context(sys)
     _check_signature(ctx, eigenvalues)
-    signed = [Context((m,), e) for m, e in zip(ctx.members, eigenvalues)]
-    slots, rows, rhs = _context_equations(
-        signed, [word_slots(o) for o in sys.observables]
-    )
-    total = 1 << len(slots)
-    rank = gf2.rank(rows)
-    if gf2.rank([r << 1 | b for r, b in zip(rows, rhs)]) > rank:
+    rows = [slot_bits(sys.observables[m]) for m in ctx.members]
+    total = 1 << functools.reduce(operator.or_, rows, 0).bit_count()
+    if not gf2.solvable(rows, [e < 0 for e in eigenvalues]):
         return 0, total
-    return total >> rank, total
+    return total >> gf2.rank(rows), total
 
 
 def ghz_infeasible(sys: ContextSystem, eigenvalues: Sequence[int]) -> bool:
@@ -351,15 +339,8 @@ def builtin_fixtures() -> Dict[str, ContextSystem]:
         ["ZZZZZZ", "XXXXXX", "ZXZXII", "XZIIZX", "IIXZXZ"], -1
     )
     fixtures["table2-right"] = system_from_rows(
-        [
-            "ZZZZZZZI",
-            "XXXXXXIZ",
-            "ZXZXIIZZ",
-            "XZIIIIXX",
-            "IIXZZXII",
-            "IIIIXZXX",
-        ],
-        -1,
+        ["ZZZZZZZI", "XXXXXXIZ", "ZXZXIIZZ", "XZIIIIXX", "IIXZZXII",
+         "IIIIXZXX"], -1
     )
     kite_obs = ("IXXZ", "YYIX", "XIYY", "ZZZI", "IXXX", "YYIZ")
     obs = tuple(parse_word(s) for s in kite_obs)

@@ -5,15 +5,43 @@ form or a bitmask search; the tests require the library to agree with it.
 """
 
 import itertools
-from typing import Optional, Sequence, Tuple
+import math
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from census_oracles import enumerate_span
 from ksparity import gf2
-from ksparity.pauli import commutes, product_of
+from ksparity.pauli import PauliWord, commutes, product_of
 from ksparity.states import BELL_VECTORS
-from ksparity.systems import ContextSystem, word_slots
+from ksparity.systems import ContextSystem
+
+
+def word_slots(word: PauliWord) -> List[Tuple[int, str]]:
+    """The non-identity (position, letter) slots of a word, read off its
+    letter string."""
+    return [(pos, c) for pos, c in enumerate(word.letters()) if c != "I"]
+
+
+def gf2_infeasible(sys: ContextSystem, granularity: str) -> bool:
+    """True iff no +-1 value of the variables, the observables or their
+    (position, letter) slots, makes every context's members multiply to
+    its sign, by trying every value."""
+    if granularity == "observable":
+        variables = [[m] for m in range(len(sys.observables))]
+    else:
+        variables = [word_slots(ob) for ob in sys.observables]
+    names = sorted({v for c in sys.contexts for m in c.members
+                    for v in variables[m]})
+    for values in itertools.product((1, -1), repeat=len(names)):
+        value = dict(zip(names, values))
+        if all(
+            math.prod(value[v] for m in c.members for v in variables[m])
+            == c.sign
+            for c in sys.contexts
+        ):
+            return False
+    return True
 
 
 def count_ghz_assignments(

@@ -50,6 +50,7 @@ WRONG_TYPES = {
     "negative-n-state": {"n": -1, "amplitudes": [[1, 0]]},
     "bool-amplitude-state": {"n": 1,
                              "amplitudes": [[True, False], [False, False]]},
+    "string-observables": {"n": 1, "observables": "XZ", "contexts": []},
 }
 
 # JSON nested past the decoder's recursion limit
@@ -956,6 +957,8 @@ class TestInputErrors:
         # true once read as the amplitude 1
         ["measure", "{bool-amplitude-state}", "--qubits", "1", "--outcome",
          "0"],
+        # a string once read as a list of one-letter observables
+        ["verify", "{string-observables}"],
     ])
     def test_usage_error_without_traceback(self, runner, tmp_path, argv):
         # each of these once ended in an uncaught exception, or ran with
@@ -991,6 +994,7 @@ class TestInputErrors:
                        for a in argv)
         nested = "{nested}" in argv
         empty = "" in argv
+        listless = "{string-observables}" in argv
         for key, path in names.items():
             argv = [a.replace(key, path) for a in argv]
         result = runner.invoke(main, argv)
@@ -1005,6 +1009,8 @@ class TestInputErrors:
             assert "maximum recursion depth" in result.stderr
         if empty:
             assert "bad eigenvalue ''" in result.stderr
+        if listless:
+            assert "observables must be a list, not 'XZ'" in result.stderr
 
 
 class TestExits:

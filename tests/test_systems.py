@@ -1,3 +1,5 @@
+import collections
+import functools
 import json
 import random
 
@@ -5,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import ghz_oracles
+from ksparity import reproduce
 from ksparity.cli import MULTIPARTITE_MEMBER_CAP
 from ksparity.pauli import PauliWord, parse_word
 from ksparity.systems import (
@@ -24,7 +27,6 @@ from ksparity.systems import (
     parity_witness,
     system_from_rows,
     verify_system,
-    word_slots,
 )
 
 
@@ -156,6 +158,34 @@ def star_products(draw):
     return ContextSystem(star.n, obs, (Context(members, sign),))
 
 
+@functools.cache
+def squares_and_kite():
+    """The three Mermin squares and the kite completion."""
+    return (tuple(reproduce.mermin_square_search().systems)
+            + (reproduce.kite_completion(),))
+
+
+@st.composite
+def context_subsets(draw):
+    """A subset of the contexts of one of the three Mermin squares or the
+    kite completion, plus up to two contexts drawn from its observables
+    with a member repeated, in a random order and with random signs."""
+    base = draw(st.sampled_from(squares_and_kite()))
+    contexts = list(draw(st.lists(
+        st.sampled_from(base.contexts), max_size=len(base.contexts),
+        unique=True,
+    )))
+    nobs = len(base.observables)
+    for _ in range(draw(st.integers(0, 2))):
+        members = draw(st.lists(st.integers(0, nobs - 1), min_size=1,
+                                max_size=4))
+        members.append(draw(st.sampled_from(members)))
+        contexts.append(Context(tuple(draw(st.permutations(members))), 1))
+    contexts = [Context(c.members, draw(st.sampled_from((1, -1))))
+                for c in draw(st.permutations(contexts))]
+    return ContextSystem(base.n, base.observables, tuple(contexts))
+
+
 class TestContextSystem:
     def test_json_roundtrip(self):
         sys = builtin_fixtures()["kite-quadruples"]
@@ -232,6 +262,26 @@ class TestVerification:
         # kite quadruples: one negative context but odd incidence, no witness
         assert not parity_witness(builtin_fixtures()["kite-quadruples"])
 
+    @settings(max_examples=150, deadline=None)
+    @given(context_subsets())
+    def test_infeasible_matches_oracle(self, sys):
+        members = [m for c in sys.contexts for m in c.members]
+        for granularity in ("observable", "single-qubit"):
+            if granularity == "observable":
+                names = set(members)
+            else:
+                names = {s for m in members
+                         for s in ghz_oracles.word_slots(sys.observables[m])}
+            assume(len(names) <= 16)
+            assert gf2_infeasible(sys, granularity) == (
+                ghz_oracles.gf2_infeasible(sys, granularity)
+            )
+        negative = sum(1 for c in sys.contexts if c.sign == -1)
+        even = all(k % 2 == 0 for k in collections.Counter(members).values())
+        assert parity_witness(sys) == (negative % 2 == 1 and even)
+        if parity_witness(sys):
+            assert gf2_infeasible(sys, "observable")
+
 
 class TestStarTables:
     def test_four_qubit_rows(self):
@@ -260,6 +310,22 @@ class TestStarTables:
         with pytest.raises(ValueError):
             build_star_table(1)
 
+    def test_check_3_reads_odd_x_and_z_columns(self, monkeypatch):
+        # XX.YY.ZZ = -II verifies, with one X, Y and Z letter per column;
+        # the star tables never have an odd column
+        table = system_from_rows(["XX", "YY", "ZZ"], -1)
+        monkeypatch.setattr(reproduce, "build_star_table", lambda N: table)
+        ok, detail = reproduce._check_star_family()
+        assert not ok
+        assert all(d["columns_even"] is False for d in detail.values())
+
+    def test_check_3_ignores_y_letters(self, monkeypatch):
+        # column 0 holds one Y and two X letters, column 1 two Z letters
+        table = system_from_rows(["YZ", "XZ", "XI"], -1)
+        monkeypatch.setattr(reproduce, "build_star_table", lambda N: table)
+        _, detail = reproduce._check_star_family()
+        assert all(d["columns_even"] is True for d in detail.values())
+
 
 class TestGhzChecks:
     def test_four_qubit_count_matches_oracle(self):
@@ -273,7 +339,7 @@ class TestGhzChecks:
     def test_count_matches_oracle(self, data):
         sys = data.draw(single_context_tables(max_qubits=6, max_rows=7))
         words = sys.context_words(sys.contexts[0])
-        slots = {s for w in words for s in word_slots(w)}
+        slots = {s for w in words for s in ghz_oracles.word_slots(w)}
         assume(len(slots) <= 16)
         ev = data.draw(st.lists(
             st.sampled_from((1, -1)), min_size=len(words), max_size=len(words)
