@@ -16,11 +16,12 @@ coefficients over the kernel basis, which the subset test reads, and as
 those basis sets.
 The direct subset scan that checks the kernel walks a window's basis
 masks with the same blocks.  Conjugating by a Pauli operator permutes
-the projectors and maps bases to bases, so a failed search also decides
-the drop sets of its images under the table's Pauli automorphisms, read
-off the group of the pool's own Pauli permutations.  The basis ids of a
-block's survivors are read off in numpy once, and the symbols and
-projector counts of its proofs are tallied in numpy at once.
+the projectors and maps bases to bases, so a survivor's verdict holds
+for each of its images that lies in the table: the census decides one
+survivor per orbit of the pool's own Pauli group and files the verdict
+under the others, whose bitsets a block computes in numpy.  The basis
+ids of a block's survivors are read off in numpy once, and the symbols
+and projector counts of its proofs are tallied in numpy at once.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress
+from itertools import compress, islice
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -212,11 +213,11 @@ class ProofCensus:
     kernel_dimension: int
     partial: bool = False
     subset_critical_total: int = 0
-    # exact-one searches the drop-one test ran, and the drops it answered
-    # from the table's Pauli images of failed searches instead; neither is
-    # part of any payload
+    # exact-one searches the drop-one test ran, and the survivors it
+    # answered from the verdict of a Pauli image decided earlier instead;
+    # neither is part of any payload
     searches: int = 0
-    shared_failures: int = 0
+    shared_verdicts: int = 0
 
     @cached_property
     def total(self) -> int:
@@ -470,10 +471,7 @@ class _CoverIndex:
 
 
 def _drops_satisfiable(
-    ids: Sequence[int],
-    table: BasisTable,
-    covers: _CoverIndex,
-    failed: "_FailedDrops",
+    ids: Sequence[int], table: BasisTable, covers: _CoverIndex
 ) -> bool:
     """Does dropping any single basis of ``ids`` leave a satisfiable set?
 
@@ -482,21 +480,13 @@ def _drops_satisfiable(
     witness found adds its cover to ``covers``, which must hold covers of
     real assignments of this table only.  The witness for a drop holds
     every other basis once, so its cover decides that drop, or every drop
-    if it holds the dropped basis too.  A drop that ``failed`` already
-    holds is unsatisfiable without a search; a search that fails adds its
-    drop to ``failed``.
+    if it holds the dropped basis too.  A search that fails ends the test,
+    so every search either adds a cover or makes the answer False.
     """
     bases = table.bases
     for drop in covers.undecided(ids):
-        rest = [j for j in ids if j != drop]
-        key = sum(1 << j for j in rest)
-        if key in failed.known:
-            failed.shared += 1
-            return False
-        failed.searches += 1
-        ones = satisfying_assignment(rest, table)
+        ones = satisfying_assignment([j for j in ids if j != drop], table)
         if ones is None:
-            failed.add(key)
             return False
         cover = sum(
             1 << j for j, basis in enumerate(bases)
@@ -511,88 +501,167 @@ def _drops_satisfiable(
 def is_critical(basis_ids: Sequence[int], table: BasisTable) -> bool:
     """Dropping any single basis must leave a satisfiable configuration."""
     return _drops_satisfiable(
-        sorted(set(basis_ids)), table, _CoverIndex(len(table.bases)),
-        _FailedDrops(lambda: ()),
+        sorted(set(basis_ids)), table, _CoverIndex(len(table.bases))
     )
 
 
+# Most survivors of a block whose images the census computes at once:
+# with the group at its cap, 32 x 1024 images, 512 KiB of uint64 products
+# for a table of at most 64 bases.
+_IMAGE_ROWS = 32
 # Most elements of the group of projector permutations that the census
-# builds before it gives up sharing failed drops: a pool on n qubits has
-# up to 4^n Pauli images.
+# builds before it gives up sharing verdicts: a pool on n qubits has up to
+# 4^n Pauli images.
 _AUTOMORPHISM_CAP = 1 << 10
 
 
 def _pauli_automorphisms(table: BasisTable) -> List[Tuple[int, ...]]:
-    """The basis permutations of the table induced by Pauli operators,
-    identity first; perm[j] is the image of basis j.
+    """The basis maps of the table induced by Pauli operators, identity
+    first and each once; perm[j] is the image of basis j, or -1 where that
+    image is not a basis of this table.
 
     Conjugating by X^px Z^pz flips the sign of every stabilizer element it
     anticommutes with (``StabilizerProjector.conjugated``), which permutes
     the pool's projectors and maps bases to bases.  The permutations of
     the 2n single-qubit X and Z operators commute and are their own
     inverses, so the group they generate grows by doubling: each
-    generator not in it yet composed with every element so far.  An
-    element is kept if it maps every basis of this table onto a basis of
-    this table (on a sub-table, its stabilizer).  An assignment for a set
-    of bases maps to one for its image, so the image of an unsatisfiable
-    set is unsatisfiable.  If a generator maps some projector out of the
-    pool, or the group passes _AUTOMORPHISM_CAP, only the identity is
-    returned.
+    generator not in it yet composed with every element so far.  Every
+    element gives a map, also one that sends some bases of a sub-table out
+    of it.  An assignment for a set of bases maps to one for its image, so
+    a set and its image are satisfiable alike.  If a generator maps some
+    projector out of the pool, or the group passes _AUTOMORPHISM_CAP, only
+    the identity is returned.
     """
     nb = len(table.bases)
-    identity = [tuple(range(nb))]
+    identity = tuple(range(nb))
     projs = table.pool.projectors
     index = {p: i for i, p in enumerate(projs)}
     where = {frozenset(b.projector_ids): j for j, b in enumerate(table.bases)}
     if len(index) != len(projs) or len(where) != nb:
-        return identity
+        return [identity]
     group = {tuple(range(len(projs)))}
     for q in range(table.n):
         for px, pz in ((1 << q, 0), (0, 1 << q)):
             image = tuple(index.get(p.conjugated(px, pz)) for p in projs)
             if None in image:
-                return identity
+                return [identity]
             if image in group:
                 continue
             if 2 * len(group) > _AUTOMORPHISM_CAP:
-                return identity
+                return [identity]
             group |= {tuple(image[i] for i in h) for h in group}
     perms = {
         tuple(
-            where.get(frozenset(h[p] for p in b.projector_ids))
+            where.get(frozenset(h[p] for p in b.projector_ids), -1)
             for b in table.bases
         )
         for h in group
     }
-    return sorted(perm for perm in perms if None not in perm)
+    return [identity] + sorted(perms - {identity})
 
 
-class _FailedDrops:
-    """Drop sets found unsatisfiable, as bitsets of basis ids, with their
-    images under the table's automorphisms, and how many drops were
-    searched and how many answered from the set.
+class _BasisImages:
+    """The images of sets of bases under basis maps, many sets at once.
 
-    ``group`` returns the automorphisms; it is called at the first
-    ``add``, so a census whose searches all succeed never builds them.
-    An image maps each basis j of a drop set to perm[j].
+    perm[j] is the image of basis j, or -1 where it leaves the table.  A
+    set is a 0/1 selection row over the bases, and its product with
+    ``weights`` gives, for every map, each 64-bit limb of the image's
+    bitset and then the number of the set's bases the map sends out of
+    the table.  A map sends distinct bases to distinct bases, so each limb
+    is a sum of distinct powers of two and carries nothing; the count is
+    at most nb.  The matrix is nb x (limbs + 1) x len(perms) uint64, and
+    the product for s sets s x (limbs + 1) x len(perms).
     """
 
-    def __init__(self, group: Callable[[], Sequence[Tuple[int, ...]]]):
-        self.known: set = set()
-        self.searches = 0
+    def __init__(self, perms: Sequence[Sequence[int]], nb: int):
+        self.limbs = max(1, -(-nb // 64))
+        targets = np.array(perms, dtype=np.int64).reshape(-1, nb).T
+        inside = targets >= 0
+        j, g = np.nonzero(inside)
+        t = targets[j, g]
+        weights = np.zeros((nb, self.limbs + 1, len(perms)), dtype=np.uint64)
+        weights[j, t // 64, g] = np.uint64(1) << (t % 64).astype(np.uint64)
+        weights[:, self.limbs][~inside] = 1
+        self.weights = weights.reshape(nb, -1)
+
+    def __call__(self, selections: np.ndarray) -> List[List[int]]:
+        """The bitsets of each selection's images that lie in the table."""
+        rows = len(selections)
+        products = (selections.astype(np.uint64) @ self.weights).reshape(
+            rows, self.limbs + 1, -1
+        )
+        maps = products.shape[2]
+        keys = _from_limbs(
+            products[:, :self.limbs].transpose(0, 2, 1).reshape(-1, self.limbs)
+        )
+        inside = (products[:, self.limbs] == 0).ravel().tolist()
+        return [
+            list(compress(keys[i:i + maps], inside[i:i + maps]))
+            for i in range(0, rows * maps, maps)
+        ]
+
+
+class _SharedVerdicts:
+    """Drop-one verdicts of survivors the walk has not reached yet, by
+    basis bitset, and how many survivors were answered from them.
+
+    A Pauli operator maps a set of bases to the set of their images, whose
+    projectors are the images of the set's projectors.  An image that lies
+    in the table is therefore a subset survivor iff the set is, and
+    critical iff the set is, so the census decides the first survivor of
+    each orbit it walks and files the verdict under the orbit's other
+    members in the table.  The walk meets each survivor once, so a verdict
+    is dropped as it is read.  ``shared`` counts the survivors answered
+    from a verdict, ``refuted`` the decisions that came out False.  The
+    maps (``_pauli_automorphisms``) are built at the first decision, so a
+    census that decides nothing never builds them.
+    """
+
+    def __init__(self, table: BasisTable):
+        self.table = table
+        self.pending: Dict[int, bool] = {}
         self.shared = 0
-        self._group = group
+        self.refuted = 0
 
     @cached_property
-    def _perms(self) -> Sequence[Tuple[int, ...]]:
-        return self._group()
-
-    def add(self, rest: int) -> None:
-        self.known.add(rest)
-        held = gf2.bits(rest)
-        self.known.update(
-            sum(1 << perm[j] for j in held) for perm in self._perms
+    def images(self) -> _BasisImages:
+        return _BasisImages(
+            _pauli_automorphisms(self.table), len(self.table.bases)
         )
+
+    def verdicts(
+        self,
+        keys: Sequence[int],
+        selections: np.ndarray,
+        decide: Callable[[int], bool],
+    ) -> List[bool]:
+        """The verdict of each survivor of a block, given as bitsets and
+        as selection rows: read from those pending, or else ``decide(i)``
+        and filed under its images.  A survivor to decide that has no
+        images yet gets them with the next _IMAGE_ROWS survivors pending
+        no verdict, so that few rows filed meanwhile get images too."""
+        pending = self.pending
+        images: Dict[int, List[int]] = {}
+        found = []
+        for i, key in enumerate(keys):
+            verdict = pending.pop(key, None)
+            if verdict is None:
+                if i not in images:
+                    rows = list(islice(
+                        (r for r in range(i, len(keys))
+                         if keys[r] not in pending),
+                        _IMAGE_ROWS,
+                    ))
+                    images = dict(zip(rows, self.images(selections[rows])))
+                verdict = decide(i)
+                self.refuted += not verdict
+                pending.update(dict.fromkeys(images[i], verdict))
+                # the identity's image, and a stabilizer's, is the survivor
+                del pending[key]
+            else:
+                self.shared += 1
+            found.append(verdict)
+        return found
 
 
 def kernel_parity_sets(table: BasisTable) -> List[Tuple[int, ...]]:
@@ -643,6 +712,17 @@ def _to_limbs(values: Sequence[int], limbs: int) -> np.ndarray:
          for v in values],
         dtype=np.uint64,
     ).reshape(len(values), limbs)
+
+
+def _from_limbs(rows: np.ndarray) -> List[int]:
+    """Rows of 64-bit limbs, lowest limb first, as int bitsets."""
+    values = rows[:, 0].tolist()
+    for k in range(1, rows.shape[1]):
+        values = [
+            value | high << 64 * k
+            for value, high in zip(values, rows[:, k].tolist())
+        ]
+    return values
 
 
 def _span_blocks(
@@ -748,18 +828,17 @@ def enumerate_parity_proofs(
     g ^ (g >> 1), as coefficient vectors over the kernel basis and as
     basis sets (``_span_blocks``): the subset filter is applied to the
     whole block in numpy, and its survivors' basis ids are read off once.
-    Each survivor in turn is tested against every cover found before it
+    The survivors' verdicts are shared across each orbit of the pool's
+    Pauli group (``_SharedVerdicts``): a survivor whose image the walk
+    decided earlier takes that verdict, and only the others are decided.
+    Each of those is tested against every cover found before it
     (``_CoverIndex``), and only the drops they leave open are searched.
-    A drop whose search failed, or the image of one under the table's
-    Pauli automorphisms (``_pauli_automorphisms``, built at the first
-    failed search), is answered from a set at the point where its search
-    would run, so the covers, the searches that succeed and their order
-    are those of a census without the group.  The block's critical
-    vectors then get their symbols and projector counts in one
-    ``_ProofTally`` pass; proofs come in walk order.  ``census.searches``
-    and ``census.shared_failures`` count the searches run and the drops
-    answered from the set.  ``kernel_cap`` runs from 0 to KERNEL_CAP_MAX; a
-    larger kernel marks the census partial.
+    The block's critical vectors then get their symbols and projector
+    counts in one ``_ProofTally`` pass; proofs come in walk order.
+    ``census.searches`` and ``census.shared_verdicts`` count the searches
+    run and the survivors answered from an image's verdict.
+    ``kernel_cap`` runs from 0 to KERNEL_CAP_MAX; a larger kernel marks
+    the census partial.
     """
     if not 0 <= kernel_cap <= KERNEL_CAP_MAX:
         raise ValueError(
@@ -771,24 +850,25 @@ def enumerate_parity_proofs(
     kernel, odd_rows, columns = _incidence_kernel(table)
     if len(kernel) > kernel_cap:
         return ProofCensus([], len(kernel), partial=True)
-    # the covers of the assignments found so far, and the drops found
-    # unsatisfiable and their images; both live for this census only,
-    # while symbol renderings stay with the table's tally
+    # the covers of the assignments found so far, and the verdicts filed
+    # for survivors not reached yet; both live for this census only, while
+    # symbol renderings stay with the table's tally
     covers = _CoverIndex(nb)
-    failed = _FailedDrops(lambda: _pauli_automorphisms(table))
+    shared = _SharedVerdicts(table)
     tally = table._tally
     proofs: List[ParityProof] = []
     subset_critical = 0
     for coefs, vecs in _span_blocks(kernel, nb):
         # cheap filter first: a proof containing a smaller proof can never
         # survive the drop-one test
-        selections = _selections(
-            vecs[_subset_survivors(coefs, odd_rows, columns)], nb
-        )
+        kept = vecs[_subset_survivors(coefs, odd_rows, columns)]
+        selections = _selections(kept, nb)
         subset_critical += len(selections)
         survivors = _selection_ids(selections)
-        critical = [_drops_satisfiable(ids, table, covers, failed)
-                    for ids in survivors]
+        critical = shared.verdicts(
+            _from_limbs(kept), selections,
+            lambda i: _drops_satisfiable(survivors[i], table, covers),
+        )
         if any(critical):
             symbols, projectors = tally.tally(selections[critical])
             proofs += [
@@ -801,8 +881,9 @@ def enumerate_parity_proofs(
         proofs=proofs,
         kernel_dimension=len(kernel),
         subset_critical_total=subset_critical,
-        searches=failed.searches,
-        shared_failures=failed.shared,
+        # each search either found a cover or refuted the survivor
+        searches=covers.found.bit_length() + shared.refuted,
+        shared_verdicts=shared.shared,
     )
 
 

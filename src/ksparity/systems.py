@@ -37,6 +37,14 @@ def json_list(value, what: str) -> list:
     return value
 
 
+def json_object(value, what: str) -> dict:
+    """``value`` if JSON read it as an object; ValueError for a list, a
+    string or anything else, which indexing by a key might take."""
+    if type(value) is not dict:
+        raise ValueError(f"{what} must be an object, not {value!r}")
+    return value
+
+
 class InconsistentEigenvaluesError(ValueError):
     """Eigenvalue signature conflicts with the context's product sign."""
 
@@ -97,10 +105,12 @@ class ContextSystem:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "ContextSystem":
-        """The system of a parsed JSON document; ValueError unless n, the
-        members and the signs are integers, n is not negative, the
-        observables, the contexts and each context's members are lists and
-        the observables are strings."""
+        """The system of a parsed JSON document; ValueError unless the
+        document and each context are objects, n, the members and the
+        signs are integers, n is not negative, the observables, the
+        contexts and each context's members are lists and the observables
+        are strings."""
+        doc = json_object(doc, "a system")
         n = json_integer(doc["n"], "n")
         if n < 0:
             raise ValueError(f"n must not be negative, not {n}")
@@ -108,13 +118,15 @@ class ContextSystem:
             if not isinstance(s, str):
                 raise ValueError(f"observable {s!r} must be a string")
         obs = tuple(parse_word(s) for s in doc["observables"])
+        contexts = [json_object(c, "a context")
+                    for c in json_list(doc["contexts"], "contexts")]
         ctxs = tuple(
             Context(
                 tuple(json_integer(m, "a member")
                       for m in json_list(c["members"], "members")),
                 json_integer(c["sign"], "a context sign"),
             )
-            for c in json_list(doc["contexts"], "contexts")
+            for c in contexts
         )
         return cls(n, obs, ctxs)
 

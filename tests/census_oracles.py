@@ -2,7 +2,7 @@
 
 Each function is the per-vector, dict-based version that the library
 replaced with shared assignment covers, batched filters over blocks of
-the kernel span, failed drops shared across Pauli images and symbols
+the kernel span, drop-one verdicts shared across Pauli images and symbols
 tallied per block, the plain loop it replaced with numpy (the span
 walked one Gray-code step at a time among them), the exact cover search
 that tries every projector in id order, the projector pool with one group
@@ -76,9 +76,10 @@ def kernel_parity_sets(table: BasisTable) -> List[Tuple[int, ...]]:
 
 
 def pauli_basis_images(table: BasisTable) -> Set[Tuple[int, ...]]:
-    """The basis permutations of the table induced by conjugating with
-    each of the 4^n Pauli operators X^px Z^pz that maps every basis of the
-    table onto a basis of the table, found one operator at a time."""
+    """The basis maps of the table induced by conjugating with each of
+    the 4^n Pauli operators X^px Z^pz, found one operator at a time:
+    perm[j] is the image of basis j, or -1 where that image is not a
+    basis of the table."""
     projs = table.pool.projectors
     index = {p.key: i for i, p in enumerate(projs)}
     where = {frozenset(b.projector_ids): j for j, b in enumerate(table.bases)}
@@ -92,12 +93,10 @@ def pauli_basis_images(table: BasisTable) -> Set[Tuple[int, ...]]:
                     anti = (x & pz).bit_count() + (z & px).bit_count()
                     key.append(((x, z), -s if anti % 2 else s))
                 moved.append(index.get(tuple(key)))
-            perm = tuple(
-                where.get(frozenset(moved[q] for q in b.projector_ids))
+            images.add(tuple(
+                where.get(frozenset(moved[q] for q in b.projector_ids), -1)
                 for b in table.bases
-            )
-            if None not in perm:
-                images.add(perm)
+            ))
     return images
 
 

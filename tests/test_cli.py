@@ -51,6 +51,9 @@ WRONG_TYPES = {
     "bool-amplitude-state": {"n": 1,
                              "amplitudes": [[True, False], [False, False]]},
     "string-observables": {"n": 1, "observables": "XZ", "contexts": []},
+    "string-context": {"n": 1, "observables": ["X"], "contexts": ["ab"]},
+    "list-context": {"n": 1, "observables": ["X"], "contexts": [[0, 0]]},
+    "string-system": "XZ",
 }
 
 # JSON nested past the decoder's recursion limit
@@ -959,6 +962,11 @@ class TestInputErrors:
          "0"],
         # a string once read as a list of one-letter observables
         ["verify", "{string-observables}"],
+        # a context or a system that is not an object once failed with a
+        # message that named no field
+        ["verify", "{string-context}"],
+        ["verify", "{list-context}"],
+        ["verify", "{string-system}"],
     ])
     def test_usage_error_without_traceback(self, runner, tmp_path, argv):
         # each of these once ended in an uncaught exception, or ran with
@@ -994,7 +1002,12 @@ class TestInputErrors:
                        for a in argv)
         nested = "{nested}" in argv
         empty = "" in argv
-        listless = "{string-observables}" in argv
+        messages = [message for key, message in (
+            ("{string-observables}", "observables must be a list, not 'XZ'"),
+            ("{string-context}", "a context must be an object, not 'ab'"),
+            ("{list-context}", "a context must be an object, not [0, 0]"),
+            ("{string-system}", "a system must be an object, not 'XZ'"),
+        ) if key in argv]
         for key, path in names.items():
             argv = [a.replace(key, path) for a in argv]
         result = runner.invoke(main, argv)
@@ -1009,8 +1022,8 @@ class TestInputErrors:
             assert "maximum recursion depth" in result.stderr
         if empty:
             assert "bad eigenvalue ''" in result.stderr
-        if listless:
-            assert "observables must be a list, not 'XZ'" in result.stderr
+        for message in messages:
+            assert message in result.stderr
 
 
 class TestExits:

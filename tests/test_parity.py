@@ -733,24 +733,47 @@ def _identity_group(table):
     return [tuple(range(len(table.bases)))]
 
 
-def _census_and_covers(table):
-    """The census of the table and the cover list its drop-one test
-    ended with."""
+class _Filed(dict):
+    """A dict of pending verdicts that also keeps every verdict filed in
+    it."""
+
+    def __init__(self):
+        super().__init__()
+        self.filed = {}
+
+    def update(self, verdicts):
+        self.filed.update(verdicts)
+        super().update(verdicts)
+
+
+def _recorded_census(table):
+    """The census of the table, the cover list its drop-one test ended
+    with, every verdict it filed by basis bitset, and the verdicts still
+    pending at its end."""
     held = {"covers": _CoverIndex(0)}
+    made = []
     drops_satisfiable = parity._drops_satisfiable
 
-    def spy(ids, table, covers, failed):
+    def spy(ids, table, covers):
         held["covers"] = covers
-        return drops_satisfiable(ids, table, covers, failed)
+        return drops_satisfiable(ids, table, covers)
 
-    with mock.patch.object(parity, "_drops_satisfiable", spy):
+    class Recorded(parity._SharedVerdicts):
+        def __init__(self, table):
+            super().__init__(table)
+            self.pending = _Filed()
+            made.append(self)
+
+    with mock.patch.object(parity, "_drops_satisfiable", spy), \
+            mock.patch.object(parity, "_SharedVerdicts", Recorded):
         census = enumerate_parity_proofs(table)
     # cover c holds basis j iff bit c of holders[j] is set
     index = held["covers"]
-    return census, [
+    covers = [
         sum(1 << j for j, h in enumerate(index.holders) if h >> c & 1)
         for c in range(index.found.bit_length())
     ]
+    return census, covers, made[0].pending.filed, dict(made[0].pending)
 
 
 @pytest.fixture(scope="module")
@@ -771,27 +794,38 @@ def search_tables():
 
 class TestSharedFailures:
     def test_kite_searches_and_covers(self, kite_table):
-        shared, covers = _census_and_covers(kite_table)
+        shared, covers, filed, left = _recorded_census(kite_table)
         with mock.patch.object(parity, "_pauli_automorphisms", _identity_group):
-            alone, alone_covers = _census_and_covers(kite_table)
-        # the failed searches are answered from their images; the ones
-        # that succeed run as before and find the same covers in order
-        assert (shared.searches, alone.searches) == (688, 8744)
-        assert (shared.shared_failures, alone.shared_failures) == (8056, 0)
-        assert len(covers) == 424 and covers == alone_covers
+            alone, alone_covers, alone_filed, alone_left = _recorded_census(
+                kite_table
+            )
+        # one survivor of each of the 1440 Pauli orbits is decided and the
+        # other 40,032 read its verdict; with the identity alone every
+        # survivor is decided
+        assert (shared.searches, alone.searches) == (511, 8744)
+        assert (shared.shared_verdicts, alone.shared_verdicts) == (40032, 0)
+        assert (len(covers), len(alone_covers)) == (247, 424)
+        # each survivor has a verdict filed, and each verdict is read
+        for census, verdicts, pending in (
+            (shared, filed, left), (alone, alone_filed, alone_left)
+        ):
+            assert len(verdicts) == census.subset_critical_total == 41472
+            assert sum(verdicts.values()) == census.total == 33152
+            assert pending == {}
+        assert filed == alone_filed
+        # the same proofs in the same order
         assert shared.proofs == alone.proofs
         assert list(shared.symbol_counts.items()) == list(
             alone.symbol_counts.items()
         )
-        assert (shared.total, len(shared.symbol_counts)) == (33152, 33)
-        assert shared.subset_critical_total == alone.subset_critical_total
+        assert len(shared.symbol_counts) == 33
         # the counters stay out of the payloads
         summary = shared.summary_dict(kite_table)
-        assert "searches" not in summary and "shared_failures" not in summary
+        assert "searches" not in summary and "shared_verdicts" not in summary
 
-    def test_group_built_at_the_first_failed_search(self, kite_table):
+    def test_group_built_at_the_first_decision(self, kite_table):
         # the star-3 table has one basis and an empty kernel, so its census
-        # searches nothing and never needs the group; the kite's builds it
+        # decides nothing and never needs the group; the kite's builds it
         # once
         star = enumerate_bases(projectors_of(build_star_table(3)))
         with mock.patch.object(
@@ -800,7 +834,7 @@ class TestSharedFailures:
             census = enumerate_parity_proofs(star)
             assert (census.searches, group.call_count) == (0, 0)
             census = enumerate_parity_proofs(kite_table)
-            assert (census.searches, group.call_count) == (688, 1)
+            assert (census.searches, group.call_count) == (511, 1)
 
     def test_kite_group_matches_every_pauli(self, kite_table, kite_images):
         assert len(kite_images) == 32
@@ -831,19 +865,49 @@ class TestSharedFailures:
     @settings(max_examples=100, deadline=None)
     @given(st.data())
     def test_images_map_each_basis(self, data):
+        # partial maps on up to 130 bases, three 64-bit limbs; a map that
+        # sends every basis out of the table, applied to the set of every
+        # basis, gives the largest count of bases sent out
         nb = data.draw(st.integers(1, 130), label="nb")
-        perm = data.draw(st.permutations(range(nb)), label="perm")
-        vec = data.draw(st.integers(0, (1 << nb) - 1), label="vec")
-        failed = parity._FailedDrops(lambda: [tuple(range(nb)), tuple(perm)])
-        failed.add(vec)
-        image = sum(1 << perm[j] for j in range(nb) if vec >> j & 1)
-        assert failed.known == {vec, image}
+        every = set(range(nb))
+        perms = [tuple(range(nb))]
+        for _ in range(data.draw(st.integers(0, 4), label="maps")):
+            perm = data.draw(st.permutations(range(nb)), label="perm")
+            gone = data.draw(
+                st.sets(st.integers(0, nb - 1)) | st.just(every), label="gone"
+            )
+            perms.append(
+                tuple(-1 if j in gone else t for j, t in enumerate(perm))
+            )
+        full = (1 << nb) - 1
+        vecs = data.draw(
+            st.lists(st.integers(0, full) | st.just(full), min_size=1,
+                     max_size=10),
+            label="vecs",
+        )
+        selections = np.array(
+            [[vec >> j & 1 for j in range(nb)] for vec in vecs], dtype=np.uint8
+        )
+        expected = []
+        for vec in vecs:
+            held = gf2.bits(vec)
+            expected.append([
+                sum(1 << perm[j] for j in held)
+                for perm in perms if all(perm[j] >= 0 for j in held)
+            ])
+        assert parity._BasisImages(perms, nb)(selections) == expected
+        # the limb rows of the sets read back as the sets
+        rows = parity._to_limbs(vecs, -(-nb // 64))
+        assert parity._from_limbs(rows) == vecs == census_oracles.from_limbs(
+            rows
+        )
 
     @settings(max_examples=15, deadline=None)
     @given(st.data())
     def test_pauli_image_kite_sub_tables(self, kite_table, kite_images, data):
-        # a drop set closed under one Pauli image g and moved by another,
-        # h: the group is abelian, so the sub-table keeps g
+        # a sub-table closed under one Pauli image g and missing the images
+        # of a few bases under another, h: the group is abelian and g its
+        # own inverse, so g maps the sub-table onto itself
         nb = len(kite_table.bases)
         g = data.draw(st.sampled_from(kite_images), label="g")
         h = data.draw(st.sampled_from(kite_images), label="h")
@@ -858,27 +922,28 @@ class TestSharedFailures:
         sub = BasisTable(
             kite_table.pool, tuple(kite_table.bases[j] for j in kept)
         )
-        assume(len(gf2.nullspace(sub.incidence_rows(), len(kept))) <= 12)
+        kernel = gf2.nullspace(sub.incidence_rows(), len(kept))
+        assume(len(kernel) <= 12)
         group = parity._pauli_automorphisms(sub)
         assert group[0] == tuple(range(len(kept)))
+        assert len(set(group)) == len(group)
         assert set(group) == census_oracles.pauli_basis_images(sub)
-        if any(g[j] != j for j in kept):
-            assert len(group) > 1
-        made = []
-
-        class Recorded(parity._FailedDrops):
-            def __init__(self, *args):
-                super().__init__(*args)
-                made.append(self)
-
-        with mock.patch.object(parity, "_FailedDrops", Recorded):
-            census = enumerate_parity_proofs(sub)
-        # every shared drop set, a failed search or an image of one, is
-        # unsatisfiable (checked on a sample of at most 40)
-        known = sorted(made[0].known)
-        for rest in known[::max(1, len(known) // 40)]:
-            assert satisfying_assignment(gf2.bits(rest), sub) is None
+        where = {j: i for i, j in enumerate(kept)}
+        assert tuple(where[g[j]] for j in kept) in group
+        census, _, filed, pending = _recorded_census(sub)
         _assert_census_matches_oracle(sub, census)
+        # every survivor has a verdict filed, each verdict is read, and
+        # each of a sample of at most 40 is that of the oracle's drop-one
+        # test on a subset survivor
+        assert len(filed) == census.subset_critical_total
+        assert pending == {}
+        echelon, _ = gf2.rref(kernel, len(kept))
+        keys = sorted(filed)
+        for key in keys[::max(1, len(keys) // 40)]:
+            ids = gf2.bits(key)
+            assert verify_proof(ids, sub)
+            assert census_oracles.subset_critical(key, echelon)
+            assert filed[key] == census_oracles.is_critical(ids, sub)
 
     @settings(max_examples=20, deadline=None)
     @given(st.data())
@@ -889,9 +954,10 @@ class TestSharedFailures:
             keep.remove(data.draw(st.sampled_from(keep), label="dropped"))
         order = data.draw(st.permutations(keep), label="order")
         sub = BasisTable(table.pool, tuple(table.bases[j] for j in order))
-        assert set(parity._pauli_automorphisms(sub)) == (
-            census_oracles.pauli_basis_images(sub)
-        )
+        group = parity._pauli_automorphisms(sub)
+        assert group[0] == tuple(range(len(order)))
+        assert len(set(group)) == len(group)
+        assert set(group) == census_oracles.pauli_basis_images(sub)
         _assert_census_matches_oracle(sub)
 
 
