@@ -1,11 +1,10 @@
 """Complete the four-qubit kite and enumerate all its parity proofs.
 
 The full census takes about 0.3 s on a 2-core Xeon host; everything
-before it is instant.  Its drop-one test keeps every satisfying
-assignment it finds as the set of bases that assignment covers exactly
-once, and searches only the drops no such cover already decides; the
-verdict on one proof candidate also holds for its Pauli images.  Run
-with: python3 demos/kite_census.py
+before it is instant.  The kernel walk hands each proof candidate once
+to one census body, which searches only the drops that no satisfying
+assignment found so far decides and files each verdict ahead under the
+candidate's Pauli images.  Run with: python3 demos/kite_census.py
 """
 
 import time

@@ -43,7 +43,6 @@ from .states import (
     bell_product_vector,
     bell_support,
     classify_residual,
-    entanglement_profile,
     joint_eigenstate,
     measure_computational,
 )

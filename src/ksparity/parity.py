@@ -8,20 +8,17 @@ the remaining bases admit a 0/1 value assignment giving each basis exactly
 one value-1 projector.  A weaker subset-based notion (no smaller parity
 proof inside) is also computed and any divergence is reported.
 
-The census walks the kernel span in numpy blocks, filters each block by
-the subset test, and searches only the drops of a survivor that no
-assignment found so far decides.  It holds every set of bases as a
-bitset with bit j = basis j; the walk yields each block both as
-coefficients over the kernel basis, which the subset test reads, and as
-those basis sets.
+Every set of bases is a bitset with bit j = basis j.  The census walks
+the kernel span in numpy blocks, each both as coefficients over the
+kernel basis, which the subset test reads, and as basis sets.  Each
+block's subset survivors go to one census body, ``_Census``, which every
+survivor reaches exactly once and which ``is_critical`` runs on a single
+set.  It searches only the drops of a survivor that no assignment found
+so far decides, decides one survivor per orbit of the pool's own Pauli
+group and files the verdict under the orbit's other members, and tallies
+the symbols and projector counts of a block's proofs in numpy at once.
 The direct subset scan that checks the kernel walks a window's basis
-masks with the same blocks.  Conjugating by a Pauli operator permutes
-the projectors and maps bases to bases, so a survivor's verdict holds
-for each of its images that lies in the table: the census decides one
-survivor per orbit of the pool's own Pauli group and files the verdict
-under the others, whose bitsets a block computes in numpy.  The basis
-ids of a block's survivors are read off in numpy once, and the symbols
-and projector counts of its proofs are tallied in numpy at once.
+masks with the same blocks.
 """
 
 from __future__ import annotations
@@ -30,7 +27,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress, islice
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -427,82 +424,9 @@ def _exact_one(open_masks: List[int], zeros: int, ones: int) -> Optional[int]:
     return None
 
 
-class _CoverIndex:
-    """The covers found so far, by basis.
-
-    A cover is the set of the table's bases that one found assignment
-    holds exactly once.  Bit c of ``holders[j]`` is set iff the c-th cover
-    holds basis j, and ``found`` holds a bit for every cover.
-    """
-
-    def __init__(self, nb: int):
-        self.holders = [0] * nb
-        self.found = 0
-
-    def add(self, cover: int) -> None:
-        """Index the next cover, a bitset of basis ids."""
-        bit = self.found + 1
-        for j in gf2.bits(cover):
-            self.holders[j] |= bit
-        self.found |= bit
-
-    def undecided(self, ids: Sequence[int]) -> List[int]:
-        """The drops of ``ids`` that no cover decides, highest first.
-
-        A cover holding every basis of ids but one proves that drop
-        satisfiable, and one holding all of them proves every drop so.
-        Drop ids[t] is decided iff the AND of the holders of ids[:t] and
-        that of ids[t + 1:] share a cover; both start from ``found``, so
-        with no cover yet the one drop of a one-basis set stays open.
-        """
-        holders = self.holders
-        prefixes = []
-        held = self.found
-        for j in ids:
-            prefixes.append(held)
-            held &= holders[j]
-        open_drops = []
-        held = self.found
-        for j, prefix in zip(reversed(ids), reversed(prefixes)):
-            if not prefix & held:
-                open_drops.append(j)
-            held &= holders[j]
-        return open_drops
-
-
-def _drops_satisfiable(
-    ids: Sequence[int], table: BasisTable, covers: _CoverIndex
-) -> bool:
-    """Does dropping any single basis of ``ids`` leave a satisfiable set?
-
-    ids are distinct basis ids, ascending.  Only the drops that no cover
-    in ``covers`` decides are searched, highest basis id first, and each
-    witness found adds its cover to ``covers``, which must hold covers of
-    real assignments of this table only.  The witness for a drop holds
-    every other basis once, so its cover decides that drop, or every drop
-    if it holds the dropped basis too.  A search that fails ends the test,
-    so every search either adds a cover or makes the answer False.
-    """
-    bases = table.bases
-    for drop in covers.undecided(ids):
-        ones = satisfying_assignment([j for j in ids if j != drop], table)
-        if ones is None:
-            return False
-        cover = sum(
-            1 << j for j, basis in enumerate(bases)
-            if (basis.mask & ones).bit_count() == 1
-        )
-        covers.add(cover)
-        if cover >> drop & 1:
-            return True
-    return True
-
-
 def is_critical(basis_ids: Sequence[int], table: BasisTable) -> bool:
     """Dropping any single basis must leave a satisfiable configuration."""
-    return _drops_satisfiable(
-        sorted(set(basis_ids)), table, _CoverIndex(len(table.bases))
-    )
+    return _Census(table).critical(sorted(set(basis_ids)))
 
 
 # Most survivors of a block whose images the census computes at once:
@@ -601,27 +525,39 @@ class _BasisImages:
         ]
 
 
-class _SharedVerdicts:
-    """Drop-one verdicts of survivors the walk has not reached yet, by
-    basis bitset, and how many survivors were answered from them.
+class _Census:
+    """The drop-one verdicts of a table's subset survivors, and the
+    critical proofs among them in the order the survivors come.
 
-    A Pauli operator maps a set of bases to the set of their images, whose
-    projectors are the images of the set's projectors.  An image that lies
-    in the table is therefore a subset survivor iff the set is, and
-    critical iff the set is, so the census decides the first survivor of
-    each orbit it walks and files the verdict under the orbit's other
-    members in the table.  The walk meets each survivor once, so a verdict
-    is dropped as it is read.  ``shared`` counts the survivors answered
-    from a verdict, ``refuted`` the decisions that came out False.  The
-    maps (``_pauli_automorphisms``) are built at the first decision, so a
-    census that decides nothing never builds them.
+    Two records of earlier decisions spare exact-one searches.  A cover is
+    the set of the table's bases that one found assignment holds exactly
+    once: bit c of ``holders[j]`` is set iff the c-th cover holds basis j,
+    and ``found`` holds a bit for every cover.  And a Pauli operator maps
+    a set of bases to the set of their images, whose projectors are the
+    images of the set's projectors, so an image that lies in the table is
+    a subset survivor iff the set is, and critical iff the set is.  The
+    first survivor of each orbit to arrive is decided, and its verdict is
+    filed in ``pending`` under the orbit's other members in the table.
+    The maps (``_pauli_automorphisms``) are built at the first decision,
+    so a census that decides nothing never builds them.
+
+    Each survivor reaches ``add`` exactly once, so every verdict filed is
+    popped when its survivor arrives and none is left at the end.  The
+    kernel walk keeps this, and so does any source that yields each set
+    of at most some number of bases once: a Pauli image has as many bases
+    as its preimage.  ``searches`` counts the exact-one searches run,
+    ``shared`` the survivors answered from a filed verdict.
     """
 
     def __init__(self, table: BasisTable):
         self.table = table
+        self.holders = [0] * len(table.bases)
+        self.found = 0
         self.pending: Dict[int, bool] = {}
+        self.searches = 0
         self.shared = 0
-        self.refuted = 0
+        self.survivors = 0
+        self.proofs: List[ParityProof] = []
 
     @cached_property
     def images(self) -> _BasisImages:
@@ -629,20 +565,73 @@ class _SharedVerdicts:
             _pauli_automorphisms(self.table), len(self.table.bases)
         )
 
-    def verdicts(
-        self,
-        keys: Sequence[int],
-        selections: np.ndarray,
-        decide: Callable[[int], bool],
-    ) -> List[bool]:
-        """The verdict of each survivor of a block, given as bitsets and
-        as selection rows: read from those pending, or else ``decide(i)``
-        and filed under its images.  A survivor to decide that has no
+    def open_drops(self, ids: Sequence[int]) -> List[int]:
+        """The drops of ``ids`` that no cover decides, highest first.
+
+        A cover holding every basis of ids but one proves that drop
+        satisfiable, and one holding all of them proves every drop so.
+        Drop ids[t] is decided iff the AND of the holders of ids[:t] and
+        that of ids[t + 1:] share a cover; both start from ``found``, so
+        with no cover yet the one drop of a one-basis set stays open.
+        """
+        holders = self.holders
+        prefixes = []
+        held = self.found
+        for j in ids:
+            prefixes.append(held)
+            held &= holders[j]
+        open_drops = []
+        held = self.found
+        for j, prefix in zip(reversed(ids), reversed(prefixes)):
+            if not prefix & held:
+                open_drops.append(j)
+            held &= holders[j]
+        return open_drops
+
+    def critical(self, ids: Sequence[int]) -> bool:
+        """Does dropping any single basis of ``ids``, distinct basis ids in
+        ascending order, leave a satisfiable set?
+
+        Only the open drops are searched, highest first.  The witness for
+        a drop holds every other basis once, so its cover, filed before
+        the next search, decides that drop, or every drop if it holds the
+        dropped basis too; a search that fails ends the test.
+        """
+        holders = self.holders
+        for drop in self.open_drops(ids):
+            self.searches += 1
+            ones = satisfying_assignment(
+                [j for j in ids if j != drop], self.table
+            )
+            if ones is None:
+                return False
+            bit = self.found + 1
+            self.found |= bit
+            for j, basis in enumerate(self.table.bases):
+                if (basis.mask & ones).bit_count() == 1:
+                    holders[j] |= bit
+            if holders[drop] & bit:
+                return True
+        return True
+
+    def add(self, vecs: np.ndarray) -> None:
+        """Take one block of survivors, as rows of 64-bit limbs (bit j =
+        basis j), and keep its critical ones as proofs.
+
+        Each verdict is read from those pending, or else decided and filed
+        under the survivor's images.  A survivor to decide that has no
         images yet gets them with the next _IMAGE_ROWS survivors pending
-        no verdict, so that few rows filed meanwhile get images too."""
+        no verdict, so that few rows filed meanwhile get images too.  The
+        block's proofs get their symbols and projector counts in one
+        ``_ProofTally`` pass.
+        """
+        selections = _selections(vecs, len(self.table.bases))
+        survivors = _selection_ids(selections)
+        keys = _from_limbs(vecs)
+        self.survivors += len(keys)
         pending = self.pending
         images: Dict[int, List[int]] = {}
-        found = []
+        critical = []
         for i, key in enumerate(keys):
             verdict = pending.pop(key, None)
             if verdict is None:
@@ -653,15 +642,21 @@ class _SharedVerdicts:
                         _IMAGE_ROWS,
                     ))
                     images = dict(zip(rows, self.images(selections[rows])))
-                verdict = decide(i)
-                self.refuted += not verdict
+                verdict = self.critical(survivors[i])
                 pending.update(dict.fromkeys(images[i], verdict))
                 # the identity's image, and a stabilizer's, is the survivor
                 del pending[key]
             else:
                 self.shared += 1
-            found.append(verdict)
-        return found
+            critical.append(verdict)
+        if any(critical):
+            symbols, projectors = self.table._tally.tally(selections[critical])
+            self.proofs += [
+                ParityProof(ids, sym_u, sym_a, count)
+                for ids, (sym_u, sym_a), count in zip(
+                    compress(survivors, critical), symbols, projectors
+                )
+            ]
 
 
 def kernel_parity_sets(table: BasisTable) -> List[Tuple[int, ...]]:
@@ -823,22 +818,11 @@ def enumerate_parity_proofs(
 ) -> ProofCensus:
     """Census of critical parity proofs via the GF(2) incidence kernel.
 
-    The kernel span is walked in Gray-code order a block at a time, step
-    g reaching the sum of the kernel vectors picked by gray(g) =
-    g ^ (g >> 1), as coefficient vectors over the kernel basis and as
-    basis sets (``_span_blocks``): the subset filter is applied to the
-    whole block in numpy, and its survivors' basis ids are read off once.
-    The survivors' verdicts are shared across each orbit of the pool's
-    Pauli group (``_SharedVerdicts``): a survivor whose image the walk
-    decided earlier takes that verdict, and only the others are decided.
-    Each of those is tested against every cover found before it
-    (``_CoverIndex``), and only the drops they leave open are searched.
-    The block's critical vectors then get their symbols and projector
-    counts in one ``_ProofTally`` pass; proofs come in walk order.
-    ``census.searches`` and ``census.shared_verdicts`` count the searches
-    run and the survivors answered from an image's verdict.
-    ``kernel_cap`` runs from 0 to KERNEL_CAP_MAX; a larger kernel marks
-    the census partial.
+    The kernel span is walked in Gray-code order a block at a time
+    (``_span_blocks``), the subset filter is applied to the whole block in
+    numpy, and its survivors go to one ``_Census``, which decides them and
+    keeps the critical ones as proofs in walk order.  ``kernel_cap`` runs
+    from 0 to KERNEL_CAP_MAX; a larger kernel marks the census partial.
     """
     if not 0 <= kernel_cap <= KERNEL_CAP_MAX:
         raise ValueError(
@@ -850,40 +834,17 @@ def enumerate_parity_proofs(
     kernel, odd_rows, columns = _incidence_kernel(table)
     if len(kernel) > kernel_cap:
         return ProofCensus([], len(kernel), partial=True)
-    # the covers of the assignments found so far, and the verdicts filed
-    # for survivors not reached yet; both live for this census only, while
-    # symbol renderings stay with the table's tally
-    covers = _CoverIndex(nb)
-    shared = _SharedVerdicts(table)
-    tally = table._tally
-    proofs: List[ParityProof] = []
-    subset_critical = 0
+    census = _Census(table)
     for coefs, vecs in _span_blocks(kernel, nb):
         # cheap filter first: a proof containing a smaller proof can never
         # survive the drop-one test
-        kept = vecs[_subset_survivors(coefs, odd_rows, columns)]
-        selections = _selections(kept, nb)
-        subset_critical += len(selections)
-        survivors = _selection_ids(selections)
-        critical = shared.verdicts(
-            _from_limbs(kept), selections,
-            lambda i: _drops_satisfiable(survivors[i], table, covers),
-        )
-        if any(critical):
-            symbols, projectors = tally.tally(selections[critical])
-            proofs += [
-                ParityProof(ids, sym_u, sym_a, count)
-                for ids, (sym_u, sym_a), count in zip(
-                    compress(survivors, critical), symbols, projectors
-                )
-            ]
+        census.add(vecs[_subset_survivors(coefs, odd_rows, columns)])
     return ProofCensus(
-        proofs=proofs,
+        proofs=census.proofs,
         kernel_dimension=len(kernel),
-        subset_critical_total=subset_critical,
-        # each search either found a cover or refuted the survivor
-        searches=covers.found.bit_length() + shared.refuted,
-        shared_verdicts=shared.shared,
+        subset_critical_total=census.survivors,
+        searches=census.searches,
+        shared_verdicts=census.shared,
     )
 
 

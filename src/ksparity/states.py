@@ -394,35 +394,26 @@ def _pattern_offsets(n: int, positions: np.ndarray) -> np.ndarray:
     return (1 << (n - 1 - positions)) @ bits.T
 
 
-def _subset_offsets(
-    n: int, subsets: Sequence[Sequence[int]]
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Row and column offset tables of equally sized 0-based ``subsets``.
+@functools.cache
+def _cut_offsets(n: int, size: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Row and column offset tables of every size-``size`` subset of n
+    qubits, in ``itertools.combinations`` order, built once per (n, size)
+    and kept read-only for the life of the process.
 
     Row ``i`` of the first table holds the offsets of subset ``i``'s bit
     patterns, row ``i`` of the second those of the other qubits', so
     ``rows[i, :, None] | cols[i, None, :]`` gathers the state transposed
-    to (subset, rest) order as a 2^k x 2^(n-k) matrix.
+    to (subset, rest) order as a 2^size x 2^(n - size) matrix.  The tables
+    hold C(n, size) * (2^size + 2^(n - size)) int64 entries together:
+    about 4.5 MB for every size at n = 12 and 40 MB at the 14-qubit dense
+    cap.
     """
-    size = len(subsets[0])
+    subsets = list(itertools.combinations(range(n), size))
     keep = np.array(subsets, dtype=np.int64).reshape(len(subsets), size)
     outside = np.ones((len(keep), n), dtype=bool)
     np.put_along_axis(outside, keep, False, axis=1)
     rest = np.nonzero(outside)[1].reshape(len(keep), n - size)
-    return _pattern_offsets(n, keep), _pattern_offsets(n, rest)
-
-
-@functools.cache
-def _cut_offsets(n: int, size: int) -> Tuple[np.ndarray, np.ndarray]:
-    """``_subset_offsets`` of every size-``size`` subset of n qubits, in
-    ``itertools.combinations`` order, built once per (n, size) and kept
-    read-only for the life of the process.
-
-    The tables hold C(n, size) * (2^size + 2^(n - size)) int64 entries
-    together: about 4.5 MB for every size at n = 12 and 40 MB at the
-    14-qubit dense cap.
-    """
-    tables = _subset_offsets(n, list(itertools.combinations(range(n), size)))
+    tables = _pattern_offsets(n, keep), _pattern_offsets(n, rest)
     for table in tables:
         table.flags.writeable = False
     return tables
@@ -449,20 +440,6 @@ def _spectra(
     return spectra
 
 
-def reduced_spectrum(state: DenseState, subset: Sequence[int]) -> Tuple[float, ...]:
-    """Eigenvalues of the reduced density matrix on 1-based ``subset``.
-
-    The subset's offset tables are built for this call alone.
-    """
-    subset = _qubit_indices(subset)
-    if len(set(subset)) != len(subset) or not all(
-        1 <= q <= state.n for q in subset
-    ):
-        raise ValueError(f"subset {subset} is not distinct qubits in 1..{state.n}")
-    rows, cols = _subset_offsets(state.n, [[q - 1 for q in subset]])
-    return _spectra(state.amplitudes, rows, cols)[0]
-
-
 def _cut_spectra(state: DenseState, size: int) -> Spectra:
     """Sorted spectra of every size-``size`` cut, from the kept tables."""
     rows, cols = _cut_offsets(state.n, size)
@@ -478,13 +455,6 @@ def _reference_spectra(reference: DenseState, size: int) -> Spectra:
     return kept[size]
 
 
-def entanglement_profile(state: DenseState) -> Dict[int, Spectra]:
-    """Reduced-density spectra for every bipartition up to size n/2."""
-    return {
-        size: _cut_spectra(state, size) for size in range(1, state.n // 2 + 1)
-    }
-
-
 def _spectra_match(a: Spectra, b: Spectra) -> bool:
     """Equal counts and lengths, and each value within SPECTRUM_TOL."""
     return len(a) == len(b) and all(
@@ -492,10 +462,6 @@ def _spectra_match(a: Spectra, b: Spectra) -> bool:
         and not any(abs(x - y) > SPECTRUM_TOL for x, y in zip(sa, sb))
         for sa, sb in zip(a, b)
     )
-
-
-def profiles_match(a: Dict[int, Spectra], b: Dict[int, Spectra]) -> bool:
-    return a.keys() == b.keys() and all(_spectra_match(a[k], b[k]) for k in a)
 
 
 def classify_residual(

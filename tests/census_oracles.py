@@ -1,13 +1,14 @@
 """Reference versions of the census filters and symbols, for tests only.
 
-Each function is the per-vector, dict-based version that the library
-replaced with shared assignment covers, batched filters over blocks of
-the kernel span, drop-one verdicts shared across Pauli images and symbols
-tallied per block, the plain loop it replaced with numpy (the span
-walked one Gray-code step at a time among them), the exact cover search
-that tries every projector in id order, the projector pool with one group
-built per sign pattern, or the pair-by-pair saturation test; the tests
-require the library to agree with it.
+Each function is the per-vector, dict-based version of work the library
+does in bulk: the census body (``parity._Census``), which decides each
+survivor once against the assignment covers found so far, shares verdicts
+across Pauli images and tallies a block's symbols at once; the batched
+filters over blocks of the kernel span; the plain loops it replaced with
+numpy (the span walked one Gray-code step at a time among them); the
+exact cover search that tries every projector in id order; the projector
+pool with one group built per sign pattern; or the pair-by-pair
+saturation test.  The tests require the library to agree with it.
 """
 
 import itertools

@@ -1,5 +1,6 @@
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -473,7 +474,7 @@ class TestParityPipeline:
         assert doc["brute_force_agrees"] is True
         assert doc["criticality_divergence"] is False
 
-        first = json.loads(open(catalog).readline())
+        first = json.loads(Path(catalog).read_text().splitlines()[0])
         assert first["critical"] is True
         proof_file = tmp_path / "proof.json"
         proof_file.write_text(json.dumps({"bases": first["bases"]}))
@@ -483,6 +484,24 @@ class TestParityPipeline:
         doc = json.loads(result.output)
         assert doc["valid"] is True and doc["critical"] is True
         assert doc["symbol"] == first["symbol"]
+
+    def test_kite_catalog_bytes(self, runner, kite_completion_file, tmp_path):
+        # the kite census in walk order: 33,152 proof lines, 4,719,216
+        # bytes, and the summary that counts them, each pinned by digest
+        catalog = tmp_path / "kite.jsonl"
+        result = runner.invoke(
+            main,
+            ["parity-census", kite_completion_file, "--catalog", str(catalog)],
+        )
+        assert result.exit_code == 0
+        written = catalog.read_bytes()
+        assert (written.count(b"\n"), len(written)) == (33152, 4719216)
+        assert hashlib.sha256(written).hexdigest() == (
+            "62e7165f95ad5f4140617321932f91f633fa90c79bdefd95583a448477606f88"
+        )
+        assert hashlib.sha256(result.stdout.encode()).hexdigest() == (
+            "88383f744bee57d079f123959d87962be51954b4bc3ed4a33f0498042a2a2a5b"
+        )
 
     def test_brute_force_check_catches_a_short_kernel(
         self, runner, square_file, monkeypatch
@@ -526,7 +545,7 @@ class TestReproduceAndManifest:
         result = runner.invoke(main, ["reproduce-paper", "-o", out])
         assert result.exit_code == 1
         assert result.stdout == ""
-        assert json.loads(open(out).read()) == {
+        assert json.loads(Path(out).read_text()) == {
             "checks": [
                 {"number": 1, "name": "passes", "status": "pass",
                  "detail": {"a": 1}},
@@ -545,19 +564,19 @@ class TestReproduceAndManifest:
             main, ["--manifest", manifest, "verify", star, "-o", out]
         )
         assert result.exit_code == 0
-        doc = json.loads(open(manifest).read())
+        doc = json.loads(Path(manifest).read_text())
         assert star in doc["inputs"]
         assert doc["results"] == [out]
         assert "ksparity" in doc["versions"]
         # an output over the input: the manifest keeps the digest of the
         # bytes that were verified, not of what the run wrote there
-        verified = open(star, "rb").read()
+        verified = Path(star).read_bytes()
         result = runner.invoke(
             main, ["--manifest", manifest, "verify", star, "-o", star]
         )
         assert result.exit_code == 0
-        assert open(star, "rb").read() != verified
-        doc = json.loads(open(manifest).read())
+        assert Path(star).read_bytes() != verified
+        doc = json.loads(Path(manifest).read_text())
         assert doc["inputs"] == {star: hashlib.sha256(verified).hexdigest()}
 
     def test_export_graph_writes_manifest(self, runner, tmp_path):
@@ -569,8 +588,8 @@ class TestReproduceAndManifest:
         )
         assert result.exit_code == 0
         assert result.stdout == ""
-        assert open(out).read().startswith("graph ks_system {")
-        doc = json.loads(open(manifest).read())
+        assert Path(out).read_text().startswith("graph ks_system {")
+        doc = json.loads(Path(manifest).read_text())
         assert star in doc["inputs"]
         assert doc["results"] == [out]
 
@@ -579,7 +598,7 @@ class TestReproduceAndManifest:
         out1, out2 = str(tmp_path / "a.json"), str(tmp_path / "b.json")
         runner.invoke(main, ["ghz-check", star, "-o", out1])
         runner.invoke(main, ["ghz-check", star, "-o", out2])
-        assert open(out1).read() == open(out2).read()
+        assert Path(out1).read_text() == Path(out2).read_text()
 
 
 class TestSearchComplete:

@@ -23,7 +23,6 @@ from ksparity.parity import (
     Basis,
     KERNEL_CAP_MAX,
     BasisTable,
-    _CoverIndex,
     _coefficient_columns,
     _scan_subsets,
     _span_blocks,
@@ -696,7 +695,7 @@ class TestBatchedFilters:
 
     @settings(max_examples=100, deadline=None)
     @given(st.data())
-    def test_cover_prefilter_matches_loop(self, data):
+    def test_open_drops_match_cover_loop(self, data):
         # covers near the vectors: each a vector with a few bits cleared
         # and a few others set, so all three outcomes of a cover occur
         nb = data.draw(st.integers(1, 130), label="nb")
@@ -718,15 +717,20 @@ class TestBatchedFilters:
             for b in data.draw(st.lists(bit, max_size=3), label="set"):
                 cover |= 1 << b
             covers.append(cover)
-        index = _CoverIndex(nb)
-        for cover in covers:
-            index.add(cover)
-        undecided = [index.undecided(gf2.bits(vec)) for vec in vecs]
-        assert [sum(1 << j for j in drops) for drops in undecided] == [
+        # the open drops read only the number of bases and the covers
+        census = parity._Census(BasisTable(None, (None,) * nb))
+        for c, cover in enumerate(covers):
+            for j in gf2.bits(cover):
+                census.holders[j] |= 1 << c
+        census.found = (1 << len(covers)) - 1
+        open_drops = [census.open_drops(gf2.bits(vec)) for vec in vecs]
+        assert [sum(1 << j for j in drops) for drops in open_drops] == [
             census_oracles.cover_undecided(vec, covers) for vec in vecs
         ]
         # the drops come highest first, the order they are searched in
-        assert all(drops == sorted(drops, reverse=True) for drops in undecided)
+        assert all(
+            drops == sorted(drops, reverse=True) for drops in open_drops
+        )
 
 
 def _identity_group(table):
@@ -750,30 +754,23 @@ def _recorded_census(table):
     """The census of the table, the cover list its drop-one test ended
     with, every verdict it filed by basis bitset, and the verdicts still
     pending at its end."""
-    held = {"covers": _CoverIndex(0)}
     made = []
-    drops_satisfiable = parity._drops_satisfiable
 
-    def spy(ids, table, covers):
-        held["covers"] = covers
-        return drops_satisfiable(ids, table, covers)
-
-    class Recorded(parity._SharedVerdicts):
+    class Recorded(parity._Census):
         def __init__(self, table):
             super().__init__(table)
             self.pending = _Filed()
             made.append(self)
 
-    with mock.patch.object(parity, "_drops_satisfiable", spy), \
-            mock.patch.object(parity, "_SharedVerdicts", Recorded):
+    with mock.patch.object(parity, "_Census", Recorded):
         census = enumerate_parity_proofs(table)
     # cover c holds basis j iff bit c of holders[j] is set
-    index = held["covers"]
+    body = made[0]
     covers = [
-        sum(1 << j for j, h in enumerate(index.holders) if h >> c & 1)
-        for c in range(index.found.bit_length())
+        sum(1 << j for j, h in enumerate(body.holders) if h >> c & 1)
+        for c in range(body.found.bit_length())
     ]
-    return census, covers, made[0].pending.filed, dict(made[0].pending)
+    return census, covers, body.pending.filed, dict(body.pending)
 
 
 @pytest.fixture(scope="module")
@@ -792,7 +789,7 @@ def search_tables():
     return [enumerate_bases(projectors_of(sys)) for sys in systems]
 
 
-class TestSharedFailures:
+class TestSharedVerdicts:
     def test_kite_searches_and_covers(self, kite_table):
         shared, covers, filed, left = _recorded_census(kite_table)
         with mock.patch.object(parity, "_pauli_automorphisms", _identity_group):

@@ -34,11 +34,8 @@ from ksparity.states import (
     bell_product_vector,
     bell_support,
     classify_residual,
-    entanglement_profile,
     joint_eigenstate,
     measure_computational,
-    profiles_match,
-    reduced_spectrum,
 )
 
 S = 1 / math.sqrt(2)
@@ -445,15 +442,16 @@ class TestMeasurement:
 class TestProfiles:
     def test_bell_state_spectra(self):
         bell = DenseState(2, BELL_VECTORS["Ψ-"].copy())
-        assert reduced_spectrum(bell, [1]) == pytest.approx((0.5, 0.5))
+        for spectrum in states._cut_spectra(bell, 1):
+            assert spectrum == pytest.approx((0.5, 0.5))
 
     def test_product_state_spectra(self):
         zeros = DenseState(2, np.array([1, 0, 0, 0], dtype=complex))
-        assert reduced_spectrum(zeros, [2]) == pytest.approx((1.0, 0.0))
+        for spectrum in states._cut_spectra(zeros, 1):
+            assert spectrum == pytest.approx((1.0, 0.0))
 
     def test_four_qubit_single_qubit_spectra(self, psi4):
-        prof = entanglement_profile(psi4)
-        for spectrum in prof[1]:
+        for spectrum in states._cut_spectra(psi4, 1):
             assert spectrum == pytest.approx((0.5, 0.5))
 
     @settings(max_examples=40, deadline=None)
@@ -462,45 +460,63 @@ class TestProfiles:
     def test_profile_matches_per_subset_loop(self, n, seed):
         # at 8 qubits the 70 four-qubit cuts fill more than one stack
         psi = random_state(n, seed)
-        assert entanglement_profile(psi) == state_oracles.entanglement_profile(psi)
+        assert {
+            size: states._cut_spectra(psi, size)
+            for size in range(1, n // 2 + 1)
+        } == state_oracles.entanglement_profile(psi)
 
     @pytest.mark.parametrize("subset", [[], [2], [3, 1], [5, 2, 4], [1, 2, 3, 4, 5]])
     def test_spectrum_matches_transposed_reshape(self, subset):
+        # the offset tables' row for one subset gathers the same matrix
         psi = random_state(5, 7)
-        assert reduced_spectrum(psi, subset) == (
-            state_oracles.reduced_spectrum(psi, subset)
-        )
+        rows, cols = states._cut_offsets(5, len(subset))
+        cut = tuple(sorted(q - 1 for q in subset))
+        i = list(itertools.combinations(range(5), len(subset))).index(cut)
+        spectra = states._spectra(psi.amplitudes, rows[i:i + 1], cols[i:i + 1])
+        assert spectra == [state_oracles.reduced_spectrum(psi, sorted(subset))]
 
     @pytest.mark.parametrize("subset", [[1, 1], [0], [6]])
     def test_spectrum_rejects_bad_subset(self, subset):
+        psi5 = random_state(5, 7)
+        # a residual, and with it any spectrum, comes from measuring
+        # distinct qubits of the state only
         with pytest.raises(ValueError):
-            reduced_spectrum(random_state(5, 7), subset)
+            measure_computational(psi5, subset, "0" * len(subset))
 
     @pytest.mark.parametrize("subset", [[2.9], [2.0], [1, np.float64(3.0)], ["1"]])
     def test_spectrum_rejects_non_integer_qubits(self, subset):
+        psi5 = random_state(5, 7)
         # an int64 cast would read 2.9 as qubit 2
         with pytest.raises(ValueError):
-            reduced_spectrum(random_state(5, 7), subset)
+            measure_computational(psi5, subset, "0" * len(subset))
 
     def test_spectrum_takes_numpy_integers(self):
         psi = random_state(5, 7)
-        assert reduced_spectrum(psi, [np.int64(4), np.int64(2)]) == (
-            reduced_spectrum(psi, [4, 2])
+        prob, residual = measure_computational(
+            psi, [np.int64(4), np.int64(2)], "10"
         )
+        want_prob, want = measure_computational(psi, [4, 2], "10")
+        assert prob == want_prob
+        assert states._cut_spectra(residual, 1) == states._cut_spectra(want, 1)
 
     def test_profiles_match_is_tolerant(self, psi4):
-        a = entanglement_profile(psi4)
-        assert profiles_match(a, a)
-        # the oracle's own comparator agrees, within and past the tolerance
+        a = {size: states._cut_spectra(psi4, size) for size in (1, 2)}
+        # one cut size at a time, as classify_residual compares them, and
+        # the oracle's comparator over the whole profile agree, within and
+        # past the tolerance
         tol = states.SPECTRUM_TOL
         for shift in (tol / 2, 2 * tol):
             b = {k: tuple(tuple(v + shift for v in s) for s in spectra)
                  for k, spectra in a.items()}
-            assert profiles_match(a, b) == (shift < tol)
+            assert all(states._spectra_match(a[k], b[k]) for k in a) == (
+                shift < tol
+            )
             assert state_oracles.profiles_match(a, b) == (shift < tol)
         fewer = {k: spectra[:-1] for k, spectra in a.items()}
+        shorter = (a[1][0][:-1],) + a[1][1:]
+        assert not states._spectra_match(a[1], fewer[1])
+        assert not states._spectra_match(a[1], shorter)
         for b in (fewer, {1: a[1]}):
-            assert not profiles_match(a, b)
             assert not state_oracles.profiles_match(a, b)
 
     def test_residual_classification_against_reference(self, psi4, psi6):
